@@ -14,8 +14,8 @@ Backends register themselves with :func:`register_backend`:
 - ``fused``     — epilogue fusion, pooled scratch buffers, direct BLAS
   GEMMs and precomputed activation level tables;
 - ``compiled``  — the fused graph's glue ops rendered to C and built into
-  per-batch-size shared libraries (:mod:`repro.serve.codegen`); requires
-  a C compiler and resolves to ``fused`` (with a warning) without one.
+  one shared library per graph (:mod:`repro.serve.codegen`); requires a
+  C compiler and resolves to ``fused`` (with a warning) without one.
 
 Writing a new backend is three steps: subclass
 :class:`~repro.serve.backends.base.KernelBackend`, pick the graph passes it

@@ -3,9 +3,9 @@
 The fused backend's per-request cost is numpy dispatch on the non-GEMM
 glue: a conv is ~10 ufunc invocations (6-pass activation fake-quant,
 strided window gather, bias add, 4-pass batch-norm, ReLU). This backend
-renders that glue to C per (graph, batch size) — see
-:mod:`repro.serve.codegen` — so a conv becomes *two* native calls around
-one BLAS GEMM:
+renders that glue to C once per graph — see :mod:`repro.serve.codegen`;
+every kernel passes its batch's request (or row) count as the first
+argument — so a conv becomes *two* native calls around one BLAS GEMM:
 
 - ``pre``:  fused activation-quant + zero-pad + im2col gather, written
   directly into the GEMM's column buffer in a single pass;
@@ -73,12 +73,20 @@ def _program(ctx: ExecContext, artifact: ServeArtifact) -> GraphProgram:
 
 
 class _CodegenKernel(Kernel):
-    """Base: holds the shared program and pools contiguity copies."""
+    """Base: registers the node's renderer with the shared program,
+    looks up its native functions and pools contiguity copies."""
 
     def __init__(self, node: IRNode, ctx: ExecContext,
-                 program: GraphProgram):
+                 program: GraphProgram, renderer):
         super().__init__(node, ctx)
         self.program = program
+        program.register(renderer)
+        self._bound: dict = {}
+
+    def _fn(self, role: str):
+        """This node's native ``role`` function (``None`` if the
+        renderer emitted none); builds the library on first use."""
+        return self.program.table().get((self.node.id, role))
 
     def _contiguous(self, x: np.ndarray, slot: int = 0) -> np.ndarray:
         """Native code takes raw pointers; strided views (a depthwise
@@ -97,13 +105,14 @@ class CodegenConvKernel(_CodegenKernel):
 
     def __init__(self, node: IRNode, graph: Graph, ctx: ExecContext,
                  artifact: ServeArtifact, program: GraphProgram):
-        super().__init__(node, ctx, program)
+        input_shape = graph.node(node.inputs[0]).output_shape
+        super().__init__(node, ctx, program,
+                         ConvRenderer(node, input_shape, artifact))
         spec = node.spec
         self.kernel = spec["kernel"]
         self.stride = spec["stride"]
         self.padding = spec["padding"]
         self.oc = spec["out_channels"]
-        input_shape = graph.node(node.inputs[0]).output_shape
         self.cin = input_shape[0]
         self.h, self.w = input_shape[1], input_shape[2]
         self.oh, self.ow = node.output_shape[1], node.output_shape[2]
@@ -114,18 +123,13 @@ class CodegenConvKernel(_CodegenKernel):
             self.w3 = self.w_mat.reshape(self.cin,
                                          self.kernel * self.kernel, 1)
         self.has_act = spec["act_quant"] is not None
-        self.renderer = ConvRenderer(node, input_shape, artifact)
-        program.register(self.renderer)
         self._artifact = artifact
         self._fallback = None
-        self._bound: dict = {}
 
     def _bind(self, n: int) -> tuple:
         bound = self._bound.get(n)
         if bound is None:
-            table = self.program.for_batch(n)
-            pre = table.get((self.node.id, "pre"))
-            post = table.get((self.node.id, "post"))
+            pre, post = self._fn("pre"), self._fn("post")
             k, p = self.kernel, self.oh * self.ow
             quant = final = None
             if self.depthwise:
@@ -167,48 +171,39 @@ class CodegenConvKernel(_CodegenKernel):
         x = self._contiguous(x)
         if self.depthwise:
             if quant is not None:
-                pre(x.ctypes.data, quant.ctypes.data, cols.ctypes.data)
+                pre(n, x.ctypes.data, quant.ctypes.data, cols.ctypes.data)
             else:
-                pre(x.ctypes.data, cols.ctypes.data)
+                pre(n, x.ctypes.data, cols.ctypes.data)
             np.matmul(cols, self.w3, out=out)
             if post is not None:
-                post(out.ctypes.data, final.ctypes.data)
+                post(n, out.ctypes.data, final.ctypes.data)
                 return final.reshape(n, self.cin, self.oh, self.ow)
             base = out.reshape(self.cin, n, self.oh, self.ow)
             return base.transpose(1, 0, 2, 3)
         if pre is not None:
-            pre(x.ctypes.data, cols.ctypes.data)
+            pre(n, x.ctypes.data, cols.ctypes.data)
             gemm_in = cols
         else:
             gemm_in = x.reshape(n, self.cin, self.oh * self.ow)
         np.matmul(self.w_mat, gemm_in, out=out)
         if post is not None:
-            post(out.ctypes.data)
+            post(n, out.ctypes.data)
         return out.reshape(n, self.oc, self.oh, self.ow)
 
 
 class CodegenLinearKernel(_CodegenKernel):
-    def __init__(self, node: IRNode, graph: Graph, ctx: ExecContext,
+    def __init__(self, node: IRNode, ctx: ExecContext,
                  artifact: ServeArtifact, program: GraphProgram):
-        super().__init__(node, ctx, program)
-        spec = node.spec
-        self.weight = decode_weight_record(artifact, spec["weight"])
+        super().__init__(node, ctx, program, LinearRenderer(node, artifact))
+        self.weight = decode_weight_record(artifact, node.spec["weight"])
         self.wT = self.weight.T
-        producer = graph.node(node.inputs[0])
-        self.rows_per_request = (producer.output_shape[0]
-                                 if producer.merged_time else 1)
-        self.renderer = LinearRenderer(node, self.rows_per_request, artifact)
-        program.register(self.renderer)
         self._artifact = artifact
         self._fallback = None
-        self._bound: dict = {}
 
     def _bind(self, rows: int) -> tuple:
         bound = self._bound.get(rows)
         if bound is None:
-            table = self.program.for_batch(rows // self.rows_per_request)
-            pre = table.get((self.node.id, "pre"))
-            post = table.get((self.node.id, "post"))
+            pre, post = self._fn("pre"), self._fn("post")
             xq = (self.ctx.scratch(f"cg.xq{self.node.id}",
                                    (rows, self.weight.shape[1]))
                   if pre is not None else None)
@@ -219,48 +214,41 @@ class CodegenLinearKernel(_CodegenKernel):
         return bound
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        if x.dtype != np.float32 or x.shape[0] % self.rows_per_request:
-            # Streamed chunks of a merged-time graph carry partial
-            # per-request row counts the native pre/post stages were
-            # never rendered for; the fused kernel is bit-identical, so
-            # those rows are served from it.
+        if x.dtype != np.float32:
+            # Off the native path, stay bit-exact on the fused kernel.
             if self._fallback is None:
                 self._fallback = FusedLinearKernel(self.node, self.ctx,
                                                    self._artifact)
             return self._fallback.run(x)
-        pre, post, xq, out = self._bind(x.shape[0])
+        rows = x.shape[0]
+        pre, post, xq, out = self._bind(rows)
         x = self._contiguous(x)
         if pre is not None:
-            pre(x.ctypes.data, xq.ctypes.data)
+            pre(rows, x.ctypes.data, xq.ctypes.data)
             x = xq
         # The reference's exact row-stable `x @ weight.T` on identical
         # values.
         row_stable_matmul(x, self.wT, out=out)
         if post is not None:
-            post(out.ctypes.data)
+            post(rows, out.ctypes.data)
         return out
 
 
 class CodegenAddKernel(_CodegenKernel):
     def __init__(self, node: IRNode, ctx: ExecContext,
                  program: GraphProgram):
-        super().__init__(node, ctx, program)
-        self.renderer = AddRenderer(node)
-        program.register(self.renderer)
-        self._bound: dict = {}
+        super().__init__(node, ctx, program, AddRenderer(node))
 
     def run(self, main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
         n = main.shape[0]
         bound = self._bound.get(n)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
             out = self.ctx.scratch(f"out{self.node.id}", main.shape)
-            bound = (fn, out)
-            self._bound[n] = bound
+            bound = self._bound[n] = (self._fn("main"), out)
         fn, out = bound
         main = self._contiguous(main, 0)
         shortcut = self._contiguous(shortcut, 1)
-        fn(main.ctypes.data, shortcut.ctypes.data, out.ctypes.data)
+        fn(n, main.ctypes.data, shortcut.ctypes.data, out.ctypes.data)
         return out
 
 
@@ -269,50 +257,40 @@ class CodegenEltwiseKernel(_CodegenKernel):
 
     def __init__(self, node: IRNode, ctx: ExecContext,
                  artifact: ServeArtifact, program: GraphProgram):
-        super().__init__(node, ctx, program)
-        self.renderer = EltwiseRenderer(node, artifact)
-        program.register(self.renderer)
-        # Per-request element count: recovers the graph batch size from
-        # the physical input even when merge_time folded the leading
-        # per-request dim into the batch axis.
-        self.request_size = int(np.prod(node.output_shape))
-        self._bound: dict = {}
+        renderer = EltwiseRenderer(node, artifact)
+        super().__init__(node, ctx, program, renderer)
+        # The native loop runs over channel-period blocks, which also
+        # tile a time-merged input holding partial requests.
+        self.block = renderer.channels * renderer.inner
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        n = x.size // self.request_size
         bound = self._bound.get(x.shape)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
             out = self.ctx.scratch(f"out{self.node.id}", x.shape)
-            bound = (fn, out)
-            self._bound[x.shape] = bound
+            bound = self._bound[x.shape] = (self._fn("main"), out)
         fn, out = bound
         x = self._contiguous(x)
-        fn(x.ctypes.data, out.ctypes.data)
+        fn(x.size // self.block, x.ctypes.data, out.ctypes.data)
         return out
 
 
 class CodegenMaxPoolKernel(_CodegenKernel):
     def __init__(self, node: IRNode, graph: Graph, ctx: ExecContext,
                  program: GraphProgram):
-        super().__init__(node, ctx, program)
         input_shape = graph.node(node.inputs[0]).output_shape
-        self.renderer = MaxPoolRenderer(node, input_shape)
-        program.register(self.renderer)
-        self._bound: dict = {}
+        super().__init__(node, ctx, program,
+                         MaxPoolRenderer(node, input_shape))
 
     def run(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         bound = self._bound.get(n)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
             out = self.ctx.scratch(f"out{self.node.id}",
                                    (n,) + self.node.output_shape)
-            bound = (fn, out)
-            self._bound[n] = bound
+            bound = self._bound[n] = (self._fn("main"), out)
         fn, out = bound
         x = self._contiguous(x)
-        fn(x.ctypes.data, out.ctypes.data)
+        fn(n, x.ctypes.data, out.ctypes.data)
         return out
 
 
@@ -348,7 +326,7 @@ class CompiledBackend(KernelBackend):
         if kind == "conv":
             return CodegenConvKernel(node, graph, ctx, artifact, program)
         if kind == "linear":
-            return CodegenLinearKernel(node, graph, ctx, artifact, program)
+            return CodegenLinearKernel(node, ctx, artifact, program)
         if kind == "add":
             return CodegenAddKernel(node, ctx, program)
         if kind == "maxpool":

@@ -1,8 +1,9 @@
 """Native code generation for the serving compiler.
 
-``repro.serve.codegen`` turns compiled IR graphs into per-batch-size C
-kernels: :mod:`renderer` emits the source (quantizer clips, SP2 level
-grids and epilogue constants baked in as literals), :mod:`build` probes
+``repro.serve.codegen`` turns each compiled IR graph into one C library
+whose kernels take the batch size at run time: :mod:`renderer` emits the
+source (quantizer clips, SP2 level grids and epilogue constants baked in
+as literals), :mod:`build` probes
 for a C compiler once and maintains a content-hash-keyed ``.so`` cache
 with atomic publication, and :mod:`runtime` binds the built library's
 entry points through ``ctypes``. The ``compiled`` backend

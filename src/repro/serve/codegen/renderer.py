@@ -1,10 +1,14 @@
 """C renderer for the ``compiled`` serving backend.
 
-Walks compiled IR nodes and emits one C translation unit per (graph,
-batch size): every loop bound, stride, padding width, quantizer clip
-constant and SP2 level-grid entry is baked in as a literal, so the
-compiler sees fully static loop nests and the runtime performs zero
-dispatch on the glue ops.
+Walks compiled IR nodes and emits one C translation unit per graph.
+Every generated function takes the count of its outermost unit as a
+leading ``long n`` argument (requests; rows for linear layers; channel
+periods for standalone elementwise nodes), so one library serves every
+batch size. Everything else — per-request strides,
+spatial bounds, padding widths, quantizer clip constants, SP2 level-grid
+entries and epilogue tables — is baked in as a literal, so the compiler
+sees static inner loop nests and the runtime performs zero dispatch on
+the glue ops.
 
 **Bit-exactness is the design constraint, not speed at any cost.** The
 generated kernels cover exactly the ops whose numpy implementations are
@@ -51,8 +55,9 @@ NATIVE_KINDS = frozenset({
 })
 
 MODULE_PREAMBLE = """\
-/* Generated by repro.serve.codegen — one translation unit per
- * (graph, batch size). Do not edit; the content hash is the cache key. */
+/* Generated by repro.serve.codegen — one translation unit per graph,
+ * batch size a runtime argument. Do not edit; the content hash is the
+ * cache key. */
 #include <math.h>
 """
 
@@ -234,13 +239,12 @@ def _stage_body(prefix: str, stages: List[dict], channel: str = "c") -> str:
 
 
 def _channel_loop(symbol: str, prefix: str, stages: List[dict],
-                  outer: int, channels: int, inner: int,
-                  in_place: bool) -> str:
-    """A (outer, channels, inner) epilogue loop nest.
+                  channels: int, inner: int, in_place: bool) -> str:
+    """An (n, channels, inner) epilogue loop nest, ``n`` a runtime count.
 
-    ``in_place=True`` renders ``void f(float *r)`` updating the GEMM
-    output; otherwise ``void f(const float *x, float *r)`` (standalone
-    batch-norm / ReLU nodes).
+    ``in_place=True`` renders ``void f(long n, float *r)`` updating the
+    GEMM output; otherwise ``void f(long n, const float *x, float *r)``
+    (standalone batch-norm / ReLU nodes).
     """
     body = _stage_body(prefix, stages)
     sig = "float *r" if in_place else "const float *x, float *r"
@@ -248,8 +252,8 @@ def _channel_loop(symbol: str, prefix: str, stages: List[dict],
     setup = "" if in_place else (
         f"\n      const float *q = x + (o * {channels} + c) * {inner}L;")
     return f"""\
-void {symbol}({sig}) {{
-  for (long o = 0; o < {outer}L; ++o) {{
+void {symbol}(long n, {sig}) {{
+  for (long o = 0; o < n; ++o) {{
     for (long c = 0; c < {channels}L; ++c) {{
       float *p = r + (o * {channels} + c) * {inner}L;{setup}
       for (long j = 0; j < {inner}L; ++j) {{
@@ -270,7 +274,7 @@ class CSegment:
     """One node's contribution to the translation unit."""
 
     source: str
-    #: [(binding key, C symbol, argument count)]
+    #: [(binding key, C symbol, pointer-argument count)]
     functions: List[Tuple[tuple, str, int]] = field(default_factory=list)
 
 
@@ -312,17 +316,17 @@ class ConvRenderer:
         sym = f"{prefix}_q"
         return self.act.emit(sym), f"{sym}(%s)"
 
-    def _pre_pointwise(self, symbol: str, prefix: str, n: int) -> str:
-        total = n * self.cin * self.h * self.w
+    def _pre_pointwise(self, symbol: str, prefix: str) -> str:
+        size = self.cin * self.h * self.w
         helper, quant = self._emit_quant(prefix)
         expr = quant % "x[i]"
         return f"""\
 {helper}
-void {symbol}(const float *x, float *cols) {{
-  for (long i = 0; i < {total}L; ++i) cols[i] = {expr};
+void {symbol}(long n, const float *x, float *cols) {{
+  for (long i = 0; i < n * {size}L; ++i) cols[i] = {expr};
 }}"""
 
-    def _pre_im2col(self, symbol: str, prefix: str, n: int) -> str:
+    def _pre_im2col(self, symbol: str, prefix: str) -> str:
         k, s, pad = self.kernel, self.stride, self.padding
         cin, h, w, oh, ow = self.cin, self.h, self.w, self.oh, self.ow
         p = oh * ow
@@ -341,8 +345,8 @@ void {symbol}(const float *x, float *cols) {{
             elem = f"drow[ox] = {expr};"
         return f"""\
 {helper}
-void {symbol}(const float *x, float *cols) {{
-  for (long i = 0; i < {n}L; ++i) {{
+void {symbol}(long n, const float *x, float *cols) {{
+  for (long i = 0; i < n; ++i) {{
     const float *xi = x + i * {cin * h * w}L;
     float *ci = cols + i * {cin * k * k * p}L;
     for (long c = 0; c < {cin}L; ++c)
@@ -363,7 +367,7 @@ void {symbol}(const float *x, float *cols) {{
   }}
 }}"""
 
-    def _pre_depthwise(self, symbol: str, prefix: str, n: int) -> str:
+    def _pre_depthwise(self, symbol: str, prefix: str) -> str:
         k, s, pad = self.kernel, self.stride, self.padding
         cin, h, w, oh, ow = self.cin, self.h, self.w, self.oh, self.ow
         p = oh * ow
@@ -371,7 +375,7 @@ void {symbol}(const float *x, float *cols) {{
                  f"? 0.0f : " if pad > 0 else "")
         if self.act is None:
             helper = quant_pass = ""
-            sig = "const float *x, float *cols"
+            sig = "long n, const float *x, float *cols"
             src = "x"
         else:
             # Each input element lands in up to k*k column cells; running
@@ -382,15 +386,15 @@ void {symbol}(const float *x, float *cols) {{
             # (padding borders stay literal 0.0f either way) — then the
             # gather is pure copies.
             helper = self.act.emit(f"{prefix}_q") + "\n"
-            sig = "const float *x, float *q, float *cols"
-            quant_pass = (f"  for (long i = 0; i < {n * cin * h * w}L; ++i) "
+            sig = "long n, const float *x, float *q, float *cols"
+            quant_pass = (f"  for (long i = 0; i < n * {cin * h * w}L; ++i) "
                           f"q[i] = {prefix}_q(x[i]);\n")
             src = "q"
         return f"""\
 {helper}void {symbol}({sig}) {{
 {quant_pass}  for (long c = 0; c < {cin}L; ++c) {{
-    float *cc = cols + c * {n * p * k * k}L;
-    for (long i = 0; i < {n}L; ++i) {{
+    float *cc = cols + c * n * {p * k * k}L;
+    for (long i = 0; i < n; ++i) {{
       const float *xc = {src} + (i * {cin} + c) * {h * w}L;
       float *ci = cc + i * {p * k * k}L;
       for (long oy = 0; oy < {oh}L; ++oy)
@@ -408,7 +412,7 @@ void {symbol}(const float *x, float *cols) {{
   }}
 }}"""
 
-    def _post_depthwise(self, symbol: str, prefix: str, n: int) -> str:
+    def _post_depthwise(self, symbol: str, prefix: str) -> str:
         """Epilogue over the channel-major GEMM result ``(cin, n*p)``
         that writes the request-major ``(n, cin, p)`` layout directly —
         folding the transpose every consumer would otherwise pay a
@@ -417,10 +421,10 @@ void {symbol}(const float *x, float *cols) {{
         p = self.oh * self.ow
         body = _stage_body(prefix, self.stages)
         return f"""\
-void {symbol}(const float *r, float *out) {{
+void {symbol}(long n, const float *r, float *out) {{
   for (long c = 0; c < {self.cin}L; ++c) {{
-    const float *rc = r + c * {n * p}L;
-    for (long i = 0; i < {n}L; ++i) {{
+    const float *rc = r + c * n * {p}L;
+    for (long i = 0; i < n; ++i) {{
       const float *s = rc + i * {p}L;
       float *d = out + (i * {self.cin} + c) * {p}L;
       for (long j = 0; j < {p}L; ++j) {{
@@ -433,7 +437,7 @@ void {symbol}(const float *r, float *out) {{
 }}"""
 
     # -- render ---------------------------------------------------------
-    def render(self, n: int) -> CSegment:
+    def render(self) -> CSegment:
         prefix = f"k{self.node_id}"
         parts: List[str] = [f"/* {self.name}: conv "
                             f"{self.cin}x{self.h}x{self.w} -> "
@@ -444,26 +448,24 @@ void {symbol}(const float *r, float *out) {{
         functions: List[Tuple[tuple, str, int]] = []
         k, s, pad = self.kernel, self.stride, self.padding
         pointwise = k == 1 and s == 1 and pad == 0
+        pre, post = f"{prefix}_pre", f"{prefix}_post"
         if self.depthwise:
-            pre = f"{prefix}_pre_b{n}"
-            parts.append(self._pre_depthwise(pre, prefix, n))
+            parts.append(self._pre_depthwise(pre, prefix))
             functions.append(((self.node_id, "pre"), pre,
                               2 if self.act is None else 3))
         elif not (pointwise and self.act is None):
-            pre = f"{prefix}_pre_b{n}"
             emit = self._pre_pointwise if pointwise else self._pre_im2col
-            parts.append(emit(pre, prefix, n))
+            parts.append(emit(pre, prefix))
             functions.append(((self.node_id, "pre"), pre, 2))
         if self.stages:
-            post = f"{prefix}_post_b{n}"
             parts.extend(_stage_tables(prefix, self.stages))
             if self.depthwise:
                 # Out-of-place: untransposes the channel-major result.
-                parts.append(self._post_depthwise(post, prefix, n))
+                parts.append(self._post_depthwise(post, prefix))
                 functions.append(((self.node_id, "post"), post, 2))
             else:
                 parts.append(_channel_loop(
-                    post, prefix, self.stages, outer=n, channels=self.oc,
+                    post, prefix, self.stages, channels=self.oc,
                     inner=self.oh * self.ow, in_place=True))
                 functions.append(((self.node_id, "post"), post, 1))
         return CSegment("\n".join(parts), functions)
@@ -471,14 +473,14 @@ void {symbol}(const float *r, float *out) {{
 
 class LinearRenderer:
     """Linear prologue (activation quant) and per-row epilogue around the
-    numpy ``x @ W.T`` GEMM."""
+    numpy ``x @ W.T`` GEMM. Both take the row count, not the request
+    count: a streamed chunk of a time-merged graph carries any number of
+    rows per request."""
 
-    def __init__(self, node: IRNode, rows_per_request: int,
-                 artifact: ServeArtifact):
+    def __init__(self, node: IRNode, artifact: ServeArtifact):
         spec = node.spec
         self.node_id = node.id
         self.name = node.name or f"linear{node.id}"
-        self.rows_per_request = rows_per_request
         self.in_features = spec["in_features"]
         self.out_features = spec["out_features"]
         self.act = ActQuantC(spec["act_quant"]) if spec["act_quant"] else None
@@ -486,27 +488,23 @@ class LinearRenderer:
                 if spec["bias"] is not None else None)
         self.stages = epilogue_stages(node, artifact, bias=bias)
 
-    def render(self, n: int) -> CSegment:
+    def render(self) -> CSegment:
         prefix = f"k{self.node_id}"
-        rows = n * self.rows_per_request
         parts = [f"/* {self.name}: linear {self.in_features} -> "
-                 f"{self.out_features}, {rows} rows */"]
+                 f"{self.out_features} */"]
         functions: List[Tuple[tuple, str, int]] = []
         if self.act is not None:
-            sym = f"{prefix}_q"
-            pre = f"{prefix}_pre_b{n}"
-            total = rows * self.in_features
+            sym, pre = f"{prefix}_q", f"{prefix}_pre"
             parts.append(self.act.emit(sym))
             parts.append(f"""\
-void {pre}(const float *x, float *xq) {{
-  for (long i = 0; i < {total}L; ++i) xq[i] = {sym}(x[i]);
+void {pre}(long n, const float *x, float *xq) {{
+  for (long i = 0; i < n * {self.in_features}L; ++i) xq[i] = {sym}(x[i]);
 }}""")
             functions.append(((self.node_id, "pre"), pre, 2))
         if self.stages:
-            post = f"{prefix}_post_b{n}"
+            post = f"{prefix}_post"
             parts.extend(_stage_tables(prefix, self.stages))
             parts.append(_channel_loop(post, prefix, self.stages,
-                                       outer=rows,
                                        channels=self.out_features,
                                        inner=1, in_place=True))
             functions.append(((self.node_id, "post"), post, 1))
@@ -522,15 +520,14 @@ class AddRenderer:
         self.size = int(np.prod(node.output_shape))
         self.post_relu = node.spec.get("post") == "relu"
 
-    def render(self, n: int) -> CSegment:
-        symbol = f"k{self.node_id}_add_b{n}"
-        total = n * self.size
+    def render(self) -> CSegment:
+        symbol = f"k{self.node_id}_add"
         post = "\n    if (v < 0.0f) v = 0.0f;" if self.post_relu else ""
         label = " + relu" if self.post_relu else ""
         source = f"""\
-/* {self.name}: add over {total} elements{label} */
-void {symbol}(const float *a, const float *b, float *out) {{
-  for (long i = 0; i < {total}L; ++i) {{
+/* {self.name}: add over {self.size} elements per request{label} */
+void {symbol}(long n, const float *a, const float *b, float *out) {{
+  for (long i = 0; i < n * {self.size}L; ++i) {{
     float v = a[i] + b[i];{post}
     out[i] = v;
   }}
@@ -540,7 +537,10 @@ void {symbol}(const float *a, const float *b, float *out) {{
 
 class EltwiseRenderer:
     """Standalone batch-norm / ReLU / ReLU6 node (one the fusion passes
-    could not attach to a GEMM) as a single out-of-place pass."""
+    could not attach to a GEMM) as a single out-of-place pass over ``n``
+    blocks of ``channels * inner`` elements. The block is the channel
+    period, not the request, so a time-merged stream chunk carrying a
+    partial request still covers whole blocks."""
 
     def __init__(self, node: IRNode, artifact: ServeArtifact):
         self.node_id = node.id
@@ -556,21 +556,17 @@ class EltwiseRenderer:
                 else shape[-1]
             self.inner = (int(np.prod(shape[1:]))
                           if node.kind == "batchnorm2d" else 1)
-            self.outer_per_request = (1 if node.kind == "batchnorm2d"
-                                      else int(np.prod(shape[:-1])))
         else:
             self.stages = [{"op": node.kind}]
             self.channels = 1
-            self.inner = int(np.prod(shape))
-            self.outer_per_request = 1
+            self.inner = shape[-1]
 
-    def render(self, n: int) -> CSegment:
+    def render(self) -> CSegment:
         prefix = f"k{self.node_id}"
-        symbol = f"{prefix}_elt_b{n}"
+        symbol = f"{prefix}_elt"
         parts = [f"/* {self.name}: standalone {self.kind} */"]
         parts.extend(_stage_tables(prefix, self.stages))
         parts.append(_channel_loop(symbol, prefix, self.stages,
-                                   outer=n * self.outer_per_request,
                                    channels=self.channels, inner=self.inner,
                                    in_place=False))
         return CSegment("\n".join(parts), [((self.node_id, "main"),
@@ -591,16 +587,16 @@ class MaxPoolRenderer:
         self.c, self.h, self.w = input_shape
         self.oh, self.ow = node.output_shape[1], node.output_shape[2]
 
-    def render(self, n: int) -> CSegment:
+    def render(self) -> CSegment:
         k, s, pad = self.kernel, self.stride, self.padding
         c, h, w, oh, ow = self.c, self.h, self.w, self.oh, self.ow
-        symbol = f"k{self.node_id}_pool_b{n}"
+        symbol = f"k{self.node_id}_pool"
         guard_y = f"if (iy < 0 || iy >= {h}L) continue;" if pad > 0 else ""
         guard_x = f"if (ix < 0 || ix >= {w}L) continue;" if pad > 0 else ""
         source = f"""\
 /* {self.name}: maxpool k{k} s{s} p{pad} {c}x{h}x{w} -> {c}x{oh}x{ow} */
-void {symbol}(const float *x, float *out) {{
-  for (long i = 0; i < {n * c}L; ++i) {{
+void {symbol}(long n, const float *x, float *out) {{
+  for (long i = 0; i < n * {c}L; ++i) {{
     const float *xc = x + i * {h * w}L;
     float *oc = out + i * {oh * ow}L;
     for (long oy = 0; oy < {oh}L; ++oy)
@@ -623,10 +619,9 @@ void {symbol}(const float *x, float *out) {{
         return CSegment(source, [((self.node_id, "main"), symbol, 2)])
 
 
-def render_module(segments: List[CSegment], batch: int,
-                  title: str = "graph") -> str:
+def render_module(segments: List[CSegment], title: str = "graph") -> str:
     """Assemble one translation unit from per-node segments."""
     header = (f"{MODULE_PREAMBLE}\n"
-              f"/* {title}: batch size {batch}, "
-              f"{sum(len(s.functions) for s in segments)} entry points */\n")
+              f"/* {title}: {sum(len(s.functions) for s in segments)} "
+              "entry points */\n")
     return header + "\n\n".join(segment.source for segment in segments) + "\n"

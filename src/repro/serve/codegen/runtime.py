@@ -1,15 +1,16 @@
 """ctypes runtime for the ``compiled`` backend.
 
 One :class:`GraphProgram` per compiled model collects every native
-node's renderer at kernel-compile time; the first request of each batch
-size renders one C translation unit for all of them, builds (or reuses)
-the cached ``.so``, loads it, and binds one function pointer per
-(node, role). Kernels then call straight into native code with raw
-buffer addresses — no per-op numpy dispatch on the glue.
+node's renderer at kernel-compile time; the first request renders one C
+translation unit for all of them, builds (or reuses) the cached ``.so``,
+loads it, and binds one function pointer per (node, role). Every
+function takes the batch's request (or row) count as its first argument,
+so that one library serves every batch size. Kernels then call straight
+into native code with raw buffer addresses — no per-op numpy dispatch on
+the glue.
 
 Libraries are ``dlopen``ed once per process and memoized: two models
-compiled from the same artifact at the same batch size share one mapped
-library.
+compiled from the same artifact share one mapped library.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.serve.codegen.build import build_library
 from repro.serve.codegen.renderer import CSegment, render_module
@@ -41,17 +42,18 @@ class GraphProgram:
     """Lazily-built native code for one compiled graph.
 
     Kernels :meth:`register` their renderers while the backend compiles
-    nodes; :meth:`for_batch` returns the ``{(node id, role): function}``
-    table for a batch size, rendering + building on first use. Thread
-    safe: concurrent first requests at the same size build once (the
-    build layer additionally guards cross-process races).
+    nodes; :meth:`table` returns the ``{(node id, role): function}``
+    table, rendering + building on first use. Thread safe: concurrent
+    first requests build once (the build layer additionally guards
+    cross-process races). ``library`` is the built ``.so`` once bound.
     """
 
     def __init__(self, tag: str = "graph"):
         self.tag = tag
+        self.library: Optional[Path] = None
         self._renderers: List[object] = []
-        self._tables: Dict[int, Dict[tuple, Callable]] = {}
-        self._lock = threading.RLock()
+        self._table: Optional[Dict[tuple, Callable]] = None
+        self._lock = threading.Lock()
 
     def register(self, renderer) -> None:
         self._renderers.append(renderer)
@@ -60,23 +62,22 @@ class GraphProgram:
     def node_count(self) -> int:
         return len(self._renderers)
 
-    def for_batch(self, n: int) -> Dict[tuple, Callable]:
+    def table(self) -> Dict[tuple, Callable]:
         with self._lock:
-            table = self._tables.get(n)
-            if table is None:
-                table = self._build(n)
-                self._tables[n] = table
-            return table
+            if self._table is None:
+                self._table = self._build()
+            return self._table
 
-    def _build(self, n: int) -> Dict[tuple, Callable]:
-        segments: List[CSegment] = [r.render(n) for r in self._renderers]
-        source = render_module(segments, n, title=self.tag)
-        library = load_library(build_library(source, tag=self.tag))
+    def _build(self) -> Dict[tuple, Callable]:
+        segments: List[CSegment] = [r.render() for r in self._renderers]
+        source = render_module(segments, title=self.tag)
+        self.library = build_library(source, tag=self.tag)
+        library = load_library(self.library)
         table: Dict[tuple, Callable] = {}
         for segment in segments:
             for key, symbol, nargs in segment.functions:
                 fn = getattr(library, symbol)
                 fn.restype = None
-                fn.argtypes = [ctypes.c_void_p] * nargs
+                fn.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * nargs
                 table[key] = fn
         return table

@@ -297,7 +297,7 @@ class TestBackendsCLI:
 # Edge-shape parity across all backends
 # ----------------------------------------------------------------------
 EDGE_MODELS = ("conv_odd_channels", "linear_single_feature",
-               "maxpool_tail")
+               "maxpool_tail", "standalone_eltwise")
 
 
 def _edge_model(case: str):
@@ -315,11 +315,20 @@ def _edge_model(case: str):
             nn.Linear(1, 3, rng=gen), nn.ReLU(),
             nn.Linear(3, 1, rng=gen))
         shape = (1,)
-    else:
+    elif case == "maxpool_tail":
         model = nn.Sequential(
             nn.Conv2d(3, 4, 3, padding=1, rng=gen), nn.ReLU(),
             nn.MaxPool2d(2), nn.Flatten(),
             nn.Linear(4 * 4 * 4, 2, rng=gen))
+        shape = (3, 8, 8)
+    else:
+        # Batch-norm / ReLU6 behind a pool: no GEMM to fuse into, so
+        # they run as standalone elementwise nodes.
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, rng=gen), nn.MaxPool2d(2),
+            nn.BatchNorm2d(4), nn.ReLU6(), nn.Flatten(),
+            nn.Linear(4 * 4 * 4, 6, rng=gen), nn.ReLU(),
+            nn.BatchNorm1d(6), nn.Linear(6, 2, rng=gen))
         shape = (3, 8, 8)
     return model, shape
 
@@ -355,3 +364,46 @@ class TestEdgeShapeParity:
             batch = rng.normal(size=(n, *shape)).astype(np.float32)
             assert np.array_equal(plan.forward(batch),
                                   eager_forward(model, batch)), (case, n)
+
+
+# ----------------------------------------------------------------------
+# One native library per compiled graph
+# ----------------------------------------------------------------------
+@needs_cc
+class TestOneLibraryPerGraph:
+    """The batch size is a runtime argument of the generated C, so a
+    graph builds one library whatever sizes it serves."""
+
+    def test_one_library_serves_every_batch_size(self, fresh_cache,
+                                                 edge_artifacts):
+        model, path, shape = edge_artifacts["maxpool_tail"]
+        plan = ExecutionPlan.load(path, backend="compiled")
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 8, 9):
+            batch = rng.normal(size=(n, *shape)).astype(np.float32)
+            assert np.array_equal(plan.forward(batch),
+                                  eager_forward(model, batch)), n
+        assert len(cached_libraries()) == 1
+
+    def test_batch_size_does_not_key_the_cache(self, fresh_cache,
+                                               edge_artifacts):
+        from repro.api import Deployment
+        from repro.serve import ModelServer
+
+        model, path, shape = edge_artifacts["conv_odd_channels"]
+        rng = np.random.default_rng(19)
+        deployment = Deployment.load(path, batch=4, backend="compiled")
+        x = rng.normal(size=(4, *shape)).astype(np.float32)
+        assert np.array_equal(deployment.predict(x), eager_forward(model, x))
+        server = ModelServer(workers=0, max_batch=9)
+        try:
+            server.load("m", path, backend="compiled")
+            plan = server.plan("m")
+            x = rng.normal(size=(9, *shape)).astype(np.float32)
+            assert np.array_equal(plan.forward(x), eager_forward(model, x))
+        finally:
+            server.close()
+        first = deployment.plan.compiled.ctx.codegen_program.library
+        second = plan.compiled.ctx.codegen_program.library
+        assert first is not None and first == second
+        assert cached_libraries() == [first]

@@ -347,6 +347,40 @@ class TestChunkedBitExact:
         finally:
             server.close()
 
+    def test_streamed_chunks_stay_native(self, artifacts, monkeypatch):
+        """A T=4 chunk of a time-merged graph carries a partial request's
+        rows; the native linear head takes any row count, so no fused
+        fallback kernel is ever created and the chunks still reproduce
+        the offline run."""
+        _require("compiled")
+        from repro.serve.backends import compiled
+
+        created = []
+
+        class RecordingFallback(compiled.FusedLinearKernel):
+            def __init__(self, node, *args):
+                created.append(node.id)
+                super().__init__(node, *args)
+
+        monkeypatch.setattr(compiled, "FusedLinearKernel", RecordingFallback)
+        server = ModelServer(workers=0)
+        try:
+            server.load("m", artifacts["gru_speech"], backend="compiled")
+            plan = server.plan("m")
+            assert plan.per_step_output
+            assert any(isinstance(kernel, compiled.CodegenLinearKernel)
+                       for kernel in plan.compiled.kernels.values())
+            seq = sequences_for(plan, 1)[0]
+            state, outs = {}, []
+            for chunk in chunks_of(seq, (4, 4, 4)):
+                out, state = plan.forward_stream(chunk[None], state)
+                outs.append(plan.stream_outputs(out, 1)[0])
+            assert created == []
+            assert np.array_equal(np.concatenate(outs, axis=0),
+                                  offline_output(plan, seq))
+        finally:
+            server.close()
+
     def test_states_portable_across_backends(self, artifacts):
         """Node ids are deterministic, so a state captured on one
         backend resumes bit-exactly on another (wire round trip too)."""
