@@ -97,7 +97,8 @@ def error_from_wire(message: Dict) -> ServingError:
         return FrameError(code, text)
     if code == "shed":
         return AdmissionError(text)
-    if code in ("worker-failed", "no-workers", "timeout", "lost", "closed"):
+    if code in ("worker-failed", "no-workers", "timeout", "lost", "closed",
+                "bad-response"):
         return WorkerError(text, code=code)
     if code in SESSION_ERROR_CODES:
         return SessionError(text, code=code)
@@ -844,10 +845,20 @@ class ClusterRouter:
         if entry.kind in ("stats", "control"):
             entry.future._resolve(message, None)
             return
-        if "output_b64" in message:
-            output = array_from_wire(message, "output")
-        else:
-            output = np.asarray(message.get("output"))
+        try:
+            if "output_b64" in message:
+                output = array_from_wire(message, "output")
+            else:
+                output = np.asarray(message.get("output"))
+        except (TypeError, ValueError) as error:
+            # The entry is already popped, so no timeout would ever
+            # reach it: fail it here, and keep the reader alive.
+            with self._lock:
+                self._counters.protocol_errors += 1
+            entry.future._fail(WorkerError(
+                f"worker {worker.name!r} sent an unreadable response for "
+                f"{entry.model!r}: {error}", code="bad-response"))
+            return
         entry.future._resolve(output, RoutedRequest(
             id=request_id, model=entry.model, worker=worker.name,
             enqueued_at=entry.enqueued_at,

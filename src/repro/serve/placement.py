@@ -22,6 +22,7 @@ policies are trivially unit-testable and deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Type
 
@@ -167,7 +168,14 @@ class ConsistentHashPlacement(PlacementPolicy):
     request's payload digest — onto a ring of workers: repeats of the
     same key stick to one home worker (response-cache/scratch
     affinity), spilling to the next ring successor only when the home
-    is down or full."""
+    is down or full.
+
+    The ring depends only on the membership — the ``(name, index)`` of
+    the workers passed in — so it is built once per membership and
+    memoized (one entry: a membership change rebuilds it). A request
+    then costs one hash and a bisect. The ring holds points and slots,
+    never the views, so each call orders the *current* views and their
+    liveness and load stay fresh."""
 
     VNODES = 32    # virtual nodes per worker smooth the ring
 
@@ -180,24 +188,43 @@ class ConsistentHashPlacement(PlacementPolicy):
     # lives in repro.util.hashing now.
     _hash = staticmethod(ring_hash)
 
+    def __init__(self):
+        # (membership, sorted points, slots) — one tuple, swapped whole,
+        # so concurrent callers never see a mix of two rings.
+        self._ring_memo: Optional[tuple] = None
+
+    def _ring(self, workers: Sequence[WorkerView]) -> tuple:
+        """``(points, slots)`` of the ring: sorted vnode points and, per
+        point, ``(worker index, position in workers)``."""
+        members = tuple((worker.name, worker.index) for worker in workers)
+        memo = self._ring_memo
+        if memo is None or memo[0] != members:
+            ring = sorted(
+                (self._hash(f"{name}#{vnode}"), index, position)
+                for position, (name, index) in enumerate(members)
+                for vnode in range(self.VNODES))
+            memo = (members, [point for point, _, _ in ring],
+                    [(index, position) for _, index, position in ring])
+            self._ring_memo = memo
+        return memo[1:]
+
     def order(self, model: str,
               workers: Sequence[WorkerView]) -> List[WorkerView]:
         return self.order_request(model, None, workers)
 
     def order_request(self, model: str, key: Optional[str],
                       workers: Sequence[WorkerView]) -> List[WorkerView]:
-        ring = sorted(
-            (self._hash(f"{worker.name}#{vnode}"), worker.index, worker)
-            for worker in workers
-            for vnode in range(self.VNODES))
-        if not ring:
+        if not workers:
             return []
+        points, slots = self._ring(workers)
         point = self._hash(model if key is None else f"{model}|{key}")
-        start = next((position for position, entry in enumerate(ring)
-                      if entry[0] >= point), 0)
+        start = bisect_left(points, point)
         ordered, seen = [], set()
-        for _, _, worker in ring[start:] + ring[:start]:
-            if worker.index not in seen:
-                seen.add(worker.index)
-                ordered.append(worker)
+        for step in range(len(slots)):
+            index, position = slots[(start + step) % len(slots)]
+            if index not in seen:
+                seen.add(index)
+                ordered.append(workers[position])
+                if len(ordered) == len(workers):
+                    break
         return ordered

@@ -7,7 +7,11 @@ exactly one protocol line per frame. Two carriers implement it:
 
 - :class:`SocketTransport` — a real TCP connection (router <-> worker
   subprocess), blocking reads, oversized frames consumed-and-rejected so
-  the stream stays in sync;
+  the stream stays in sync. TCP sockets run with ``TCP_NODELAY``: a
+  frame is one ``sendall`` (one segment on loopback) and leaves at once.
+  The protocol is request/response with frames smaller than the MSS,
+  where Nagle would park each frame until the peer's delayed ACK
+  (~40 ms on Linux);
 - :class:`FakeTransport` — an in-process, clock-driven pair for tests:
   no sockets, no threads, no sleeps. ``recv`` is non-blocking and only
   yields frames whose (virtual) delivery time has passed.
@@ -362,6 +366,14 @@ class FakeTransport(_PlanMixin):
 class SocketTransport(_PlanMixin):
     """Length-framed messages over a connected TCP socket.
 
+    Every ``AF_INET``/``AF_INET6`` socket it wraps gets ``TCP_NODELAY``:
+    a frame's ``sendall`` leaves at once. Without it, Nagle holds each
+    small frame until the previous one is ACKed, and the peer delays
+    that ACK — one delayed-ACK timer per hop. Wrapping covers both ends:
+    the router side through :meth:`connect`, the worker side where the
+    accepted connection is wrapped. ``AF_UNIX`` sockets (test
+    socketpairs) have no Nagle and are wrapped as they are.
+
     Blocking reads; an oversized incoming frame is consumed (to keep the
     stream in sync) and reported as a typed :class:`FrameError`. The
     fault plan's drop/corrupt/kill actions work here too (delay is
@@ -373,6 +385,8 @@ class SocketTransport(_PlanMixin):
                  max_bytes: int = MAX_MESSAGE_BYTES,
                  plan: Optional[FaultPlan] = None,
                  send_direction: str = "to_worker"):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self.max_bytes = max_bytes
         self._send_lock = threading.Lock()

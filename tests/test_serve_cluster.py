@@ -37,6 +37,8 @@ from repro.serve import (
     register_placement,
 )
 from repro.serve.cli import serve_protocol
+from repro.serve.placement import ConsistentHashPlacement
+from repro.util.hashing import ring_hash
 from tests.conftest import make_mlp
 
 
@@ -128,6 +130,72 @@ class TestPlacement:
         reduced = [w.name for w in policy.order("m", without_home)]
         # remaining workers keep their relative ring order
         assert reduced == [name for name in full if name != full[0]]
+
+    def test_consistent_hash_ring_matches_per_request_rebuild(self):
+        # Oracle: the ring as it was built for every request before it
+        # was memoized. Assignments decide which worker's cache is warm
+        # and where sessions stick, so they must not move.
+        def oracle(model, key, workers):
+            ring = sorted(
+                (ring_hash(f"{worker.name}#{vnode}"), worker.index, worker)
+                for worker in workers
+                for vnode in range(ConsistentHashPlacement.VNODES))
+            if not ring:
+                return []
+            point = ring_hash(model if key is None else f"{model}|{key}")
+            start = next((position for position, entry in enumerate(ring)
+                          if entry[0] >= point), 0)
+            ordered, seen = [], set()
+            for _, _, worker in ring[start:] + ring[:start]:
+                if worker.index not in seen:
+                    seen.add(worker.index)
+                    ordered.append(worker)
+            return ordered
+
+        rng = np.random.default_rng(14)
+        keys = [None] + [rng.bytes(8).hex() for _ in range(500)]
+        fleet = [view(f"w{index}", index) for index in range(4)]
+        subsets = [[w for w in fleet if mask >> w.index & 1]
+                   for mask in range(1, 16)]
+        policy = get_placement("consistent_hash")
+        for workers in subsets:
+            for key in keys:
+                got = policy.order_request("mlp", key, workers)
+                want = oracle("mlp", key, workers)
+                # the very view objects passed in, in the oracle's order
+                assert [id(w) for w in got] == [id(w) for w in want]
+        # interleaved memberships (every call a rebuild) agree too
+        for key in keys[:50]:
+            for workers in subsets:
+                assert policy.order_request("mlp", key, workers) == \
+                    oracle("mlp", key, workers)
+        assert policy.order_request("mlp", "k", []) == []
+
+    def test_consistent_hash_ring_is_built_once_per_membership(self):
+        class CountingPlacement(ConsistentHashPlacement):
+            hashes = 0
+
+            @staticmethod
+            def _hash(key):
+                CountingPlacement.hashes += 1
+                return ring_hash(key)
+
+        policy = CountingPlacement()
+        vnodes = CountingPlacement.VNODES
+        workers = [view("a", 0), view("b", 1), view("c", 2)]
+        policy.order_request("m", "k0", workers)
+        assert CountingPlacement.hashes == 3 * vnodes + 1
+        # steady state: one hash (the request's point) per request, even
+        # with fresh views of the same membership
+        for step in range(1, 11):
+            fresh = [view(w.name, w.index, in_flight=step) for w in workers]
+            got = policy.order_request("m", f"k{step}", fresh)
+            assert all(any(g is w for w in fresh) for g in got)
+        assert CountingPlacement.hashes == 3 * vnodes + 1 + 10
+        # a worker leaving changes the membership: the ring is rebuilt
+        before = CountingPlacement.hashes
+        policy.order_request("m", "k0", workers[1:])
+        assert CountingPlacement.hashes == before + 2 * vnodes + 1
 
     def test_register_placement_and_fresh_instances(self):
         @register_placement("test_sticky_lowest")
@@ -391,6 +459,42 @@ class TestChaos:
         router.pump()
         assert router.router_stats().protocol_errors == 1
         assert future.exception(timeout=0).code == "timeout"
+        router.close()
+
+    @pytest.mark.parametrize("mangle", [
+        lambda message: {**message, "output_b64": "not base64!"},
+        lambda message: {**message, "shape": [len(message["shape"]) + 7]},
+    ], ids=["bad-base64", "size-mismatch"])
+    def test_malformed_response_payload_fails_typed_and_reader_survives(
+            self, deployed, mangle):
+        deployment, quantized = deployed
+        router, fleet, _ = make_cluster(deployment, workers=1)
+        endpoint = fleet[0]._endpoint
+        send_raw, mangled = endpoint.send_raw, []
+
+        def mangle_first_response(data):
+            message = json.loads(data)
+            if "output_b64" in message and not mangled:
+                mangled.append(message["id"])
+                data = json.dumps(mangle(message)).encode("utf-8")
+            send_raw(data)
+
+        endpoint.send_raw = mangle_first_response
+        bad = router.submit("mlp", payloads(1)[0])
+        router.pump()
+        assert mangled
+        error = bad.exception(timeout=0)
+        assert isinstance(error, WorkerError)
+        assert error.code == "bad-response"
+        assert router.router_stats().protocol_errors == 1
+        # the same worker keeps answering, and nothing raises
+        x = payloads(1, seed=1)[0]
+        good = router.submit("mlp", x)
+        router.drain()
+        assert np.allclose(good.result(timeout=0),
+                           quantized.predict(x[None])[0])
+        assert good.request.worker == "w0"
+        assert router.router_stats().protocol_errors == 1
         router.close()
 
     def test_refused_admission_routes_to_other_worker(self, deployed):

@@ -4,9 +4,10 @@ malformed-frame corpus, FIFO under a seeded scheduler.
 The protocol surface has three layers, each tested here:
 
 - byte framing (``encode_message``/``decode_message``, SocketTransport
-  over a real socketpair, FakeTransport over virtual time) — every
-  malformed frame must decode to a *typed* ``FrameError``, never a bare
-  parse exception, and never kill the stream before the typed answer;
+  over a real socketpair and a loopback TCP pair, FakeTransport over
+  virtual time) — every malformed frame must decode to a *typed*
+  ``FrameError``, never a bare parse exception, and never kill the
+  stream before the typed answer;
 - numpy payload encoding (``array_to_wire``/``array_from_wire``) —
   byte-exact round trips across dtypes/shapes, with validation errors on
   inconsistent declarations;
@@ -14,7 +15,9 @@ The protocol surface has three layers, each tested here:
   malformed-request corpus is answered with its error code in order, and
   per-model FIFO holds under seeded interleaved multi-model traffic.
 
-No sleeps; the only real IO is an AF_UNIX socketpair.
+No sleeps; the only real IO is AF_UNIX socketpairs and one loopback
+(127.0.0.1) TCP pair, which checks that framed TCP sockets run without
+Nagle's algorithm.
 """
 
 import io
@@ -99,6 +102,31 @@ class TestFraming:
         router_end.close()
         assert worker_end.recv() is None     # clean EOF between frames
         worker_end.close()
+
+    def test_socket_transport_disables_nagle_on_tcp(self):
+        # Frames are smaller than the MSS and the protocol waits for
+        # each answer, so Nagle would hold every frame for the peer's
+        # delayed ACK: both ends of a TCP connection must set NODELAY.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.create_connection(listener.getsockname())
+            server, _peer = listener.accept()
+        router_end, worker_end = SocketTransport(client), SocketTransport(
+            server, send_direction="to_router")
+        try:
+            for end in (client, server):
+                assert end.getsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY) != 0
+            router_end.send({"id": 1, "op": "infer"})
+            assert worker_end.recv() == {"id": 1, "op": "infer"}
+            worker_end.send({"id": 1, "output": [0.5]})
+            assert router_end.recv() == {"id": 1, "output": [0.5]}
+        finally:
+            router_end.close()
+            worker_end.close()
+        # AF_UNIX has no Nagle (and no TCP options): wrapped as it is
+        left, right = socket.socketpair(socket.AF_UNIX)
+        SocketTransport(left).close()
+        SocketTransport(right).close()
 
     def test_socket_transport_truncated_midframe(self):
         left, right = socket.socketpair()
