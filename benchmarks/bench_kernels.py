@@ -68,50 +68,62 @@ def test_mixed_bitexact_gemm(benchmark):
     assert out["output"].shape == (32, 128)
 
 
+#: (model, batch) rows of the kernel-latency report. ResNet-tiny runs
+#: at batch 8, where its conv prologues (not the GEMMs) dominate.
+KERNEL_LATENCY_ROWS = (("mobilenet_v2", 16), ("resnet_tiny", 8))
+
+
 def test_backend_kernel_latency_report(tmp_path):
     """Raw ``CompiledModel.run`` latency per backend (no batcher, no
-    server): what the kernels themselves cost at batch 16. Written to
-    ``BENCH_kernels.json``; the ``compiled`` row appears only when the
-    machine has a C compiler (deliberately no pytest-benchmark fixture,
-    so the CI codegen job can run this file standalone)."""
+    server): what the kernels themselves cost, one row per model.
+    Written to ``BENCH_kernels.json``; the ``compiled`` column appears
+    only when the machine has a C compiler, and then must not be slower
+    than ``fused`` (deliberately no pytest-benchmark fixture, so the CI
+    codegen job can run this file standalone)."""
     from repro.api import Pipeline, PipelineConfig
     from repro.serve.artifact import ServeArtifact
     from repro.serve.backends import compile_graph
     from repro.serve.cli import build_model
     from repro.serve.codegen import compiler_probe
 
-    batch, rounds = 16, 7
-    model, sample = build_model("mobilenet_v2", seed=0)
-    rng = np.random.default_rng(1)
-    pipeline = Pipeline(PipelineConfig(), model=model)
-    pipeline.calibrate([sample(rng, 8)])
-    path = tmp_path / "mobilenet_v2.npz"
-    pipeline.result.export(sample(rng, 4), path=path)
-    artifact = ServeArtifact.load(path)
-    x = sample(rng, batch)
-
+    rounds = 7
     compiler, note = compiler_probe()
     backends = ["reference", "fused"] + (["compiled"] if compiler else [])
-    report = {"model": "mobilenet_v2", "batch": batch,
-              "compiler": note, "kernels_ms": {}}
-    timings = {}
-    for name in backends:
-        compiled = compile_graph(artifact, backend=name)
-        compiled.run(x)  # warm scratch, build libraries, verify bits
-        samples = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            out = compiled.run(x)
-            samples.append((time.perf_counter() - started) * 1e3)
-        assert out.shape[0] == batch
-        timings[name] = sorted(samples)[len(samples) // 2]
-        report["kernels_ms"][name] = round(timings[name], 3)
-        print(f"\n{name:<9} {timings[name]:8.3f} ms/batch")
+    report = {"compiler": note, "rows": []}
+    rows = {}
+    for model_name, batch in KERNEL_LATENCY_ROWS:
+        model, sample = build_model(model_name, seed=0)
+        rng = np.random.default_rng(1)
+        pipeline = Pipeline(PipelineConfig(), model=model)
+        pipeline.calibrate([sample(rng, 8)])
+        path = tmp_path / f"{model_name}.npz"
+        pipeline.result.export(sample(rng, 4), path=path)
+        artifact = ServeArtifact.load(path)
+        x = sample(rng, batch)
+        timings = rows[model_name] = {}
+        for name in backends:
+            compiled = compile_graph(artifact, backend=name)
+            compiled.run(x)  # warm scratch, build libraries, verify bits
+            samples = []
+            for _ in range(rounds):
+                started = time.perf_counter()
+                out = compiled.run(x)
+                samples.append((time.perf_counter() - started) * 1e3)
+            assert out.shape[0] == batch
+            timings[name] = sorted(samples)[len(samples) // 2]
+            print(f"\n{model_name:<13} b{batch:<3} {name:<9} "
+                  f"{timings[name]:8.3f} ms/batch")
+        report["rows"].append({
+            "model": model_name, "batch": batch,
+            "kernels_ms": {k: round(v, 3) for k, v in timings.items()}})
     out_path = os.environ.get("BENCH_KERNELS_OUT", "BENCH_kernels.json")
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
     print(f"wrote {out_path}")
-    assert timings["fused"] <= timings["reference"] * 1.2
+    for model_name, timings in rows.items():
+        assert timings["fused"] <= timings["reference"] * 1.2, model_name
+        if compiler:
+            assert timings["compiled"] <= timings["fused"], model_name
 
 
 def test_resnet_training_step(benchmark):

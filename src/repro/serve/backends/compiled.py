@@ -7,8 +7,10 @@ renders that glue to C once per graph — see :mod:`repro.serve.codegen`;
 every kernel passes its batch's request (or row) count as the first
 argument — so a conv becomes *two* native calls around one BLAS GEMM:
 
-- ``pre``:  fused activation-quant + zero-pad + im2col gather, written
-  directly into the GEMM's column buffer in a single pass;
+- ``pre``:  one pass that writes the activation-quantized input into
+  the interior of a pooled zero-bordered buffer (each element quantized
+  once), then an im2col gather into the GEMM's column buffer that only
+  copies — no bound tests, fixed trip counts;
 - ``np.matmul``: the **identical** BLAS call on the identically
   laid-out buffer the fused backend uses — GEMM accumulation order is
   BLAS-internal, so rendering it in C could not stay bit-exact, and
@@ -16,6 +18,12 @@ argument — so a conv becomes *two* native calls around one BLAS GEMM:
   bit-exactness chain as every other backend;
 - ``post``: bias + folded batch-norm + ReLU in one pass over the GEMM
   output, per-channel constants baked into the code.
+
+Every pooled buffer a kernel hands to native code (columns, staged
+input, GEMM output, transposed output, linear ``xq``/output, add,
+max-pool and elementwise outputs) stays put once allocated, so its
+address is read once per batch size and kept with the bound functions;
+a request only reads the addresses of its inputs.
 
 Node kinds outside the renderer's coverage table (reductions with
 numpy-internal accumulation order like ``avgpool``, recurrent cells,
@@ -72,6 +80,11 @@ def _program(ctx: ExecContext, artifact: ServeArtifact) -> GraphProgram:
     return program
 
 
+def _addresses(*buffers) -> tuple:
+    """Raw addresses of the given pooled buffers, skipping ``None``."""
+    return tuple(b.ctypes.data for b in buffers if b is not None)
+
+
 class _CodegenKernel(Kernel):
     """Base: registers the node's renderer with the shared program,
     looks up its native functions and pools contiguity copies."""
@@ -87,6 +100,16 @@ class _CodegenKernel(Kernel):
         """This node's native ``role`` function (``None`` if the
         renderer emitted none); builds the library on first use."""
         return self.program.table().get((self.node.id, role))
+
+    def _bind_out(self, key, shape: tuple) -> tuple:
+        """``(main function, pooled output, its address)`` for a
+        single-function kernel, bound once per ``key``."""
+        bound = self._bound.get(key)
+        if bound is None:
+            out = self.ctx.scratch(f"out{self.node.id}", shape)
+            bound = self._bound[key] = (self._fn("main"), out,
+                                        out.ctypes.data)
+        return bound
 
     def _contiguous(self, x: np.ndarray, slot: int = 0) -> np.ndarray:
         """Native code takes raw pointers; strided views (a depthwise
@@ -106,15 +129,13 @@ class CodegenConvKernel(_CodegenKernel):
     def __init__(self, node: IRNode, graph: Graph, ctx: ExecContext,
                  artifact: ServeArtifact, program: GraphProgram):
         input_shape = graph.node(node.inputs[0]).output_shape
-        super().__init__(node, ctx, program,
-                         ConvRenderer(node, input_shape, artifact))
+        renderer = ConvRenderer(node, input_shape, artifact)
+        super().__init__(node, ctx, program, renderer)
         spec = node.spec
         self.kernel = spec["kernel"]
-        self.stride = spec["stride"]
         self.padding = spec["padding"]
         self.oc = spec["out_channels"]
         self.cin = input_shape[0]
-        self.h, self.w = input_shape[1], input_shape[2]
         self.oh, self.ow = node.output_shape[1], node.output_shape[2]
         weight = decode_weight_record(artifact, spec["weight"])
         self.w_mat = np.ascontiguousarray(weight.reshape(self.oc, -1))
@@ -122,39 +143,56 @@ class CodegenConvKernel(_CodegenKernel):
         if self.depthwise:
             self.w3 = self.w_mat.reshape(self.cin,
                                          self.kernel * self.kernel, 1)
-        self.has_act = spec["act_quant"] is not None
+        # Per-request shape of the zero-bordered buffer the native pre
+        # stages its input in (None: the gather reads ``x`` directly).
+        self.staged = ((self.cin, renderer.hp, renderer.wp)
+                       if renderer.stages_input else None)
         self._artifact = artifact
         self._fallback = None
 
     def _bind(self, n: int) -> tuple:
+        """Everything a batch of ``n`` needs besides its input: the
+        native functions, the pooled buffers with their addresses (the
+        pool never moves a buffer, so each is read once here) and the
+        returned view."""
         bound = self._bound.get(n)
         if bound is None:
             pre, post = self._fn("pre"), self._fn("post")
             k, p = self.kernel, self.oh * self.ow
-            quant = final = None
+            cols = staged = final = None
+            if pre is not None:
+                cols = self.ctx.scratch(
+                    "conv.cols", (self.cin, n * p, k * k) if self.depthwise
+                    else (n, self.cin * k * k, p))
+                if self.staged is not None:
+                    # The native pre writes only the interior (see
+                    # ``ConvRenderer._stage_pass``), so the zeroed border
+                    # stays zero; the pad width keys the pool like the
+                    # fused backend's padded arenas, which are the same
+                    # buffers.
+                    staged = self.ctx.scratch(
+                        f"conv.padded.p{self.padding}", (n,) + self.staged,
+                        zeroed=True)
             if self.depthwise:
-                cols = self.ctx.scratch("conv.dwcols",
-                                        (self.cin, n * p, k * k))
                 out = self.ctx.scratch(f"out{self.node.id}",
                                        (self.cin, n * p, 1))
-                if self.has_act:
-                    # Flat once-per-element quant buffer the native pre
-                    # fills before gathering (see ``_pre_depthwise``).
-                    quant = self.ctx.scratch("conv.dwq",
-                                             (n, self.cin, self.h, self.w))
-                if post is not None:
+                if post is None:
+                    result = out.reshape(self.cin, n, self.oh,
+                                         self.ow).transpose(1, 0, 2, 3)
+                else:
                     # The transposing epilogue writes the request-major
                     # layout here — this is the kernel's output, so it
                     # is keyed per node like ``out``.
                     final = self.ctx.scratch(f"outt{self.node.id}",
                                              (n, self.cin, p))
+                    result = final.reshape(n, self.cin, self.oh, self.ow)
             else:
-                cols = (self.ctx.scratch("conv.cols",
-                                         (n, self.cin * k * k, p))
-                        if pre is not None else None)
                 out = self.ctx.scratch(f"out{self.node.id}",
                                        (n, self.oc, p))
-            bound = (pre, post, cols, out, quant, final)
+                result = out.reshape(n, self.oc, self.oh, self.ow)
+            pre_args = _addresses(staged, cols)
+            post_args = (n,) + _addresses(out, final)
+            bound = (pre, pre_args, cols, out, post, post_args, result)
             self._bound[n] = bound
         return bound
 
@@ -167,28 +205,20 @@ class CodegenConvKernel(_CodegenKernel):
                                                  self._artifact)
             return self._fallback.run(x)
         n = x.shape[0]
-        pre, post, cols, out, quant, final = self._bind(n)
+        pre, pre_args, cols, out, post, post_args, result = self._bind(n)
         x = self._contiguous(x)
-        if self.depthwise:
-            if quant is not None:
-                pre(n, x.ctypes.data, quant.ctypes.data, cols.ctypes.data)
-            else:
-                pre(n, x.ctypes.data, cols.ctypes.data)
-            np.matmul(cols, self.w3, out=out)
-            if post is not None:
-                post(n, out.ctypes.data, final.ctypes.data)
-                return final.reshape(n, self.cin, self.oh, self.ow)
-            base = out.reshape(self.cin, n, self.oh, self.ow)
-            return base.transpose(1, 0, 2, 3)
         if pre is not None:
-            pre(n, x.ctypes.data, cols.ctypes.data)
+            pre(n, x.ctypes.data, *pre_args)
             gemm_in = cols
         else:
             gemm_in = x.reshape(n, self.cin, self.oh * self.ow)
-        np.matmul(self.w_mat, gemm_in, out=out)
+        if self.depthwise:
+            np.matmul(cols, self.w3, out=out)
+        else:
+            np.matmul(self.w_mat, gemm_in, out=out)
         if post is not None:
-            post(n, out.ctypes.data)
-        return out.reshape(n, self.oc, self.oh, self.ow)
+            post(*post_args)
+        return result
 
 
 class CodegenLinearKernel(_CodegenKernel):
@@ -209,7 +239,7 @@ class CodegenLinearKernel(_CodegenKernel):
                   if pre is not None else None)
             out = self.ctx.scratch(f"out{self.node.id}",
                                    (rows, self.weight.shape[0]))
-            bound = (pre, post, xq, out)
+            bound = (pre, post, xq, _addresses(xq), out, _addresses(out))
             self._bound[rows] = bound
         return bound
 
@@ -221,16 +251,16 @@ class CodegenLinearKernel(_CodegenKernel):
                                                    self._artifact)
             return self._fallback.run(x)
         rows = x.shape[0]
-        pre, post, xq, out = self._bind(rows)
+        pre, post, xq, xq_at, out, out_at = self._bind(rows)
         x = self._contiguous(x)
         if pre is not None:
-            pre(rows, x.ctypes.data, xq.ctypes.data)
+            pre(rows, x.ctypes.data, *xq_at)
             x = xq
         # The reference's exact row-stable `x @ weight.T` on identical
         # values.
         row_stable_matmul(x, self.wT, out=out)
         if post is not None:
-            post(rows, out.ctypes.data)
+            post(rows, *out_at)
         return out
 
 
@@ -241,14 +271,10 @@ class CodegenAddKernel(_CodegenKernel):
 
     def run(self, main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
         n = main.shape[0]
-        bound = self._bound.get(n)
-        if bound is None:
-            out = self.ctx.scratch(f"out{self.node.id}", main.shape)
-            bound = self._bound[n] = (self._fn("main"), out)
-        fn, out = bound
+        fn, out, out_at = self._bind_out(n, main.shape)
         main = self._contiguous(main, 0)
         shortcut = self._contiguous(shortcut, 1)
-        fn(n, main.ctypes.data, shortcut.ctypes.data, out.ctypes.data)
+        fn(n, main.ctypes.data, shortcut.ctypes.data, out_at)
         return out
 
 
@@ -264,13 +290,9 @@ class CodegenEltwiseKernel(_CodegenKernel):
         self.block = renderer.channels * renderer.inner
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        bound = self._bound.get(x.shape)
-        if bound is None:
-            out = self.ctx.scratch(f"out{self.node.id}", x.shape)
-            bound = self._bound[x.shape] = (self._fn("main"), out)
-        fn, out = bound
+        fn, out, out_at = self._bind_out(x.shape, x.shape)
         x = self._contiguous(x)
-        fn(x.size // self.block, x.ctypes.data, out.ctypes.data)
+        fn(x.size // self.block, x.ctypes.data, out_at)
         return out
 
 
@@ -283,14 +305,9 @@ class CodegenMaxPoolKernel(_CodegenKernel):
 
     def run(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        bound = self._bound.get(n)
-        if bound is None:
-            out = self.ctx.scratch(f"out{self.node.id}",
-                                   (n,) + self.node.output_shape)
-            bound = self._bound[n] = (self._fn("main"), out)
-        fn, out = bound
+        fn, out, out_at = self._bind_out(n, (n,) + self.node.output_shape)
         x = self._contiguous(x)
-        fn(n, x.ctypes.data, out.ctypes.data)
+        fn(n, x.ctypes.data, out_at)
         return out
 
 

@@ -31,8 +31,9 @@ Numerics that make the emitted code exact:
   rounding) into a precomputed level-grid lookup: ``levels[k]`` is the
   float32 value code ``k`` reconstructs to, computed by the same numpy
   ufuncs, so the lookup and the chain agree bitwise.
-- Padded-conv borders are written as literal ``0.0f`` — the fused
-  backend's zeroed-arena borders, one memory pass earlier.
+- Padded-conv borders come from a pool buffer zeroed once whose
+  interior alone the prologue writes — the fused backend's padded
+  arenas (the same pool entries), so gathers never test a bound.
 """
 
 from __future__ import annotations
@@ -128,6 +129,14 @@ def c_array(symbol: str, values: np.ndarray) -> str:
 #: equal to ``np.round``/``rintf`` for the quantizer's |v| <= steps <=
 #: 255 range, but branch-free, libm-free and SIMD-vectorizable.
 RNE_MAGIC = "0x1.8p+23f"
+
+#: Keeps the loop after it rolled. The conv prologues' row loops have
+#: literal trip counts, and complete peeling of them (k*k taps x rows,
+#: each holding a vectorized copy) made a graph compile ~50% slower —
+#: set-up time every model pays — and the bloated code ran no faster.
+#: Unrolling never changes a result bit; compilers without the pragma
+#: ignore it (clang accepts the GCC spelling).
+ROLLED = "#pragma GCC unroll 1"
 
 
 class ActQuantC:
@@ -279,13 +288,16 @@ class CSegment:
 
 
 class ConvRenderer:
-    """Conv prologue (fused quant + zero-pad + im2col gather) and
+    """Conv prologue (quant + zero-pad + im2col or depthwise gather) and
     epilogue (bias + batch-norm + ReLU) around the numpy GEMM.
 
-    The GEMM itself is *not* rendered: the backend runs the identical
-    ``np.matmul`` on the identically laid-out column buffer, keeping the
-    float32 accumulation order (and therefore the bits) of the reference
-    backend.
+    The prologue quantizes each input element once, in one pass shared
+    by every conv template (:meth:`_stage_pass`) that writes the
+    interior of a zero-bordered pool buffer, and then gathers by plain
+    copies: no bound tests, fixed trip counts. The GEMM itself is *not*
+    rendered: the backend runs the identical ``np.matmul`` on the
+    identically laid-out column buffer, keeping the float32 accumulation
+    order (and therefore the bits) of the reference backend.
     """
 
     def __init__(self, node: IRNode, input_shape: Tuple[int, ...],
@@ -301,112 +313,126 @@ class ConvRenderer:
         self.stride = spec["stride"]
         self.padding = spec["padding"]
         self.cin, self.h, self.w = input_shape
+        # The padded plane the gathers read.
+        self.hp = self.h + 2 * self.padding
+        self.wp = self.w + 2 * self.padding
         self.oc = spec["out_channels"]
         self.oh, self.ow = node.output_shape[1], node.output_shape[2]
         self.depthwise = spec["groups"] != 1
+        # Everything but an unpadded stride-1 1x1 conv gathers windows
+        # (a pointwise conv's GEMM reads its input as laid out).
+        self.gathers = self.depthwise or not (
+            self.kernel == 1 and self.stride == 1 and self.padding == 0)
         self.act = ActQuantC(spec["act_quant"]) if spec["act_quant"] else None
         bias = (artifact.arrays[spec["bias"]]
                 if spec["bias"] is not None else None)
         self.stages = epilogue_stages(node, artifact, bias=bias)
 
     # -- prologue -------------------------------------------------------
-    def _emit_quant(self, prefix: str) -> Tuple[str, str]:
-        if self.act is None:
-            return "", "%s"
-        sym = f"{prefix}_q"
-        return self.act.emit(sym), f"{sym}(%s)"
+    @staticmethod
+    def _pre_head(prefix: str, staged: bool) -> str:
+        """Opening of ``void pre(long n, x, [q,] cols)``. The buffers
+        are distinct pool entries, so they are ``restrict``: the
+        compiler needs no overlap checks (nor code versioned on them)."""
+        q = "float *restrict q, " if staged else ""
+        return (f"void {prefix}_pre(long n, const float *restrict x, "
+                f"{q}float *restrict cols) {{\n")
 
-    def _pre_pointwise(self, symbol: str, prefix: str) -> str:
-        size = self.cin * self.h * self.w
-        helper, quant = self._emit_quant(prefix)
-        expr = quant % "x[i]"
-        return f"""\
-{helper}
-void {symbol}(long n, const float *x, float *cols) {{
-  for (long i = 0; i < n * {size}L; ++i) cols[i] = {expr};
-}}"""
+    def _stage_pass(self, prefix: str, dst: str) -> str:
+        """The head of a native prologue whose first statement is the
+        one pass over the input, shared by every conv template.
 
-    def _pre_im2col(self, symbol: str, prefix: str) -> str:
-        k, s, pad = self.kernel, self.stride, self.padding
-        cin, h, w, oh, ow = self.cin, self.h, self.w, self.oh, self.ow
+        It writes ``quant(x)`` (or ``x`` itself, for a conv without a
+        quantizer) into ``dst``, the interior of a zero-bordered
+        ``(n, cin, h + 2*pad, w + 2*pad)`` pool buffer. So each input
+        element runs the quant chain exactly once, however many window
+        cells it lands in (bitwise identical: the chain is a pure
+        per-element function), and the gathers that follow read only
+        valid memory and never test a bound. The border is zeroed when
+        the buffer is pooled and never written.
+        """
+        cin, h, w, pad = self.cin, self.h, self.w, self.padding
+        hp, wp = self.hp, self.wp
+        helper, value = "", "%s"
+        if self.act is not None:
+            helper = self.act.emit(f"{prefix}_q") + "\n"
+            value = f"{prefix}_q(%s)"
+        head = helper + self._pre_head(prefix, staged=dst == "q")
+        if pad == 0:
+            return head + (f"  for (long i = 0; i < n * {cin * h * w}L; "
+                           f"++i) {dst}[i] = {value % 'x[i]'};\n")
+        return head + f"""\
+  for (long c = 0; c < n * {cin}L; ++c)
+{ROLLED}
+    for (long y = 0; y < {h}L; ++y) {{
+      const float *xr = x + (c * {h} + y) * {w}L;
+      float *row = {dst} + (c * {hp} + y + {pad}) * {wp}L + {pad};
+      for (long j = 0; j < {w}L; ++j) row[j] = {value % 'xr[j]'};
+    }}
+"""
+
+    @property
+    def stages_input(self) -> bool:
+        """Whether the gathering prologue stages its input into the
+        pooled zero-bordered buffer (quantizing or padding it) rather
+        than gathering straight from ``x``."""
+        return self.gathers and (self.act is not None or self.padding > 0)
+
+    def _gather_head(self, prefix: str) -> Tuple[str, str]:
+        """``(head, source)`` of a gathering prologue: its code up to the
+        gather, and the buffer the gather copies from."""
+        if not self.stages_input:
+            return self._pre_head(prefix, staged=False), "x"
+        return self._stage_pass(prefix, "q"), "q"
+
+    def _pre_im2col(self, prefix: str) -> str:
+        """Gather into the ``(n, cin*k*k, oh*ow)`` column buffer: every
+        cell is a plain copy from the zero-bordered source, so the loop
+        nest has fixed trip counts and no branch (a contiguous copy per
+        output row at stride 1)."""
+        k, s = self.kernel, self.stride
+        cin, hp, wp, oh, ow = self.cin, self.hp, self.wp, self.oh, self.ow
         p = oh * ow
-        helper, quant = self._emit_quant(prefix)
-        expr = quant % "xrow[ix]"
-        if pad > 0:
-            row_guard = f"""\
-          if (iy < 0 || iy >= {h}L) {{
-            for (long ox = 0; ox < {ow}L; ++ox) drow[ox] = 0.0f;
-            continue;
-          }}"""
-            elem = (f"drow[ox] = (ix < 0 || ix >= {w}L) "
-                    f"? 0.0f : {expr};")
-        else:
-            row_guard = ""
-            elem = f"drow[ox] = {expr};"
+        head, src = self._gather_head(prefix)
         return f"""\
-{helper}
-void {symbol}(long n, const float *x, float *cols) {{
-  for (long i = 0; i < n; ++i) {{
-    const float *xi = x + i * {cin * h * w}L;
-    float *ci = cols + i * {cin * k * k * p}L;
-    for (long c = 0; c < {cin}L; ++c)
-      for (long kh = 0; kh < {k}L; ++kh)
-        for (long kw = 0; kw < {k}L; ++kw) {{
-          float *dst = ci + ((c * {k} + kh) * {k} + kw) * {p}L;
-          for (long oy = 0; oy < {oh}L; ++oy) {{
-            long iy = oy * {s} + kh - {pad};
-            float *drow = dst + oy * {ow}L;
-{row_guard}
-            const float *xrow = xi + (c * {h} + iy) * {w}L;
-            for (long ox = 0; ox < {ow}L; ++ox) {{
-              long ix = ox * {s} + kw - {pad};
-              {elem}
-            }}
-          }}
+{head}  for (long i = 0; i < n * {cin}L; ++i) {{
+    const float *sc = {src} + i * {hp * wp}L;
+    float *d = cols + i * {k * k * p}L;
+{ROLLED}
+    for (long kh = 0; kh < {k}L; ++kh)
+{ROLLED}
+      for (long kw = 0; kw < {k}L; ++kw) {{
+        float *dst = d + (kh * {k} + kw) * {p}L;
+{ROLLED}
+        for (long oy = 0; oy < {oh}L; ++oy) {{
+          const float *srow = sc + (oy * {s} + kh) * {wp}L + kw;
+          for (long ox = 0; ox < {ow}L; ++ox)
+            dst[oy * {ow} + ox] = srow[ox * {s}];
         }}
+      }}
   }}
 }}"""
 
-    def _pre_depthwise(self, symbol: str, prefix: str) -> str:
-        k, s, pad = self.kernel, self.stride, self.padding
-        cin, h, w, oh, ow = self.cin, self.h, self.w, self.oh, self.ow
+    def _pre_depthwise(self, prefix: str) -> str:
+        k, s = self.kernel, self.stride
+        cin, hp, wp, oh, ow = self.cin, self.hp, self.wp, self.oh, self.ow
         p = oh * ow
-        guard = (f"(iy < 0 || iy >= {h}L || ix < 0 || ix >= {w}L) "
-                 f"? 0.0f : " if pad > 0 else "")
-        if self.act is None:
-            helper = quant_pass = ""
-            sig = "long n, const float *x, float *cols"
-            src = "x"
-        else:
-            # Each input element lands in up to k*k column cells; running
-            # the division-heavy quant chain per cell costs k*k times the
-            # arithmetic and defeats vectorization inside the guarded
-            # gather. Quantize once per element in a flat pass instead —
-            # bitwise identical, the chain is a pure per-element function
-            # (padding borders stay literal 0.0f either way) — then the
-            # gather is pure copies.
-            helper = self.act.emit(f"{prefix}_q") + "\n"
-            sig = "long n, const float *x, float *q, float *cols"
-            quant_pass = (f"  for (long i = 0; i < n * {cin * h * w}L; ++i) "
-                          f"q[i] = {prefix}_q(x[i]);\n")
-            src = "q"
+        head, src = self._gather_head(prefix)
         return f"""\
-{helper}void {symbol}({sig}) {{
-{quant_pass}  for (long c = 0; c < {cin}L; ++c) {{
+{head}  for (long c = 0; c < {cin}L; ++c) {{
     float *cc = cols + c * n * {p * k * k}L;
     for (long i = 0; i < n; ++i) {{
-      const float *xc = {src} + (i * {cin} + c) * {h * w}L;
+      const float *sc = {src} + (i * {cin} + c) * {hp * wp}L;
       float *ci = cc + i * {p * k * k}L;
+{ROLLED}
       for (long oy = 0; oy < {oh}L; ++oy)
+{ROLLED}
         for (long ox = 0; ox < {ow}L; ++ox) {{
           float *cell = ci + (oy * {ow} + ox) * {k * k}L;
-          for (long kh = 0; kh < {k}L; ++kh) {{
-            long iy = oy * {s} + kh - {pad};
-            for (long kw = 0; kw < {k}L; ++kw) {{
-              long ix = ox * {s} + kw - {pad};
-              cell[kh * {k} + kw] = {guard}xc[iy * {w} + ix];
-            }}
-          }}
+          const float *win = sc + (oy * {s}) * {wp}L + ox * {s};
+          for (long kh = 0; kh < {k}L; ++kh)
+            for (long kw = 0; kw < {k}L; ++kw)
+              cell[kh * {k} + kw] = win[kh * {wp} + kw];
         }}
     }}
   }}
@@ -446,17 +472,19 @@ void {symbol}(long n, const float *r, float *out) {{
                             f"p{self.padding}"
                             f"{' depthwise' if self.depthwise else ''} */"]
         functions: List[Tuple[tuple, str, int]] = []
-        k, s, pad = self.kernel, self.stride, self.padding
-        pointwise = k == 1 and s == 1 and pad == 0
         pre, post = f"{prefix}_pre", f"{prefix}_post"
-        if self.depthwise:
-            parts.append(self._pre_depthwise(pre, prefix))
+        if not self.gathers:
+            # The quant pass writes the GEMM's columns directly.
+            if self.act is not None:
+                parts.append(self._stage_pass(prefix, "cols") + "}")
+                functions.append(((self.node_id, "pre"), pre, 2))
+        else:
+            emit = self._pre_depthwise if self.depthwise \
+                else self._pre_im2col
+            parts.append(emit(prefix))
+            # (x, cols), plus the staged input ``q`` between them.
             functions.append(((self.node_id, "pre"), pre,
-                              2 if self.act is None else 3))
-        elif not (pointwise and self.act is None):
-            emit = self._pre_pointwise if pointwise else self._pre_im2col
-            parts.append(emit(pre, prefix))
-            functions.append(((self.node_id, "pre"), pre, 2))
+                              3 if self.stages_input else 2))
         if self.stages:
             parts.extend(_stage_tables(prefix, self.stages))
             if self.depthwise:
@@ -575,7 +603,10 @@ class EltwiseRenderer:
 
 class MaxPoolRenderer:
     """Max pooling: order-independent reduction, so the C loop matches
-    numpy's windowed max bit for bit (pads compare as -inf)."""
+    numpy's windowed max for every finite and infinite input, bit for
+    bit (pads compare as -inf). The compare is NaN-sticky like numpy's
+    max: a window holding a NaN yields NaN (the NaN's payload bits are
+    not pinned)."""
 
     def __init__(self, node: IRNode, input_shape: Tuple[int, ...]):
         spec = node.spec
@@ -609,7 +640,7 @@ void {symbol}(long n, const float *x, float *out) {{
             long ix = ox * {s} + kw - {pad};
             {guard_x}
             float v = xc[iy * {w} + ix];
-            if (v > m) m = v;
+            if (v > m || v != v) m = v;  /* NaN wins, as in numpy */
           }}
         }}
         oc[oy * {ow} + ox] = m;

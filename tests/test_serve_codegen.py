@@ -297,7 +297,7 @@ class TestBackendsCLI:
 # Edge-shape parity across all backends
 # ----------------------------------------------------------------------
 EDGE_MODELS = ("conv_odd_channels", "linear_single_feature",
-               "maxpool_tail", "standalone_eltwise")
+               "maxpool_tail", "standalone_eltwise", "conv_strided_padded")
 
 
 def _edge_model(case: str):
@@ -321,6 +321,18 @@ def _edge_model(case: str):
             nn.MaxPool2d(2), nn.Flatten(),
             nn.Linear(4 * 4 * 4, 2, rng=gen))
         shape = (3, 8, 8)
+    elif case == "conv_strided_padded":
+        # Strided and padded gathers: a k5 window reaching two cells
+        # into the padding, stride 3 skipping the right border, a 1x1
+        # whose whole border rows/columns are padding, an unpadded
+        # strided tail. Spatial sizes 11 -> 6 -> 3 -> 5 -> 2.
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 5, stride=2, padding=2, rng=gen), nn.ReLU(),
+            nn.Conv2d(4, 5, 3, stride=3, padding=2, rng=gen), nn.ReLU(),
+            nn.Conv2d(5, 3, 1, stride=1, padding=1, rng=gen), nn.ReLU(),
+            nn.Conv2d(3, 4, 3, stride=2, rng=gen), nn.Flatten(),
+            nn.Linear(4 * 2 * 2, 2, rng=gen))
+        shape = (3, 11, 11)
     else:
         # Batch-norm / ReLU6 behind a pool: no GEMM to fuse into, so
         # they run as standalone elementwise nodes.
@@ -365,6 +377,25 @@ class TestEdgeShapeParity:
             assert np.array_equal(plan.forward(batch),
                                   eager_forward(model, batch)), (case, n)
 
+    @pytest.mark.parametrize("case", EDGE_MODELS)
+    @pytest.mark.parametrize("backend",
+                             ["reference", "fused", "compiled"])
+    def test_nan_propagates_like_eager(self, case, backend, edge_artifacts):
+        if backend == "compiled" and not have_compiler():
+            pytest.skip("no C compiler")
+        model, path, shape = edge_artifacts[case]
+        plan = ExecutionPlan.load(path, backend=backend)
+        rng = np.random.default_rng(23)
+        for n in (1, 3):
+            batch = rng.normal(size=(n, *shape)).astype(np.float32)
+            # A finite batch first: the runtime oracle verifies each new
+            # batch size with a plain (NaN != NaN) bitwise comparison.
+            plan.forward(batch)
+            batch.flat[batch.size // 2] = np.nan
+            assert np.array_equal(plan.forward(batch),
+                                  eager_forward(model, batch),
+                                  equal_nan=True), (case, n)
+
 
 # ----------------------------------------------------------------------
 # One native library per compiled graph
@@ -379,7 +410,9 @@ class TestOneLibraryPerGraph:
         model, path, shape = edge_artifacts["maxpool_tail"]
         plan = ExecutionPlan.load(path, backend="compiled")
         rng = np.random.default_rng(17)
-        for n in (1, 3, 8, 9):
+        # Revisiting sizes checks that the buffer addresses bound per
+        # batch size stay valid after other sizes have run.
+        for n in (1, 3, 8, 9, 3, 8, 1):
             batch = rng.normal(size=(n, *shape)).astype(np.float32)
             assert np.array_equal(plan.forward(batch),
                                   eager_forward(model, batch)), n
