@@ -73,15 +73,17 @@ def sequential_capacity(artifact, sequences):
     server = ModelServer(workers=0, max_batch=1)
     server.load("m", artifact, backend=BACKEND)
     sids = [server.open_session("m") for _ in range(SESSIONS)]
-    for step in range(0, 12, CHUNK_STEPS):
-        for index, sid in enumerate(sids):
-            server.submit_stream(
-                "m", sid, sequences[index][step:step + CHUNK_STEPS])
+    futures = [server.submit_stream(
+                   "m", sid, sequences[index][step:step + CHUNK_STEPS])
+               for step in range(0, 12, CHUNK_STEPS)
+               for index, sid in enumerate(sids)]
     started = time.perf_counter()
-    served = server.drain()
+    server.drain()
     elapsed = time.perf_counter() - started
     server.close()
-    return served / elapsed
+    for future in futures:
+        future.result(timeout=0)
+    return len(futures) / elapsed
 
 
 def run_scenario(artifact, sequences, offsets, max_batch):

@@ -8,7 +8,7 @@ spell out, entirely through :mod:`repro.api`:
 2. quantize: ``calibrate()`` for the fast post-training path (``fit()``
    from examples/quickstart.py plugs in identically);
 3. deploy: ``deploy()`` freezes a packed-weight artifact — bit-exactness
-   verified at export — and wraps plan + engine + scheduler;
+   verified at export — and wraps plan + engine;
 4. serve: compare per-request eager inference against micro-batched
    serving, with the accelerator cycle model's simulated FPGA latency
    reported alongside wall-clock.

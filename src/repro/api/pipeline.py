@@ -20,9 +20,8 @@ Stages and their return handles:
   Returns a :class:`QuantizedModel`.
 - :meth:`Pipeline.deploy` / :meth:`QuantizedModel.deploy` — freeze into a
   packed-weight artifact (bit-exactness verified at export), load it into
-  an execution plan, and wrap engine + scheduler in a :class:`Deployment`
-  whose ``predict`` replaces the old export_model/ExecutionPlan/
-  InferenceEngine dance.
+  an execution plan and engine, and wrap them in a :class:`Deployment`
+  whose ``predict`` serves requests.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.export import build_artifact, eager_forward
 from repro.serve.plan import ExecutionPlan
 from repro.serve.ptq import post_training_quantize
-from repro.serve.scheduler import BatchScheduler, ServeStats
-from repro.serve.server import ModelServer
+from repro.serve.server import ModelServer, ModelStats
 
 
 def _batch_input(batch) -> Optional[np.ndarray]:
@@ -155,7 +153,7 @@ class QuantizedModel:
 
 
 class Deployment:
-    """A deployed model: artifact + execution plan + engine + scheduler.
+    """A deployed model: artifact + execution plan + engine.
 
     ``deployment.predict(x)`` serves a single request or an ``(N, ...)``
     batch (split into micro-batches of at most ``batch``); results are
@@ -213,12 +211,11 @@ class Deployment:
 
     def serve(self, payloads: Iterable[np.ndarray],
               max_wait_ms: Optional[float] = None,
-              clock=None) -> ServeStats:
+              clock=None) -> ModelStats:
         """Drain single-request payloads through the dynamic batcher.
 
-        Same micro-batching machinery as :class:`ModelServer`, driven
-        synchronously on the calling thread; the resulting ``ServeStats``
-        are bit-identical to the legacy ``BatchScheduler`` drain.
+        A synchronous :class:`ModelServer` (``workers=0``) hosts this
+        deployment for the drain and its :class:`ModelStats` come back.
         ``max_wait_ms`` overrides the deployment's batching deadline for
         this drain (irrelevant when all payloads are pre-queued, but kept
         symmetric with the server path); ``clock`` is injectable for
@@ -237,14 +234,13 @@ class Deployment:
                 raise future.exception()
             futures.append(future)
         server.drain()
-        # The legacy scheduler propagated batch-execution failures; so
-        # does this drain (the server records them per model, but a
-        # synchronous caller wants the exception).
+        # A synchronous caller wants batch-execution failures raised
+        # (the server only counts them per model).
         for future in futures:
             error = future.exception(timeout=0)
             if error is not None:
                 raise error
-        stats = server.stats()["model"].to_serve_stats()
+        stats = server.stats()["model"]
         server.close()
         return stats
 
@@ -285,17 +281,6 @@ class Deployment:
                  for index in range(workers)]
         return ClusterRouter(fleet, placement, capacity=capacity,
                              **clock_kwargs)
-
-    def scheduler(self, **kwargs) -> BatchScheduler:
-        """Deprecated: a legacy synchronous scheduler over this engine."""
-        import warnings
-
-        warnings.warn(
-            "Deployment.scheduler is deprecated; use Deployment.serve, "
-            "or Deployment.server() / repro.serve.ModelServer for the "
-            "async API", DeprecationWarning, stacklevel=2)
-        kwargs.setdefault("max_batch", self.batch)
-        return BatchScheduler(self.engine, **kwargs)
 
     # ------------------------------------------------------------------
     def simulate(self, batch: Optional[int] = None, **sim_kwargs):
@@ -347,6 +332,9 @@ class PipelineDeployment:
     its own :class:`GemmDesign`, and requests stream through a
     :class:`~repro.serve.partition.pipeline.PipelineEngine` — outputs are
     bit-identical to the single-device plan, verified at split time.
+    For async serving, use ``.engine`` directly: it is a
+    :class:`~repro.serve.frontend.Server` hosting the model under
+    ``.engine.name``.
     """
 
     def __init__(self, artifact, devices, *, batch: int = 16,
@@ -398,19 +386,6 @@ class PipelineDeployment:
         futures = self.engine.submit_many(self.engine.name, list(x))
         self.engine.drain()
         return np.stack([future.result(timeout=60.0) for future in futures])
-
-    def submit(self, payload):
-        return self.engine.submit(self.engine.name, payload)
-
-    def drain(self):
-        return self.engine.drain()
-
-    def stats(self):
-        """Stage-dimensioned stats (aggregate + one row per stage)."""
-        return self.engine.stats()
-
-    def format_stats(self) -> str:
-        return self.engine.format_stats()
 
     def save(self, stem) -> List[str]:
         """Save the per-stage artifacts (``<stem>.stageK.npz``)."""

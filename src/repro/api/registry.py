@@ -2,7 +2,7 @@
 
 Two registries replace the hand-rolled dispatch that used to live in
 ``quant.schemes`` (the ``levels_for`` enum switch), ``quant.quantizers``
-(the ``mode="paper"`` switch) and ``quant.baselines`` (the ``get_baseline``
+(the ``mode="paper"`` switch) and ``quant.baselines`` (a name -> class
 dict):
 
 - **schemes** — weight number systems (``fixed``, ``p2``, ``sp2``, ``msq``).

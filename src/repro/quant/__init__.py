@@ -26,8 +26,8 @@ Typical use — through the unified front door::
 
 The schemes and quantizers here register themselves into
 :mod:`repro.api.registry`, which is how ``PipelineConfig(scheme=...)``
-resolves them. (The old ``quantize_model`` entry point survives as a
-deprecation shim around :func:`repro.quant.trainer.run_qat`.)
+resolves them; :func:`repro.quant.trainer.run_qat` is the bare training
+loop underneath :meth:`repro.api.Pipeline.fit`.
 """
 
 from repro.quant.schemes import (
@@ -90,7 +90,6 @@ from repro.quant.admm import ADMMQuantizer, collect_quantizable
 from repro.quant.trainer import (
     QATConfig,
     QATResult,
-    quantize_model,
     run_qat,
     train_fp,
     install_activation_quantizers,
@@ -150,7 +149,6 @@ __all__ = [
     "collect_quantizable",
     "QATConfig",
     "QATResult",
-    "quantize_model",
     "run_qat",
     "train_fp",
     "install_activation_quantizers",

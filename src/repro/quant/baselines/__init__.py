@@ -11,14 +11,10 @@ methods from the same pre-trained model.
 Each method registers itself in the :mod:`repro.api.registry` method
 registry via ``@register_method``; the public way to look one up is
 :func:`repro.api.get_method` (or ``PipelineConfig(method=...)`` which
-trains it through :meth:`repro.api.Pipeline.fit`). The old
-:func:`get_baseline` dict lookup survives as a deprecation shim.
+trains it through :meth:`repro.api.Pipeline.fit`).
 """
 
-import warnings
-
 from repro.api.registry import get_method, list_methods
-from repro.errors import ConfigurationError
 from repro.quant.baselines.common import BaselineMethod, train_baseline
 from repro.quant.baselines.dorefa import DoReFa
 from repro.quant.baselines.pact import PACT
@@ -30,25 +26,6 @@ from repro.quant.baselines.lsq import LSQ
 from repro.quant.baselines.eqm import EQM
 
 
-def get_baseline(name: str, **kwargs) -> BaselineMethod:
-    """Deprecated; use :func:`repro.api.get_method` instead.
-
-    Kept importable from its old home for one release; resolves through the
-    same registry, so the instance is identical to
-    ``get_method(name).make(**kwargs)``.
-    """
-    warnings.warn(
-        "repro.quant.baselines.get_baseline is deprecated; use "
-        "repro.api.get_method(name).make(**kwargs) or "
-        "PipelineConfig(method=name)",
-        DeprecationWarning, stacklevel=2)
-    try:
-        return get_method(name).make(**kwargs)
-    except ConfigurationError as error:
-        # Preserve the historical contract: unknown names raise KeyError.
-        raise KeyError(str(error)) from None
-
-
 def available_baselines() -> list:
     """Class names of every registered method (one entry per class)."""
     return sorted({get_method(key).cls.__name__ for key in list_methods()})
@@ -57,7 +34,6 @@ def available_baselines() -> list:
 __all__ = [
     "BaselineMethod",
     "train_baseline",
-    "get_baseline",
     "available_baselines",
     "DoReFa",
     "PACT",

@@ -1,8 +1,7 @@
 """Quantization-aware training orchestration (Algorithms 1 and 2 end to end).
 
-``run_qat`` (fronted by :meth:`repro.api.Pipeline.fit`; the deprecated
-``quantize_model`` shim delegates here) runs the paper's full recipe on any
-model built from the :mod:`repro.nn` layers:
+``run_qat`` (fronted by :meth:`repro.api.Pipeline.fit`) runs the paper's
+full recipe on any model built from the :mod:`repro.nn` layers:
 
 1. install n-bit fixed-point STE activation quantizers on every quantizable
    layer (signed for RNN cells, unsigned after ReLUs);
@@ -18,7 +17,6 @@ callable, so CNN classification, detection and RNN tasks share this code.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -190,23 +188,6 @@ def run_qat(model: Module, make_batches: MakeBatchesFn,
     model.eval()
     return QATResult(model=model, layer_results=layer_results,
                      act_quantizers=act_quantizers, history=history)
-
-
-def quantize_model(model: Module, make_batches: MakeBatchesFn,
-                   loss_fn: BatchLossFn, config: QATConfig,
-                   eval_fn: Optional[Callable[[Module], float]] = None
-                   ) -> QATResult:
-    """Deprecated entry point; use :class:`repro.api.Pipeline` instead.
-
-    Kept importable from its old home for one release; delegates to
-    :func:`run_qat` so results stay bit-identical to the new API.
-    """
-    warnings.warn(
-        "repro.quant.quantize_model is deprecated; use "
-        "repro.api.Pipeline(PipelineConfig(...)).fit(...) "
-        "(or repro.quant.trainer.run_qat for the bare loop)",
-        DeprecationWarning, stacklevel=2)
-    return run_qat(model, make_batches, loss_fn, config, eval_fn)
 
 
 def train_fp(model: Module, make_batches: MakeBatchesFn, loss_fn: BatchLossFn,

@@ -4,12 +4,12 @@ Where :mod:`repro.quant` produces a quantized model and :mod:`repro.fpga`
 prices it on an accelerator, this package actually *serves* it: a trained
 model is frozen into a packed-weight artifact, compiled through a graph IR
 and optimization passes into a backend's kernels, and driven by a
-micro-batching scheduler whose reports pair wall-clock numbers with the
+micro-batching server whose reports pair wall-clock numbers with the
 accelerator cycle model's simulated latency.
 
 Compile-and-serve pipeline and the module implementing each stage::
 
-    quantize_model / post_training_quantize      (repro.quant / serve.ptq)
+    Pipeline.fit / post_training_quantize        (repro.api / serve.ptq)
         -> build_artifact -> ServeArtifact (.npz) (serve.export / serve.artifact)
         -> graph IR (typed nodes, shapes)        (serve.ir)
         -> optimization passes (fold/fuse/DCE)   (serve.passes)
@@ -17,7 +17,7 @@ Compile-and-serve pipeline and the module implementing each stage::
            (reference | fused | compiled via serve.codegen C kernels)
         -> ExecutionPlan facade                  (serve.plan)
         -> InferenceEngine                       (serve.engine)
-        -> DynamicBatcher -> execute_batch       (serve.batcher / scheduler)
+        -> DynamicBatcher                        (serve.batcher)
         -> ModelServer -> InferenceFuture        (serve.server / futures)
 
 The artifact stores exactly what the FPGA datapath would: packed integer
@@ -38,9 +38,13 @@ and ``load``/``unload``/``alias``/``warmup`` manage the hosted set. With
 ``cache_mb`` set, submits run cache → in-flight table → batcher
 (:mod:`repro.serve.cache`): byte-identical repeat payloads are answered
 from a content-addressed LRU (sound because serving is bit-exact), and
-concurrent identical submits coalesce onto one batcher slot. The old
-synchronous ``BatchScheduler`` surface remains for one release as a
-deprecated single-model facade over the same machinery.
+concurrent identical submits coalesce onto one batcher slot.
+
+Every model-addressed front end — ``ModelServer``, ``ClusterRouter``,
+``PipelineEngine``, ``PipelineCluster`` — implements one declared
+:class:`~repro.serve.frontend.Server` protocol (submit/predict/drain,
+stats, close, session ops, with one error vocabulary), which is what the
+JSON-lines protocol and the CLI drive.
 
 ``python -m repro.serve`` exposes the export/info/run loop on the command
 line (``run --backend fused`` picks the kernels; ``up`` starts a
@@ -89,20 +93,15 @@ from repro.serve.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.serve.batcher import DynamicBatcher, coerce_payload
+from repro.serve.batcher import DynamicBatcher, ServedRequest, coerce_payload
 from repro.serve.cache import InflightTable, ResponseCache
 from repro.serve.engine import EngineStats, InferenceEngine, ThroughputStats
-from repro.serve.export import build_artifact, eager_forward, export_model
+from repro.serve.export import build_artifact, eager_forward
+from repro.serve.frontend import Server
 from repro.serve.futures import InferenceFuture, gather
 from repro.serve.ir import Graph, IRNode, lower_artifact
 from repro.serve.plan import ExecutionPlan
 from repro.serve.ptq import post_training_quantize
-from repro.serve.scheduler import (
-    BatchScheduler,
-    ServedRequest,
-    ServeStats,
-    execute_batch,
-)
 from repro.serve.cluster import (
     ClusterRouter,
     LocalWorker,
@@ -157,7 +156,6 @@ __all__ = [
     "ThroughputStats",
     "build_artifact",
     "eager_forward",
-    "export_model",
     "ExecutionPlan",
     "Graph",
     "IRNode",
@@ -173,14 +171,12 @@ __all__ = [
     "coerce_payload",
     "ResponseCache",
     "InflightTable",
-    "execute_batch",
     "InferenceFuture",
     "gather",
     "ModelServer",
     "ModelStats",
-    "BatchScheduler",
+    "Server",
     "ServedRequest",
-    "ServeStats",
     "ClusterRouter",
     "LocalWorker",
     "ProcessWorker",

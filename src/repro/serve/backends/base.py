@@ -221,7 +221,7 @@ class CompiledModel:
             # end-to-end by the streaming test suite.
             oracle = self.runtime_oracle_factory()
             expected, _ = oracle.run_stateful(batch, copy_state(state))
-            if not np.array_equal(out, expected):
+            if not np.array_equal(out, expected, equal_nan=True):
                 raise ExportError(
                     f"backend {self.backend_name!r} deviates from the "
                     "reference backend under carried recurrent state; its "
@@ -274,7 +274,8 @@ def states_equal(left: Dict[int, dict], right: Dict[int, dict]) -> bool:
 def verify_compiled(candidate: CompiledModel, reference: CompiledModel,
                     batches: Sequence[np.ndarray],
                     precomputed: Optional[np.ndarray] = None) -> None:
-    """Assert ``candidate`` output == ``reference`` output, bitwise.
+    """Assert ``candidate`` output == ``reference`` output, bitwise (a
+    NaN matches a NaN in the same place; payloads are not compared).
 
     ``precomputed`` short-circuits the candidate run for the first batch
     (used by the runtime guardrail, which already holds the output).
@@ -285,7 +286,7 @@ def verify_compiled(candidate: CompiledModel, reference: CompiledModel,
         else:
             got = candidate.run(batch)
         expected = reference.run(batch)
-        if not np.array_equal(got, expected):
+        if not np.array_equal(got, expected, equal_nan=True):
             worst = float(np.max(np.abs(
                 np.asarray(got, dtype=np.float64)
                 - np.asarray(expected, dtype=np.float64))))

@@ -5,17 +5,13 @@ single requests into micro-batches. A batch becomes ready when it fills
 (``max_batch`` requests queued) **or** when the oldest queued request's
 deadline expires (``max_wait_ms`` after it was enqueued) — the classic
 size-or-time policy that trades a bounded latency hit for GEMM lane fill.
-Execution lives elsewhere (:func:`repro.serve.scheduler.execute_batch`,
-driven synchronously by the legacy facade or by
-:class:`~repro.serve.server.ModelServer` workers).
+Execution lives elsewhere (:class:`~repro.serve.server.ModelServer`
+and :class:`~repro.serve.partition.PipelineEngine`).
 
 The batcher is deliberately passive and deterministic: it never sleeps,
 never spawns threads, and only reads the injectable ``clock`` when a
 request is enqueued (to stamp ``enqueued_at`` and its deadline). Readiness
-checks take ``now`` from the caller, so tests drive time explicitly and
-the legacy force-drain path performs exactly the same clock-call sequence
-as the pre-refactor scheduler (which is what keeps its ``ServeStats``
-bit-identical).
+checks take ``now`` from the caller, so tests drive time explicitly.
 """
 
 from __future__ import annotations
@@ -177,8 +173,8 @@ class DynamicBatcher:
         """Pop the next micro-batch (up to ``max_batch`` requests, FIFO).
 
         Returns ``[]`` unless the batch is ready or ``force`` is set.
-        ``force=True`` never consults the clock — the legacy drain path
-        relies on that to keep its clock-call sequence unchanged.
+        ``force=True`` never consults the clock, so a forced drain under
+        a manual clock stays deterministic.
         """
         if not self._queue:
             return []

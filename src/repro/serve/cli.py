@@ -37,6 +37,7 @@ from repro.errors import (
     ReproError,
     ServingError,
 )
+from repro.serve.frontend import Server
 from repro.serve.transport import (
     MAX_MESSAGE_BYTES,
     array_from_wire,
@@ -208,7 +209,7 @@ def cmd_run(args) -> int:
     server.drain()
     for future in futures:
         future.result(timeout=0)
-    stats = server.stats()["model"].to_serve_stats()
+    stats = server.stats()["model"]
     server.close()
     print(f"served {args.requests} synthetic requests "
           f"(max_batch={args.batch})")
@@ -261,10 +262,7 @@ def cmd_pipeline(args) -> int:
                 for start in range(0, len(payloads), args.batch):
                     futures.extend(cluster.submit_many(
                         name, payloads[start:start + args.batch]))
-                    left = cluster.drain()
-                    if left:
-                        raise ServingError(
-                            f"{left} request(s) never completed")
+                    cluster.drain()
                 outputs = np.stack([future.result(timeout=60.0)
                                     for future in futures])
                 stats_text = cluster.format_stats()
@@ -303,9 +301,10 @@ def _error_fields(error) -> Dict:
             "retryable": bool(getattr(error, "retryable", False))}
 
 
-def serve_protocol(server, lines, out,
+def serve_protocol(server: Server, lines, out,
                    max_line_bytes: int = MAX_MESSAGE_BYTES) -> int:
-    """Drive a :class:`ModelServer` over the JSON-lines wire protocol.
+    """Drive any :class:`~repro.serve.frontend.Server` over the JSON-lines
+    wire protocol.
 
     ``lines`` is any iterable of protocol lines: text (sys.stdin, a pipe,
     a list in tests), raw ``bytes`` (a framed transport), or
@@ -554,7 +553,7 @@ def serve_protocol(server, lines, out,
     return served
 
 
-def emit_stats(server, emit, detail: bool = False,
+def emit_stats(server: Server, emit, detail: bool = False,
                request_id=None) -> None:
     """Write one ``{"op": "stats"}`` response line for every model.
 
@@ -566,8 +565,7 @@ def emit_stats(server, emit, detail: bool = False,
         payload = {"op": "stats",
                    "models": {name: stats.to_wire()
                               for name, stats in server.stats().items()},
-                   "aliases": (server.aliases()
-                               if hasattr(server, "aliases") else {})}
+                   "aliases": server.aliases()}
     else:
         payload = {"op": "stats",
                    "models": {name: {
@@ -666,8 +664,8 @@ def cmd_cluster(args) -> int:
               f"batch={args.batch}, capacity={args.capacity}/worker, "
               f"cache={f'{cache_mb} MB/worker' if cache_mb else 'off'}); "
               "JSON-lines on stdin", file=sys.stderr)
-        # The router duck-types the ModelServer surface, so the wire
-        # protocol in front of a whole cluster is the PR 4 loop verbatim.
+        # The router implements the same Server protocol as ModelServer,
+        # so the wire protocol in front of a whole cluster is one loop.
         served = serve_protocol(router, sys.stdin, sys.stdout)
         print(f"routed {served} request(s)", file=sys.stderr)
         for line in router.format_stats().splitlines():

@@ -45,7 +45,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.errors import (
     WorkerError,
 )
 from repro.serve.backends import DEFAULT_BACKEND
+from repro.serve.frontend import ServerMixin, unknown_model
 from repro.serve.futures import InferenceFuture
 from repro.serve.placement import (
     PlacementPolicy,
@@ -453,10 +454,11 @@ class ProcessWorker(_WorkerBase):
 # ----------------------------------------------------------------------
 # Router
 # ----------------------------------------------------------------------
-class ClusterRouter:
+class ClusterRouter(ServerMixin):
     """Front door over a fleet of workers; the multi-process analog of
-    :class:`ModelServer` with the same ``submit -> InferenceFuture``
-    surface (so ``serve_protocol`` can drive a whole cluster verbatim).
+    :class:`ModelServer`, implementing the same
+    :class:`~repro.serve.frontend.Server` surface (so ``serve_protocol``
+    can drive a whole cluster verbatim).
 
     ``capacity`` caps in-flight requests per worker (a worker-level
     ``capacity=`` overrides it); when every admissible replica is full
@@ -544,12 +546,6 @@ class ClusterRouter:
         return cls(fleet, placement, capacity=capacity,
                    request_timeout_ms=request_timeout_ms)
 
-    def __enter__(self) -> "ClusterRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
@@ -573,12 +569,7 @@ class ClusterRouter:
         with self._lock:
             if not self._running:
                 raise ServingError("cluster router is closed")
-            hosts = [w for w in self._workers if model in w.models]
-            if not hosts:
-                known = sorted({m for w in self._workers
-                               for m in w.models})
-                raise ServingError(
-                    f"unknown model {model!r}; hosted: {known}")
+            hosts = self._hosts(model)
             worker = self._admit_locked(model, hosts, request_key)
             if worker is None:
                 self._counters.shed += 1
@@ -620,9 +611,15 @@ class ClusterRouter:
             future._fail(error)
         return future
 
-    def submit_many(self, model: str,
-                    xs: Iterable) -> List[InferenceFuture]:
-        return [self.submit(model, x) for x in xs]
+    def _hosts(self, model: str) -> List[_WorkerBase]:
+        """Workers hosting ``model``; raises ``unknown-model`` if none."""
+        hosts = [w for w in self._workers if model in w.models]
+        if not hosts:
+            raise unknown_model(model, self.models())
+        return hosts
+
+    def _check_model(self, model: str) -> None:
+        self._hosts(model)
 
     def predict(self, model: str, x,
                 timeout: Optional[float] = 60.0) -> np.ndarray:
@@ -674,12 +671,7 @@ class ClusterRouter:
                     f"session {sid!r} is already open on worker "
                     f"{self._sessions[(model, sid)]!r}",
                     code="session-exists")
-            hosts = [w for w in self._workers if model in w.models]
-            if not hosts:
-                known = sorted({m for w in self._workers
-                                for m in w.models})
-                raise ServingError(
-                    f"unknown model {model!r}; hosted: {known}")
+            hosts = self._hosts(model)
             worker = self._admit_locked(model, hosts,
                                         request_key=f"session:{sid}")
             if worker is None:
@@ -968,14 +960,13 @@ class ClusterRouter:
         progressed += self._expire_timeouts()
         return progressed
 
-    def drain(self, timeout: Optional[float] = 60.0) -> int:
+    def drain(self, timeout: Optional[float] = 60.0) -> None:
         """Resolve every pending request. Local workers are pumped to
         completion — a request that can no longer complete (its frame
         was dropped and no clock advance is coming) fails typed
         (``code="lost"``) rather than hanging. Process workers are
         waited on (wall-clock ``timeout``); stragglers fail typed
         (``code="timeout"``)."""
-        completed = 0
         if any(not w.drives_itself for w in self._workers):
             while True:
                 with self._lock:
@@ -988,7 +979,6 @@ class ClusterRouter:
                 if self.pump() == 0:
                     self._fail_lost(stuck)
                     break
-                completed += 1
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         with self._lock:
@@ -1008,7 +998,6 @@ class ClusterRouter:
                 entry.future._fail(WorkerError(
                     f"no response from worker {entry.worker!r} within "
                     f"{timeout} s", code="timeout"))
-        return completed
 
     def _remote_pending_locked(self) -> List[int]:
         return [request_id
@@ -1233,21 +1222,14 @@ class ClusterRouter:
                     break
         collected: Dict[str, Dict[str, ModelStats]] = {}
         for name, future in futures.items():
+            # A worker that fails, times out or answers malformed stats
+            # is left out of this snapshot.
             try:
-                payload = future.result(
+                collected[name] = _stats_from_reply(future.result(
                     timeout=0 if not self._has_self_driving()
-                    else timeout)
+                    else timeout))
             except (ServingError, TimeoutError):
                 continue
-            aliases = payload.get("aliases", {})
-            public = {target: alias for alias, target in aliases.items()}
-            models = {}
-            for model, fields in payload.get("models", {}).items():
-                key = public.get(model, model)
-                stats = ModelStats.from_wire(fields)
-                stats.model = key
-                models[key] = stats
-            collected[name] = models
         return collected
 
     def stats(self, timeout: Optional[float] = 30.0
@@ -1274,6 +1256,24 @@ class ClusterRouter:
             else per_model[0]
 
     def format_stats(self) -> str:
-        lines = [stats.format() for stats in self.stats().values()]
-        lines.append(self.router_stats().format())
-        return "\n".join(lines)
+        return "\n".join([super().format_stats(),
+                          self.router_stats().format()])
+
+
+def _stats_from_reply(reply: Dict) -> Dict[str, ModelStats]:
+    """A worker's ``{"op": "stats", "detail": true}`` reply as
+    ``ModelStats`` keyed by public model name (through its alias map);
+    a malformed reply raises ``ServingError(code="bad-response")``."""
+    models, aliases = reply.get("models"), reply.get("aliases", {})
+    if not isinstance(models, dict) or not isinstance(aliases, dict):
+        error = ServingError("malformed stats reply: 'models' and "
+                             "'aliases' must be objects")
+        error.code = "bad-response"
+        raise error
+    public = {target: alias for alias, target in aliases.items()}
+    out = {}
+    for model, fields in models.items():
+        key = public.get(model, model)
+        out[key] = ModelStats.from_wire(fields)
+        out[key].model = key
+    return out

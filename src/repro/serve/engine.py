@@ -6,12 +6,11 @@ keeps wall-clock counters, and prices every batch size it sees on the
 configured accelerator design (cached — the cycle model runs once per
 distinct batch size, not per request).
 
-This module also owns :class:`ThroughputStats`, the one shared mixin
-behind every stats dataclass in the serving stack (``EngineStats`` here,
-``ServeStats`` in :mod:`repro.serve.scheduler`, ``ModelStats`` in
-:mod:`repro.serve.server`): derived throughput/latency metrics are defined
-once, and ``merge()`` aggregates same-typed stats across models or
-workers.
+This module also owns :class:`ThroughputStats`, the mixin behind both
+stats dataclasses in the serving stack (``EngineStats`` here,
+``ModelStats`` in :mod:`repro.serve.server`): derived throughput metrics
+are defined once, and ``merge()`` aggregates same-typed stats across
+models or workers.
 """
 
 from __future__ import annotations
@@ -32,16 +31,11 @@ from repro.serve.plan import ExecutionPlan
 class ThroughputStats:
     """Derived serving metrics over the common counter fields.
 
-    Mixed into the stats dataclasses; expects ``requests``, ``batches``
-    and ``wall_seconds`` attributes, and optionally ``latencies_ms``
-    (per-request queue+service latencies) and ``fpga_ms_total`` /
-    ``fpga_ms`` (simulated accelerator time). Dataclasses without a field
-    simply report 0 for the metrics that need it.
+    Mixed into the stats dataclasses, which all carry ``requests``,
+    ``batches``, ``wall_seconds`` and ``fpga_ms_total`` (simulated
+    accelerator time).
     """
 
-    # ------------------------------------------------------------------
-    # Throughput
-    # ------------------------------------------------------------------
     @property
     def mean_batch_size(self) -> float:
         return self.requests / self.batches if self.batches else 0.0
@@ -51,64 +45,9 @@ class ThroughputStats:
         return (self.requests / self.wall_seconds
                 if self.wall_seconds > 0 else 0.0)
 
-    # ------------------------------------------------------------------
-    # Latency percentiles (0 when the dataclass keeps no latency list)
-    # ------------------------------------------------------------------
-    def _latencies(self):
-        return getattr(self, "latencies_ms", None) or []
-
-    def _percentile(self, q: float) -> float:
-        latencies = self._latencies()
-        return float(np.percentile(latencies, q)) if latencies else 0.0
-
-    @property
-    def latency_ms_mean(self) -> float:
-        latencies = self._latencies()
-        return float(np.mean(latencies)) if latencies else 0.0
-
-    @property
-    def latency_ms_p50(self) -> float:
-        return self._percentile(50)
-
-    @property
-    def latency_ms_p95(self) -> float:
-        return self._percentile(95)
-
-    @property
-    def latency_ms_p99(self) -> float:
-        return self._percentile(99)
-
-    # Short spellings, matching the server/benchmark report columns.
-    p50_ms = latency_ms_p50
-    p95_ms = latency_ms_p95
-    p99_ms = latency_ms_p99
-
-    # ------------------------------------------------------------------
-    # Simulated FPGA
-    # ------------------------------------------------------------------
-    def _fpga_total(self) -> float:
-        total = getattr(self, "fpga_ms_total", None)
-        if total is None:
-            total = getattr(self, "fpga_ms", 0.0)
-        return total
-
     @property
     def fpga_ms_per_request(self) -> float:
-        return self._fpga_total() / self.requests if self.requests else 0.0
-
-    # ------------------------------------------------------------------
-    # Response cache (0 for dataclasses without the counters)
-    # ------------------------------------------------------------------
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of submitted requests answered from the response
-        cache. ``requests`` counts only engine-served work, so the
-        denominator adds hits and coalesced followers back in to get
-        true submissions."""
-        hits = getattr(self, "cache_hits", 0)
-        submitted = (self.requests + hits
-                     + getattr(self, "dedup_coalesced", 0))
-        return hits / submitted if submitted else 0.0
+        return self.fpga_ms_total / self.requests if self.requests else 0.0
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -155,7 +94,7 @@ class EngineStats(ThroughputStats):
     requests: int = 0
     batches: int = 0
     wall_seconds: float = 0.0
-    fpga_ms: float = 0.0
+    fpga_ms_total: float = 0.0
 
 
 class InferenceEngine:
@@ -193,7 +132,7 @@ class InferenceEngine:
         self.stats.requests += batch.shape[0]
         self.stats.batches += 1
         self.stats.wall_seconds += elapsed
-        self.stats.fpga_ms += self.fpga_latency_ms(batch.shape[0])
+        self.stats.fpga_ms_total += self.fpga_latency_ms(batch.shape[0])
         return outputs
 
     def infer_one(self, request: np.ndarray) -> np.ndarray:
@@ -215,7 +154,7 @@ class InferenceEngine:
         self.stats.requests += batch.shape[0]
         self.stats.batches += 1
         self.stats.wall_seconds += elapsed
-        self.stats.fpga_ms += self.fpga_latency_ms(batch.shape[0])
+        self.stats.fpga_ms_total += self.fpga_latency_ms(batch.shape[0])
         return outputs, new_state
 
     # ------------------------------------------------------------------

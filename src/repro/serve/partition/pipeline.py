@@ -1,8 +1,7 @@
 """Pipelined multi-stage serving over a partitioned model.
 
-Two executors share one submit/stats surface (duck-typed to
-:class:`~repro.serve.server.ModelServer`, so the JSON-lines protocol and
-the CLI drive either):
+Two executors implement the :class:`~repro.serve.frontend.Server`
+surface, so the JSON-lines protocol and the CLI drive either:
 
 - :class:`PipelineEngine` — in-process: one
   :class:`~repro.serve.engine.InferenceEngine` per stage, micro-batches
@@ -47,6 +46,7 @@ from repro.serve.backends import DEFAULT_BACKEND
 from repro.serve.batcher import DynamicBatcher, ServedRequest, coerce_payload
 from repro.serve.cluster import ClusterRouter, LocalWorker, ProcessWorker
 from repro.serve.engine import InferenceEngine
+from repro.serve.frontend import ServerMixin
 from repro.serve.futures import InferenceFuture
 from repro.serve.partition.splitter import (
     PartitionPlan,
@@ -76,7 +76,7 @@ class _StageBatch:
         self.fpga_ms = 0.0
 
 
-class PipelineEngine:
+class PipelineEngine(ServerMixin):
     """N compiled stages serving one model through bounded queues.
 
     ``workers=0`` (deterministic): nothing runs until ``poll()`` — each
@@ -154,20 +154,8 @@ class PipelineEngine:
                    partition=partition, **kwargs)
 
     # ------------------------------------------------------------------
-    # ModelServer-compatible surface
+    # Server surface
     # ------------------------------------------------------------------
-    def __enter__(self) -> "PipelineEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def models(self) -> List[str]:
-        return [self.name]
-
-    def aliases(self) -> Dict[str, str]:
-        return {}
-
     def plan(self, model: Optional[str] = None) -> ExecutionPlan:
         """Stage 0's plan — the pipeline's input signature."""
         if model is not None:
@@ -178,23 +166,15 @@ class PipelineEngine:
     def num_stages(self) -> int:
         return len(self._engines)
 
-    def _check_model(self, model: str) -> None:
-        if model != self.name:
-            error = ServingError(
-                f"unknown model {model!r}; loaded: [{self.name!r}]")
-            error.code = "unknown-model"
-            raise error
-
     def submit(self, model: str, x) -> InferenceFuture:
         """Enqueue one request; returns its future immediately. Shape
         errors fail the future (never poison a batch); an unknown model
-        raises."""
+        or a closed pipeline raises."""
         self._check_model(model)
         future = InferenceFuture(model)
         with self._work:
             if not self._running:
-                future._fail(ServingError("pipeline is closed"))
-                return future
+                raise ServingError("pipeline is closed")
             try:
                 payload = coerce_payload(self._engines[0].plan,
                                          np.asarray(x))
@@ -205,9 +185,6 @@ class PipelineEngine:
             self._submitted += 1
             self._work.notify_all()
         return future
-
-    def submit_many(self, model: str, xs: Sequence) -> List[InferenceFuture]:
-        return [self.submit(model, x) for x in xs]
 
     def predict(self, model: str, x,
                 timeout: Optional[float] = 60.0) -> np.ndarray:
@@ -236,18 +213,16 @@ class PipelineEngine:
             self._flush_locked(force=False)
         return completed
 
-    def drain(self) -> int:
-        """Force-serve everything queued through all stages; returns the
-        number of requests completed on this thread (threaded pipelines
-        block until idle instead)."""
+    def drain(self) -> None:
+        """Force-serve everything queued through all stages (threaded
+        pipelines block until idle)."""
         if self._threads:
             with self._work:
                 self._force = True
                 self._work.notify_all()
                 self._work.wait_for(self._idle_locked, timeout=60.0)
                 self._force = False
-            return 0
-        completed = 0
+            return
         while True:
             with self._work:
                 self._flush_locked(force=True)
@@ -264,8 +239,7 @@ class PipelineEngine:
                     batch = self._queues[index].popleft() \
                         if self._queues[index] else None
                 if batch is not None:
-                    completed += self._run_stage(index, batch)
-        return completed
+                    self._run_stage(index, batch)
 
     def _idle_locked(self) -> bool:
         return (not self._batcher.pending and not any(self._queues)
@@ -376,7 +350,8 @@ class PipelineEngine:
                 wall_seconds=max(e.stats.wall_seconds
                                  for e in self._engines),
                 latencies_ms=list(self._latencies),
-                fpga_ms_total=sum(e.stats.fpga_ms for e in self._engines),
+                fpga_ms_total=sum(e.stats.fpga_ms_total
+                                  for e in self._engines),
                 queue_depth=self._batcher.pending,
                 in_flight=max(in_flight, 0))}
             for index, engine in enumerate(self._engines):
@@ -389,17 +364,11 @@ class PipelineEngine:
                     errors=self._stage_errors[index],
                     wall_seconds=engine.stats.wall_seconds,
                     latencies_ms=list(self._stage_latencies[index]),
-                    fpga_ms_total=engine.stats.fpga_ms,
+                    fpga_ms_total=engine.stats.fpga_ms_total,
                     queue_depth=len(self._queues[index]),
                     in_flight=int(self._stage_busy[index]),
                     stage=f"{index + 1}/{total}")
             return out
-
-    def format_stats(self) -> str:
-        snapshots = self.stats()
-        if not snapshots:
-            return "no models loaded"
-        return "\n".join(stats.format() for stats in snapshots.values())
 
     def close(self, drain: bool = True) -> None:
         if drain and self._running:
@@ -429,8 +398,9 @@ class PipelineEngine:
 # Distributed pipeline: one cluster worker per stage
 # ----------------------------------------------------------------------
 class StageDeployment:
-    """Duck-typed in-memory source for ``LocalWorker``/``ModelServer.load``
-    (anything with ``.engine``): one stage artifact, compiled lazily."""
+    """In-memory source for ``LocalWorker``/``ModelServer.load`` (which
+    take anything with ``.engine``): one stage artifact, compiled
+    lazily."""
 
     def __init__(self, artifact: ServeArtifact, *,
                  backend: str = DEFAULT_BACKEND,
@@ -451,7 +421,7 @@ class StageDeployment:
         return self._engine
 
 
-class PipelineCluster:
+class PipelineCluster(ServerMixin):
     """A partitioned model served by one cluster worker per stage.
 
     Worker ``k`` hosts exactly one model — stage ``k``'s sub-artifact —
@@ -479,12 +449,6 @@ class PipelineCluster:
         self._failed = 0
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "PipelineCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     @property
     def router(self) -> ClusterRouter:
         return self._router
@@ -492,19 +456,6 @@ class PipelineCluster:
     @property
     def num_stages(self) -> int:
         return len(self._stage_names)
-
-    def models(self) -> List[str]:
-        return [self.name]
-
-    def aliases(self) -> Dict[str, str]:
-        return {}
-
-    def _check_model(self, model: str) -> None:
-        if model != self.name:
-            error = ServingError(
-                f"unknown model {model!r}; loaded: [{self.name!r}]")
-            error.code = "unknown-model"
-            raise error
 
     # ------------------------------------------------------------------
     def submit(self, model: str, x) -> InferenceFuture:
@@ -543,9 +494,6 @@ class PipelineCluster:
         first.add_done_callback(hop(0))
         return outer
 
-    def submit_many(self, model: str, xs: Sequence) -> List[InferenceFuture]:
-        return [self.submit(model, x) for x in xs]
-
     def predict(self, model: str, x,
                 timeout: Optional[float] = 60.0) -> np.ndarray:
         future = self.submit(model, x)
@@ -578,15 +526,15 @@ class PipelineCluster:
         timeouts); stage-hop submits happen inside the callbacks."""
         return self._router.pump()
 
-    def drain(self, timeout: Optional[float] = 60.0) -> int:
-        """Serve every submitted request to completion (or typed
-        failure); returns the number still pending (0 on success)."""
+    def drain(self, timeout: Optional[float] = 60.0) -> None:
+        """Serve every submitted request to completion or typed failure;
+        one still unserved at the deadline fails with ``WorkerError``."""
         deadline = None if timeout is None else time.monotonic() + timeout
         stalled = 0
         while True:
             with self._lock:
                 if not self._pending:
-                    return 0
+                    return
             if deadline is not None and time.monotonic() > deadline:
                 break
             moved = self._router.pump()
@@ -613,8 +561,6 @@ class PipelineCluster:
             self._finish(outer, error=WorkerError(
                 f"pipeline request for {self.name!r} was not served "
                 "before the drain deadline"))
-        with self._lock:
-            return len(self._pending)
 
     # ------------------------------------------------------------------
     def stats(self, timeout: Optional[float] = 30.0
@@ -649,12 +595,6 @@ class PipelineCluster:
                 queue_depth=sum(row.queue_depth for row in stage_rows),
                 in_flight=len(self._pending))
         return {self.name: aggregate, **out}
-
-    def format_stats(self) -> str:
-        snapshots = self.stats()
-        if not snapshots:
-            return "no models loaded"
-        return "\n".join(stats.format() for stats in snapshots.values())
 
     def worker_stats(self, timeout: Optional[float] = 30.0):
         return self._router.worker_stats(timeout=timeout)

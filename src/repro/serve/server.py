@@ -20,9 +20,8 @@ A batch flushes when it fills (``max_batch``) or when the oldest request's
 deadline (``max_wait_ms``) expires. Background workers claim ready batches
 — at most **one in-flight batch per model**, because a compiled plan's
 pooled scratch is reused across its own batches, while distinct models
-compile to distinct kernels/scratch and run concurrently — and execute
-them through :func:`repro.serve.scheduler.execute_batch`, resolving the
-futures.
+compile to distinct kernels/scratch and run concurrently — execute
+them in one engine pass each, and resolve the futures.
 
 Lifecycle: ``load``/``add`` host a model, ``unload`` retires one (its
 queue is drained first), ``alias`` re-points a public name for versioned
@@ -38,12 +37,13 @@ manual clock and step time explicitly; no sleeps anywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,8 +63,8 @@ from repro.serve.batcher import (
 )
 from repro.serve.cache import InflightTable, ResponseCache
 from repro.serve.engine import InferenceEngine, ThroughputStats
+from repro.serve.frontend import ServerMixin, unknown_model
 from repro.serve.futures import InferenceFuture
-from repro.serve.scheduler import ServeStats, execute_batch
 from repro.serve.streaming.batcher import StreamBatcher, StreamChunk
 from repro.serve.streaming.state import (
     fresh_state,
@@ -79,25 +79,31 @@ from repro.util.hashing import array_digest
 __all__ = ["ModelServer", "ModelStats"]
 
 
+# JSON form of each ModelStats field type. from_wire applies the same
+# conversions to a reply, so a malformed one fails typed.
+_WIRE_TYPES = {"int": int, "float": float, "str": str,
+               "List[float]": lambda values: [float(v) for v in values]}
+
+
 @dataclass
 class ModelStats(ThroughputStats):
     """Serving statistics of one hosted model (a ``stats()`` snapshot)."""
 
-    model: str
-    backend: str
-    max_batch: int = field(metadata={"merge": "max"})
-    requests: int
-    batches: int
-    errors: int
-    wall_seconds: float
-    latencies_ms: List[float]
-    fpga_ms_total: float
-    queue_depth: int
-    in_flight: int
-    # Response-cache counters (PR 8). `requests` stays engine-served
-    # work only, so hits + coalesced followers are the *saved* kernel
-    # invocations; `cache_hit_rate` (ThroughputStats) folds them back
-    # into a rate over true submissions.
+    model: str = "?"
+    backend: str = "?"
+    max_batch: int = field(default=0, metadata={"merge": "max"})
+    requests: int = 0
+    batches: int = 0
+    errors: int = 0
+    wall_seconds: float = 0.0
+    latencies_ms: List[float] = field(default_factory=list)
+    fpga_ms_total: float = 0.0
+    queue_depth: int = 0
+    in_flight: int = 0
+    # Response-cache counters. `requests` stays engine-served work
+    # only, so hits + coalesced followers are the *saved* kernel
+    # invocations; `cache_hit_rate` folds them back into a rate over
+    # true submissions.
     cache_hits: int = 0
     cache_bytes: int = 0
     dedup_coalesced: int = 0
@@ -121,13 +127,41 @@ class ModelStats(ThroughputStats):
         return (self.mean_batch_size / self.max_batch
                 if self.max_batch else 0.0)
 
-    def to_serve_stats(self) -> ServeStats:
-        """The same numbers in the classic single-model ``ServeStats``."""
-        return ServeStats(
-            requests=self.requests, batches=self.batches,
-            wall_seconds=self.wall_seconds,
-            latencies_ms=list(self.latencies_ms),
-            fpga_ms_total=self.fpga_ms_total, backend=self.backend)
+    # ------------------------------------------------------------------
+    # Latency percentiles over the (windowed) per-request latencies
+    # ------------------------------------------------------------------
+    def _percentile(self, q: float) -> float:
+        return (float(np.percentile(self.latencies_ms, q))
+                if self.latencies_ms else 0.0)
+
+    @property
+    def latency_ms_mean(self) -> float:
+        return (float(np.mean(self.latencies_ms))
+                if self.latencies_ms else 0.0)
+
+    @property
+    def latency_ms_p50(self) -> float:
+        return self._percentile(50)
+
+    @property
+    def latency_ms_p95(self) -> float:
+        return self._percentile(95)
+
+    @property
+    def latency_ms_p99(self) -> float:
+        return self._percentile(99)
+
+    # Short spellings, matching the server/benchmark report columns.
+    p50_ms = latency_ms_p50
+    p95_ms = latency_ms_p95
+    p99_ms = latency_ms_p99
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of submitted requests answered from the response
+        cache (true submissions = served + hits + coalesced)."""
+        submitted = self.requests + self.cache_hits + self.dedup_coalesced
+        return self.cache_hits / submitted if submitted else 0.0
 
     def format(self) -> str:
         return (
@@ -153,48 +187,28 @@ class ModelStats(ThroughputStats):
             + (f", errors {self.errors}" if self.errors else ""))
 
     def to_wire(self) -> Dict:
-        """JSON-safe field dump (``{"op": "stats", "detail": true}``
-        responses); :meth:`from_wire` reconstructs a mergeable snapshot
-        on the other side."""
-        return {
-            "model": self.model, "backend": self.backend,
-            "max_batch": self.max_batch, "requests": self.requests,
-            "batches": self.batches, "errors": self.errors,
-            "wall_seconds": self.wall_seconds,
-            "latencies_ms": [float(value) for value in self.latencies_ms],
-            "fpga_ms_total": self.fpga_ms_total,
-            "queue_depth": self.queue_depth, "in_flight": self.in_flight,
-            "cache_hits": self.cache_hits,
-            "cache_bytes": self.cache_bytes,
-            "dedup_coalesced": self.dedup_coalesced,
-            "active_sessions": self.active_sessions,
-            "session_bytes": self.session_bytes,
-            "stream_chunks": self.stream_chunks,
-            "stage": self.stage,
-        }
+        """JSON-safe dump of every field (``{"op": "stats", "detail":
+        true}`` responses); :meth:`from_wire` reconstructs a mergeable
+        snapshot on the other side."""
+        return {spec.name: _WIRE_TYPES[spec.type](getattr(self, spec.name))
+                for spec in dataclasses.fields(self)}
 
     @classmethod
-    def from_wire(cls, fields: Dict) -> "ModelStats":
-        return cls(
-            model=str(fields.get("model", "?")),
-            backend=str(fields.get("backend", "?")),
-            max_batch=int(fields.get("max_batch", 0)),
-            requests=int(fields.get("requests", 0)),
-            batches=int(fields.get("batches", 0)),
-            errors=int(fields.get("errors", 0)),
-            wall_seconds=float(fields.get("wall_seconds", 0.0)),
-            latencies_ms=[float(value)
-                          for value in fields.get("latencies_ms", [])],
-            fpga_ms_total=float(fields.get("fpga_ms_total", 0.0)),
-            queue_depth=int(fields.get("queue_depth", 0)),
-            in_flight=int(fields.get("in_flight", 0)),
-            cache_hits=int(fields.get("cache_hits", 0)),
-            cache_bytes=int(fields.get("cache_bytes", 0)),
-            dedup_coalesced=int(fields.get("dedup_coalesced", 0)),
-            active_sessions=int(fields.get("active_sessions", 0)),
-            session_bytes=int(fields.get("session_bytes", 0)),
-            stream_chunks=int(fields.get("stream_chunks", 0)),
-            stage=str(fields.get("stage", "")))
+    def from_wire(cls, wire) -> "ModelStats":
+        """Inverse of :meth:`to_wire`. Absent fields take their defaults;
+        a reply that is not an object or holds a value of the wrong type
+        raises ``ServingError`` with ``code="bad-response"``."""
+        try:
+            if not isinstance(wire, dict):
+                raise TypeError(f"expected an object, got "
+                                f"{type(wire).__name__}")
+            return cls(**{spec.name: _WIRE_TYPES[spec.type](wire[spec.name])
+                          for spec in dataclasses.fields(cls)
+                          if spec.name in wire})
+        except (TypeError, ValueError, OverflowError) as cause:
+            error = ServingError(f"malformed model stats: {cause}")
+            error.code = "bad-response"
+            raise error from None
 
 
 class _HostedModel:
@@ -237,8 +251,7 @@ class _HostedModel:
         self.serve_seconds = 0.0
         self.latencies_ms = deque(maxlen=stats_window)
         # Per-request FPGA shares, summed in served order at snapshot
-        # time — float-identical to the legacy scheduler's sum() over its
-        # served-request list while the window holds every request.
+        # time.
         self.fpga_shares = deque(maxlen=stats_window)
 
     def snapshot(self, cache_bytes: int = 0) -> ModelStats:
@@ -272,7 +285,7 @@ def _fail_pending(entry: _HostedModel, error: ServingError) -> None:
                 request.future._fail(error)
 
 
-class ModelServer:
+class ModelServer(ServerMixin):
     """Host many named deployments; serve them asynchronously."""
 
     def __init__(self, workers: int = 2, max_batch: int = 16,
@@ -311,8 +324,7 @@ class ModelServer:
         self.stats_window = int(stats_window)
         self._clock = clock
         # Response cache + in-flight dedup are opt-in (cache_mb); with
-        # them off, the submit path is byte-for-byte the legacy one
-        # (same clock-call sequence, no payload digests).
+        # them off, submit computes no payload digest.
         self._cache: Optional[ResponseCache] = None
         self._inflight: Optional[InflightTable] = None
         if cache_mb:
@@ -438,9 +450,7 @@ class ModelServer:
                 return
             entry = self._models.pop(name, None)
             if entry is None:
-                raise ServingError(
-                    f"unknown model {name!r}; "
-                    f"loaded: {sorted(self._models)}")
+                raise unknown_model(name, sorted(self._models))
             for alias, target in list(self._aliases.items()):
                 if target == name:
                     del self._aliases[alias]
@@ -533,12 +543,6 @@ class ModelServer:
             for entry in entries:
                 _fail_pending(entry, ServingError(
                     "server closed before serving"))
-
-    def __enter__(self) -> "ModelServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Request path
@@ -665,10 +669,6 @@ class ModelServer:
 
         return callback
 
-    def submit_many(self, model: str,
-                    xs: Sequence) -> List[InferenceFuture]:
-        return [self.submit(model, x) for x in xs]
-
     def predict(self, model: str, x,
                 timeout: Optional[float] = 60.0) -> np.ndarray:
         """Blocking convenience: submit, (drain if no workers), result."""
@@ -690,15 +690,7 @@ class ModelServer:
         failing any chunks still queued for them.
         """
         with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            entry = self._resolve_locked(model)
-            if not entry.plan.streamable:
-                error = ServingError(
-                    f"model {model!r} has no recurrent layers; streaming "
-                    "sessions need an RNN plan")
-                error.code = "not-streamable"
-                raise error
+            entry = self._streamable_locked(model)
             sid = session_id if session_id is not None \
                 else uuid.uuid4().hex[:12]
             evicted = entry.sessions.open(sid, entry.name,
@@ -796,9 +788,7 @@ class ModelServer:
                        chunks: int = 0) -> str:
         """Re-create a session from an exported snapshot (migration)."""
         with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            entry = self._resolve_locked(model)
+            entry = self._streamable_locked(model)
             evicted = entry.sessions.open(session_id, entry.name,
                                           state_from_wire(state))
             imported = entry.sessions.get(session_id)
@@ -807,6 +797,18 @@ class ModelServer:
         for chunk, error in victims:
             chunk.future._fail(error)
         return session_id
+
+    def _streamable_locked(self, model: str) -> _HostedModel:
+        if not self._running:
+            raise ServingError("server is closed")
+        entry = self._resolve_locked(model)
+        if not entry.plan.streamable:
+            error = ServingError(
+                f"model {model!r} has no recurrent layers; streaming "
+                "sessions need an RNN plan")
+            error.code = "not-streamable"
+            raise error
+        return entry
 
     @staticmethod
     def _evicted_chunks_locked(entry: _HostedModel, evicted) -> List:
@@ -838,15 +840,13 @@ class ModelServer:
         self._execute(claim)
         return len(claim[1])
 
-    def drain(self) -> int:
-        """Force-serve everything queued, FIFO across models; returns the
-        number of requests served on this thread. A model whose worker is
-        mid-batch is waited for (its queue cannot be claimed while busy),
-        so no queued request is left behind; in-flight batches resolve
-        their own futures. Never reads the clock outside the executor, so
-        drained stats are bit-identical to the legacy synchronous
-        scheduler's."""
-        total = 0
+    def drain(self) -> None:
+        """Force-serve everything queued, FIFO across models. A model
+        whose worker is mid-batch is waited for (its queue cannot be
+        claimed while busy), so no queued request is left behind;
+        in-flight batches resolve their own futures. Never reads the
+        clock outside the executor, so a drain under a manual clock is
+        deterministic."""
         while True:
             with self._work:
                 claim = self._claim_locked(None, force=True)
@@ -854,11 +854,10 @@ class ModelServer:
                     if not any(entry.busy and (entry.batcher.pending
                                                or entry.streamer.pending)
                                for entry in self._models.values()):
-                        return total
+                        return
                     self._work.wait(0.05)   # a worker holds the model
                     continue
             self._execute(claim)
-            total += len(claim[1])
 
     def _worker_loop(self) -> None:
         while True:
@@ -932,15 +931,40 @@ class ModelServer:
 
     def _run_batch(self, entry: _HostedModel,
                    batch: List[ServedRequest], batch_id: int) -> None:
+        """Serve one formed micro-batch in a single engine pass: fill
+        every request record, resolve the futures, then count the batch.
+        A failed pass fails every future in the batch with the error.
+
+        The batch size is priced on the cycle model *before* the wall
+        clock starts (a cost-model cache miss must not count against
+        serving latency); exactly two clock reads bracket the pass."""
+        engine = entry.engine
+        fpga_ms = engine.fpga_latency_ms(len(batch))
+        started = self._clock()
         try:
-            seconds = execute_batch(entry.engine, batch, self._clock,
-                                    batch_id)
-        except Exception:
-            entry.errors += 1      # futures already failed by the executor
+            outputs = engine.infer(np.stack([r.payload for r in batch]))
+        except Exception as error:      # noqa: BLE001 — fail the futures
+            entry.errors += 1
+            for request in batch:
+                request.error = error
+                if request.future is not None:
+                    request.future._fail(error)
             return
+        completed = self._clock()
+        # Time-merged plans return (N*T, ...); re-view as (N, T, ...) so
+        # each request gets its whole output, not one flattened row.
+        outputs = entry.plan.per_request_outputs(outputs, len(batch))
+        for index, request in enumerate(batch):
+            request.result = outputs[index]
+            request.completed_at = completed
+            request.batch_id = batch_id
+            request.batch_size = len(batch)
+            request.fpga_ms = fpga_ms / len(batch)
+            if request.future is not None:
+                request.future._resolve(outputs[index], request)
         entry.requests += len(batch)
         entry.batches += 1
-        entry.serve_seconds += seconds
+        entry.serve_seconds += completed - started
         entry.latencies_ms.extend(r.latency_ms for r in batch)
         entry.fpga_shares.extend(r.fpga_ms for r in batch)
 
@@ -1002,12 +1026,6 @@ class ModelServer:
                         if self._cache is not None else 0)
                     for name, entry in sorted(self._models.items())}
 
-    def format_stats(self) -> str:
-        snapshots = self.stats()
-        if not snapshots:
-            return "no models loaded"
-        return "\n".join(stats.format() for stats in snapshots.values())
-
     @property
     def cache_enabled(self) -> bool:
         return self._cache is not None
@@ -1042,9 +1060,7 @@ class ModelServer:
             name = self._aliases[name]
         entry = self._models.get(name)
         if entry is None:
-            error = ServingError(
-                f"unknown model {name!r}; loaded: {sorted(self._models)}"
-                + (f"; aliases: {self._aliases}" if self._aliases else ""))
-            error.code = "unknown-model"
-            raise error
+            raise unknown_model(
+                name, sorted(self._models),
+                f"; aliases: {self._aliases}" if self._aliases else "")
         return entry

@@ -105,14 +105,18 @@ def state_from_wire(wire: dict) -> SessionStateDict:
 
     float32 -> Python float -> float32 round-trips exactly (every float32
     is representable as a double), so migration preserves bit-exactness.
+    A malformed encoding raises ``ValueError``.
     """
     state: SessionStateDict = {}
-    for node_key, entry in wire.items():
-        state[int(node_key)] = {
-            "h": [np.asarray(layer, dtype=np.float32)
-                  for layer in entry["h"]],
-            "c": (None if entry.get("c") is None else
-                  [np.asarray(layer, dtype=np.float32)
-                   for layer in entry["c"]]),
-        }
+    try:
+        for node_key, entry in wire.items():
+            state[int(node_key)] = {
+                "h": [np.asarray(layer, dtype=np.float32)
+                      for layer in entry["h"]],
+                "c": (None if entry.get("c") is None else
+                      [np.asarray(layer, dtype=np.float32)
+                       for layer in entry["c"]]),
+            }
+    except (AttributeError, KeyError) as error:
+        raise ValueError(f"malformed session state: {error!r}") from None
     return state

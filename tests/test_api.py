@@ -1,11 +1,5 @@
 """The unified front door: registry, PipelineConfig, Pipeline stages,
-deployment handles, deprecation shims and the top-level CLI.
-
-Run with ``python -W error::DeprecationWarning -m pytest tests/test_api.py``
-(the CI job does): everything here goes through :mod:`repro.api`, so a
-DeprecationWarning outside an explicit ``pytest.warns`` block means internal
-code regressed onto a legacy path.
-"""
+deployment handles and the top-level CLI."""
 
 import numpy as np
 import pytest
@@ -400,113 +394,6 @@ class TestDeployment:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims: old homes keep working, warn, and match the new API
-# ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_quantize_model_warns_and_matches_pipeline(self, trained_mlp):
-        from repro.quant import QATConfig, quantize_model
-
-        def run_legacy():
-            model = make_mlp()
-            model.load_state_dict(trained_mlp.state_dict())
-            _, _, make_batches, loss_fn = toy_harness()
-            config = QATConfig(scheme="msq", weight_bits=4, act_bits=4,
-                               ratio="2:1", epochs=2, lr=0.05)
-            with pytest.warns(DeprecationWarning, match="quantize_model"):
-                result = quantize_model(model, make_batches, loss_fn, config)
-            return model, result
-
-        def run_api():
-            model = make_mlp()
-            model.load_state_dict(trained_mlp.state_dict())
-            _, _, make_batches, loss_fn = toy_harness()
-            config = PipelineConfig(scheme="msq", ratio="2:1", epochs=2,
-                                    lr=0.05)
-            return model, Pipeline(config, model=model).fit(make_batches,
-                                                            loss_fn)
-
-        legacy_model, legacy = run_legacy()
-        api_model, api = run_api()
-        for (name, old), (name2, new) in zip(
-                sorted(legacy_model.state_dict().items()),
-                sorted(api_model.state_dict().items())):
-            assert name == name2
-            assert np.array_equal(old, new), name
-        assert sorted(legacy.layer_results) == sorted(api.layer_results)
-
-    def test_get_baseline_warns_and_matches_registry(self):
-        from repro.quant.baselines import get_baseline
-
-        with pytest.warns(DeprecationWarning, match="get_baseline"):
-            legacy = get_baseline("lq_nets", weight_bits=4, act_bits=4)
-        entry = get_method("lq-nets")
-        assert type(legacy) is entry.cls
-        assert legacy.weight_bits == 4
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                get_baseline("alexnet")
-
-    def test_batch_scheduler_warns_and_serve_stats_bit_identical(self):
-        """The legacy submit/run surface warns, and its ServeStats equal
-        Deployment.serve's field for field (same injected clock model)."""
-        from repro.serve import BatchScheduler
-
-        class FakeClock:
-            def __init__(self):
-                self.now = 0.0
-
-            def __call__(self):
-                self.now += 0.001
-                return self.now
-
-        rng = np.random.default_rng(4)
-        pipeline = Pipeline(PipelineConfig(batch=4), model=make_mlp())
-        pipeline.calibrate([rng.normal(size=(8, 12)).astype(np.float32)])
-        deployment = pipeline.deploy()
-        payloads = [rng.normal(size=(12,)).astype(np.float32)
-                    for _ in range(10)]
-
-        new_stats = deployment.serve(payloads, clock=FakeClock())
-
-        scheduler = BatchScheduler(deployment.engine, max_batch=4,
-                                   clock=FakeClock())
-        with pytest.warns(DeprecationWarning, match="BatchScheduler"):
-            requests = [scheduler.submit(p) for p in payloads]
-            legacy_stats = scheduler.run()
-        assert legacy_stats == new_stats          # bit-identical dataclass
-        assert legacy_stats.latencies_ms == new_stats.latencies_ms
-        assert all(r.done for r in requests)
-
-    def test_deployment_scheduler_helper_warns(self):
-        rng = np.random.default_rng(5)
-        pipeline = Pipeline(PipelineConfig(batch=4), model=make_mlp())
-        pipeline.calibrate([rng.normal(size=(8, 12)).astype(np.float32)])
-        deployment = pipeline.deploy()
-        with pytest.warns(DeprecationWarning, match="Deployment.scheduler"):
-            deployment.scheduler()
-
-    def test_export_model_warns_and_matches_build_artifact(self, tmp_path):
-        from repro.serve import export_model
-        from repro.serve.export import build_artifact
-
-        rng = np.random.default_rng(2)
-        model = make_mlp()
-        pipeline = Pipeline(PipelineConfig(), model=model)
-        quantized = pipeline.calibrate(
-            [rng.normal(size=(4, 12)).astype(np.float32)])
-        sample = rng.normal(size=(4, 12)).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="export_model"):
-            legacy = export_model(model, sample,
-                                  layer_results=quantized.layer_results)
-        new = build_artifact(model, sample,
-                             layer_results=quantized.layer_results)
-        assert legacy.manifest == new.manifest
-        assert sorted(legacy.arrays) == sorted(new.arrays)
-        for key in legacy.arrays:
-            assert np.array_equal(legacy.arrays[key], new.arrays[key]), key
-
-
-# ----------------------------------------------------------------------
 # Shared formatting (CLI info output and logs agree)
 # ----------------------------------------------------------------------
 class TestFormatting:
@@ -575,7 +462,7 @@ class TestReproCli:
                            "--batch", "3"]) == 0
         out = capsys.readouterr().out
         assert "quantized:    10 layers (msq)" in out
-        assert "simulated FPGA" in out
+        assert "fpga" in out
 
     def test_quantize_single_scheme(self, tmp_path, capsys):
         path = str(tmp_path / "fixed.npz")

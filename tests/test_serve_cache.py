@@ -308,9 +308,9 @@ class TestServerCache:
         leader = server.submit("mlp", x)
         followers = [server.submit("mlp", x) for _ in range(3)]
         assert all(not f.done() for f in followers)
-        served = server.drain()
-        assert served == 1                   # one batcher slot for all 4
+        server.drain()
         reference = leader.result(timeout=0)
+        assert leader.request.batch_size == 1   # one slot for all 4
         for follower in followers:
             assert follower.coalesced
             assert np.array_equal(follower.result(timeout=0), reference)

@@ -246,12 +246,6 @@ class TestClusterServing:
         assert stats.in_flight == 0
         router.close()
 
-    def test_unknown_model_raises_with_hosted_list(self, deployed):
-        router, _, _ = make_cluster(deployed[0])
-        with pytest.raises(ServingError, match="unknown model"):
-            router.submit("nope", payloads(1)[0])
-        router.close()
-
     def test_worker_validation(self, deployed):
         clock = ManualClock()
         workers = [LocalWorker("same", {"mlp": deployed[0]}, clock=clock),

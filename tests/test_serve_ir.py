@@ -198,6 +198,23 @@ class TestVerification:
         assert 5 in model._verified_sizes
         assert model._verified_sizes >= before
 
+    def test_runtime_guardrail_rejects_nan_where_reference_is_finite(self):
+        # NaN matches NaN in the oracle, but a NaN the reference does not
+        # produce is still a deviation.
+        _, artifact = make_artifact("resnet_tiny")
+        model = compile_graph(artifact, "fused")
+        execute = model._execute
+
+        def poisoned(batch):
+            out = execute(batch).copy()
+            out.flat[0] = np.nan
+            return out
+
+        model._execute = poisoned
+        batch = np.ones((5, 3, 16, 16), dtype=np.float32)
+        with pytest.raises(ExportError, match="deviates from the reference"):
+            model.run(batch)
+
     def test_reference_backend_skips_verification(self):
         _, artifact = make_artifact("resnet_tiny")
         model = compile_graph(artifact, "reference")

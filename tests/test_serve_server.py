@@ -3,9 +3,8 @@ wire protocol.
 
 Everything here is deterministic: batch-deadline behavior is driven by a
 manual injectable clock (no sleeps anywhere), and the one threaded test
-only ever blocks on futures with generous timeouts. Run with
-``-W error::DeprecationWarning`` — the entire file goes through the new
-surface, so a warning means internal code regressed onto the legacy path.
+only ever blocks on futures with generous timeouts. The surface shared
+with the other front ends is pinned in ``tests/test_serve_conformance.py``.
 """
 
 import io
@@ -20,7 +19,6 @@ from repro.serve import (
     DynamicBatcher,
     EngineStats,
     ModelServer,
-    ServeStats,
     coerce_payload,
     gather,
 )
@@ -244,7 +242,7 @@ class TestModelServerSync:
     def test_time_merged_rnn_futures_get_whole_outputs(self):
         # lstm_lm serves a time-flattened (N*T, V) plan output; each
         # future must resolve to its request's full (T, V) logits, not a
-        # single flattened row (the legacy scheduler's latent bug).
+        # single flattened row.
         from repro.serve.cli import build_model
 
         model, sample = build_model("lstm_lm", seed=1)
@@ -262,21 +260,6 @@ class TestModelServerSync:
             result = future.result(timeout=0)
             assert result.shape == (12, 40)
             assert np.array_equal(result, per_request[index])
-        server.close()
-
-    def test_unknown_model_raises_immediately(self):
-        server = ModelServer(workers=0)
-        with pytest.raises(ServingError, match="unknown model"):
-            server.submit("nope", np.zeros(12, dtype=np.float32))
-        server.close()
-
-    def test_predict_convenience_drains(self):
-        deployment, quantized = make_deployment()
-        server = ModelServer(workers=0, clock=ManualClock())
-        server.add("mlp", deployment)
-        payload = payload_stream(1)[0]
-        result = server.predict("mlp", payload)
-        assert np.array_equal(result, quantized.predict(payload[None])[0])
         server.close()
 
 
@@ -409,16 +392,6 @@ class TestLifecycle:
             assert all(f.exception() is None for f in futures)
             assert server.stats()["mlp"].queue_depth == 0
 
-    def test_closed_server_rejects_submits(self):
-        deployment, _ = make_deployment()
-        server = ModelServer(workers=0, clock=ManualClock())
-        server.add("mlp", deployment)
-        future = server.submit("mlp", payload_stream(1)[0])
-        server.close()                            # drains the queue
-        assert future.exception() is None
-        with pytest.raises(ServingError, match="closed"):
-            server.submit("mlp", payload_stream(1)[0])
-
 
 # ----------------------------------------------------------------------
 # Threaded mode (real workers; blocks only on future timeouts, no sleeps)
@@ -491,35 +464,16 @@ class TestStats:
             <= stats.latency_ms_p99
         assert stats.p99_ms == stats.latency_ms_p99
 
-    def test_serve_stats_p99_and_merge(self):
-        first = ServeStats(requests=4, batches=2, wall_seconds=0.5,
-                           latencies_ms=[1.0, 2.0, 3.0, 4.0],
-                           fpga_ms_total=0.4, backend="fused")
-        second = ServeStats(requests=2, batches=1, wall_seconds=0.5,
-                            latencies_ms=[10.0, 20.0],
-                            fpga_ms_total=0.2, backend="fused")
-        merged = first.merge(second)
-        assert merged.requests == 6 and merged.batches == 3
-        assert merged.wall_seconds == pytest.approx(1.0)
-        assert merged.latencies_ms == [1.0, 2.0, 3.0, 4.0, 10.0, 20.0]
-        assert merged.backend == "fused"
-        assert merged.latency_ms_p99 == pytest.approx(
-            float(np.percentile(merged.latencies_ms, 99)))
-        third = ServeStats(requests=1, batches=1, wall_seconds=0.1,
-                           latencies_ms=[5.0], fpga_ms_total=0.1,
-                           backend="reference")
-        assert first.merge(second, third).backend == "mixed"
-
     def test_engine_stats_share_the_mixin(self):
         stats = EngineStats(requests=8, batches=2, wall_seconds=2.0,
-                            fpga_ms=1.0)
+                            fpga_ms_total=1.0)
         assert stats.mean_batch_size == 4.0
         assert stats.requests_per_second == 4.0
-        assert stats.latency_ms_p99 == 0.0      # keeps no latency list
         assert stats.fpga_ms_per_request == 0.125
         merged = stats.merge(EngineStats(requests=2, batches=1,
-                                         wall_seconds=1.0, fpga_ms=0.5))
-        assert merged.requests == 10 and merged.fpga_ms == 1.5
+                                         wall_seconds=1.0,
+                                         fpga_ms_total=0.5))
+        assert merged.requests == 10 and merged.fpga_ms_total == 1.5
 
     def test_model_stats_merge_across_models(self):
         dep_a, _ = make_deployment(seed=1, batch=4)
@@ -552,10 +506,8 @@ class TestStats:
         server.close()
 
     def test_merge_rejects_mismatched_types(self):
-        serve = ServeStats(requests=1, batches=1, wall_seconds=0.1,
-                           latencies_ms=[1.0], fpga_ms_total=0.1)
         with pytest.raises(ConfigurationError):
-            serve.merge(EngineStats())
+            ModelStats(requests=1).merge(EngineStats())
 
 
 class TestStatsMergeEdgeCases:
@@ -744,8 +696,8 @@ class TestDeploymentIntegration:
         assert np.array_equal(result, quantized.predict(payload[None])[0])
 
     def test_serve_propagates_batch_execution_failures(self, monkeypatch):
-        # The legacy scheduler re-raised engine failures; serve() must
-        # too, even though the server records them per model.
+        # serve() re-raises engine failures, even though the server
+        # records them per model.
         deployment, _ = make_deployment(batch=4)
 
         def explode(batch):
@@ -763,7 +715,7 @@ class TestDeploymentIntegration:
         server.add("again", deployment)
         server.submit_many("again", payloads)
         server.drain()
-        manual = server.stats()["again"].to_serve_stats()
+        manual = server.stats()["again"]
         server.close()
         assert served.requests == manual.requests == 10
         assert served.batches == manual.batches == 3

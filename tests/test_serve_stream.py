@@ -293,6 +293,24 @@ class TestChunkedBitExact:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("backend", ("fused", "compiled"))
+    def test_nan_chunk_passes_the_stateful_oracle(self, artifacts, backend):
+        # The runtime oracle matches NaN with NaN, so a first chunk
+        # shape holding a NaN serves instead of raising ExportError.
+        _require(backend)
+        plans = {}
+        for name in ("reference", backend):
+            server = ModelServer(workers=0)
+            server.load("m", artifacts["gru_speech"], backend=name)
+            plans[name] = server.plan("m")
+            server.close()
+        chunk = sequences_for(plans["reference"], 1)[0][:3].copy()
+        chunk[1, 0] = np.nan
+        served, _ = plans[backend].forward_stream(chunk[None], {})
+        expected, _ = plans["reference"].forward_stream(chunk[None], {})
+        assert np.isnan(expected).any()
+        assert np.array_equal(served, expected, equal_nan=True)
+
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_take_last_head_final_chunk_equals_offline(self, artifacts,
                                                        backend):
@@ -636,15 +654,21 @@ class TestProtocolStreamOps:
         finally:
             server.close()
 
-    def test_submit_unknown_session_answers_typed(self, artifacts):
+    @pytest.mark.parametrize("line, code", [
+        ({"op": "stream_submit", "session": "ghost",
+          "input": [[0.0] * 13]}, "unknown-session"),
+        ({"op": "session_import", "session": "s", "state": {"0": {}}},
+         "bad-request"),
+        ({"op": "session_import", "session": "s", "state": [1]},
+         "bad-request"),
+    ], ids=["unknown-session", "state-missing-h", "state-not-object"])
+    def test_bad_session_request_answers_typed(self, artifacts, line, code):
         server = ModelServer(workers=0)
         try:
             server.load("m", artifacts["gru_speech"])
-            lines = [json.dumps({"op": "stream_submit", "model": "m",
-                                 "session": "ghost", "id": 1,
-                                 "input": [[0.0] * 13]})]
-            _, responses = run_protocol(server, lines)
-            assert responses[0]["code"] == "unknown-session"
+            _, responses = run_protocol(
+                server, [json.dumps({**line, "model": "m", "id": 1})])
+            assert responses[0]["code"] == code
             assert responses[0]["retryable"] is False
         finally:
             server.close()
