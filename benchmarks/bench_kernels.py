@@ -69,8 +69,10 @@ def test_mixed_bitexact_gemm(benchmark):
 
 
 #: (model, batch) rows of the kernel-latency report. ResNet-tiny runs
-#: at batch 8, where its conv prologues (not the GEMMs) dominate.
-KERNEL_LATENCY_ROWS = (("mobilenet_v2", 16), ("resnet_tiny", 8))
+#: at batch 8, where its conv prologues (not the GEMMs) dominate; the
+#: batch-1 rows are where per-node Python glue weighs most.
+KERNEL_LATENCY_ROWS = (("mobilenet_v2", 16), ("resnet_tiny", 8),
+                       ("resnet_tiny", 1), ("mobilenet_v2", 1))
 
 
 def test_backend_kernel_latency_report(tmp_path):
@@ -94,13 +96,14 @@ def test_backend_kernel_latency_report(tmp_path):
     for model_name, batch in KERNEL_LATENCY_ROWS:
         model, sample = build_model(model_name, seed=0)
         rng = np.random.default_rng(1)
-        pipeline = Pipeline(PipelineConfig(), model=model)
-        pipeline.calibrate([sample(rng, 8)])
         path = tmp_path / f"{model_name}.npz"
-        pipeline.result.export(sample(rng, 4), path=path)
+        if not path.exists():
+            pipeline = Pipeline(PipelineConfig(), model=model)
+            pipeline.calibrate([sample(rng, 8)])
+            pipeline.result.export(sample(rng, 4), path=path)
         artifact = ServeArtifact.load(path)
         x = sample(rng, batch)
-        timings = rows[model_name] = {}
+        timings = rows[model_name, batch] = {}
         for name in backends:
             compiled = compile_graph(artifact, backend=name)
             compiled.run(x)  # warm scratch, build libraries, verify bits
@@ -120,10 +123,10 @@ def test_backend_kernel_latency_report(tmp_path):
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
     print(f"wrote {out_path}")
-    for model_name, timings in rows.items():
-        assert timings["fused"] <= timings["reference"] * 1.2, model_name
+    for row, timings in rows.items():
+        assert timings["fused"] <= timings["reference"] * 1.2, row
         if compiler:
-            assert timings["compiled"] <= timings["fused"], model_name
+            assert timings["compiled"] <= timings["fused"], row
 
 
 def test_resnet_training_step(benchmark):

@@ -113,10 +113,7 @@ def compile_graph(artifact: ServeArtifact, backend: str = DEFAULT_BACKEND,
     graph = lower_artifact(artifact)          # rewritten by the passes
     pass_log = run_passes(graph, backend_obj.passes)
     ctx = ExecContext()
-    kernels = {
-        node.id: backend_obj.compile_node(node, graph, artifact, ctx)
-        for node in graph.nodes if node.id != graph.input_id
-    }
+    kernels = backend_obj.compile_kernels(graph, artifact, ctx, pass_log)
     model = CompiledModel(
         artifact, graph, source_graph, kernels, backend_obj.name,
         pass_log=pass_log,

@@ -67,11 +67,14 @@ class ExecContext:
 
 class Kernel:
     """Compiled form of one IR node. Subclasses bind node + arrays at
-    compile time and implement ``run``."""
+    compile time and implement ``run``, which takes the values of
+    ``sources`` (the node's inputs, unless the kernel covers a run of
+    nodes ending at ``node``)."""
 
     def __init__(self, node: IRNode, ctx: ExecContext):
         self.node = node
         self.ctx = ctx
+        self.sources: Tuple[int, ...] = tuple(node.inputs)
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -103,6 +106,15 @@ class KernelBackend:
                      artifact: ServeArtifact, ctx: ExecContext) -> Kernel:
         raise NotImplementedError
 
+    def compile_kernels(self, graph: Graph, artifact: ServeArtifact,
+                        ctx: ExecContext, log: List[str]) -> Dict[int, Kernel]:
+        """Kernels keyed by node id: one per node by default. A kernel
+        may cover a run of nodes — keyed by the run's last node, reading
+        its ``sources`` — and the nodes it absorbs get no entry.
+        ``log`` collects compile-log lines."""
+        return {node.id: self.compile_node(node, graph, artifact, ctx)
+                for node in graph.nodes if node.id != graph.input_id}
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -123,26 +135,28 @@ class CompiledModel:
         self.copy_output = copy_output
         self._order = [n for n in graph.nodes if n.id != graph.input_id]
         # Compile the graph walk into a flat slot program: one (run, input
-        # slots, output slot, slots-to-free) step per node. Freeing
-        # intermediates at their last use keeps peak memory at the widest
-        # node, not the whole network.
+        # slots, output slot, slots-to-free) step per kernel (a kernel
+        # covering a run of nodes is one step). Freeing intermediates at
+        # their last use keeps peak memory at the widest node, not the
+        # whole network.
+        steps = [kernels[n.id] for n in self._order if n.id in kernels]
         slot = {graph.input_id: 0}
         for index, node in enumerate(self._order, start=1):
             slot[node.id] = index
         last_use: Dict[int, int] = {}
-        for index, node in enumerate(self._order):
-            for source in node.inputs:
+        for index, kernel in enumerate(steps):
+            for source in kernel.sources:
                 last_use[source] = index
         free_after: Dict[int, List[int]] = {}
         for source, index in last_use.items():
             if source != graph.output_id:
                 free_after.setdefault(index, []).append(slot[source])
         self._program = [
-            (kernels[node.id].run,
-             tuple(slot[i] for i in node.inputs),
-             slot[node.id],
+            (kernel.run,
+             tuple(slot[i] for i in kernel.sources),
+             slot[kernel.node.id],
              tuple(free_after.get(index, ())))
-            for index, node in enumerate(self._order)
+            for index, kernel in enumerate(steps)
         ]
         self._out_slot = slot[graph.output_id]
         self._slots = len(self._order) + 1
@@ -234,7 +248,7 @@ class CompiledModel:
 
     def describe(self) -> str:
         lines = [f"backend:      {self.backend_name} "
-                 f"({len(self._order)} kernels)"]
+                 f"({len(self._program)} steps, {len(self._order)} nodes)"]
         lines.extend(f"  {entry}" for entry in self.pass_log)
         return "\n".join(lines)
 

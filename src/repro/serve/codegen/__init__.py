@@ -1,12 +1,14 @@
 """Native code generation for the serving compiler.
 
 ``repro.serve.codegen`` turns each compiled IR graph into one C library
-whose kernels take the batch size at run time: :mod:`renderer` emits the
-source (quantizer clips, SP2 level grids and epilogue constants baked in
-as literals), :mod:`build` probes
-for a C compiler once and maintains a content-hash-keyed ``.so`` cache
-with atomic publication, and :mod:`runtime` binds the built library's
-entry points through ``ctypes``. The ``compiled`` backend
+with one entry point per run of native nodes, the batch size a run-time
+argument: :mod:`renderer` emits the source (quantizer clips and epilogue
+constants baked in as literals, GEMMs as the calls numpy's ``matmul``
+makes), :mod:`build` probes for a C compiler once and maintains a
+content-hash-keyed ``.so`` cache with atomic publication, and
+:mod:`runtime` resolves numpy's own BLAS routines, hands them to the
+built library once at load and binds its entry points through
+``ctypes``. The ``compiled`` backend
 (:mod:`repro.serve.backends.compiled`) is the consumer; everything here
 is policy-free mechanism.
 """
@@ -22,19 +24,26 @@ from repro.serve.codegen.build import (
 )
 from repro.serve.codegen.renderer import (
     NATIVE_KINDS,
-    CSegment,
+    SegmentRenderer,
     c_array,
     c_float,
     render_module,
     supports,
 )
-from repro.serve.codegen.runtime import GraphProgram, load_library
+from repro.serve.codegen.runtime import (
+    GraphProgram,
+    NumpyBlas,
+    blas_probe,
+    load_library,
+)
 
 __all__ = [
     "CFLAGS",
-    "CSegment",
     "GraphProgram",
     "NATIVE_KINDS",
+    "NumpyBlas",
+    "SegmentRenderer",
+    "blas_probe",
     "build_library",
     "c_array",
     "c_float",

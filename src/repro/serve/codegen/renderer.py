@@ -1,36 +1,40 @@
-"""C renderer for the ``compiled`` serving backend.
+"""C renderer for the ``compiled`` serving backend: numpy's BLAS, called
+from C; one call per native run.
 
 Walks compiled IR nodes and emits one C translation unit per graph.
-Every generated function takes the count of its outermost unit as a
-leading ``long n`` argument (requests; rows for linear layers; channel
-periods for standalone elementwise nodes), so one library serves every
-batch size. Everything else — per-request strides,
-spatial bounds, padding widths, quantizer clip constants, SP2 level-grid
-entries and epilogue tables — is baked in as a literal, so the compiler
-sees static inner loop nests and the runtime performs zero dispatch on
-the glue ops.
+Each maximal run of native nodes becomes one entry point
+``seg<id>(long n, void *const *b)`` (:class:`SegmentRenderer`) that
+calls one ``static`` function per node in order: stage/gather, then the
+node's GEMM through numpy's own BLAS, then the epilogue. ``n`` is the
+leading dimension of the run's input (requests; rows after a time merge)
+and each node derives its own count from it; ``b`` is the run's pointer
+table — run inputs first, then every node's weights and pooled buffers.
+Everything else — per-request strides, spatial bounds, padding widths,
+quantizer clip constants and epilogue tables — is baked in as a
+literal, so the compiler sees static inner loop nests.
 
 **Bit-exactness is the design constraint, not speed at any cost.** The
-generated kernels cover exactly the ops whose numpy implementations are
+generated loops cover exactly the ops whose numpy implementations are
 per-element IEEE-754 float32 arithmetic in a fixed order (quantizer
 chains, bias/batch-norm/ReLU epilogues, window gathers, max-pooling) —
 for those, C code compiled with ``-ffp-contract=off -fno-fast-math``
-reproduces numpy bit for bit. Reductions whose accumulation order numpy
-does not define per element (BLAS GEMMs, pairwise-summed means) are
-deliberately *not* rendered: the compiled backend keeps those as the
-identical ``np.matmul`` calls on identically laid-out buffers, and ops
-like ``avgpool`` fall back to the fused kernels. :func:`supports` is the
-coverage table backends consult.
+reproduces numpy bit for bit. GEMM accumulation order is BLAS-internal,
+so GEMMs are never written as C loops: the generated ``matmul`` makes
+the call numpy's ``matmul`` makes for the same shapes and strides
+(sgemm, sgemv or sdot, or numpy's own loop when the inner dimension is
+1), through function pointers into the library numpy itself loaded
+(bound once at load, see :mod:`repro.serve.codegen.runtime`).
+Reductions numpy orders its own way (``avgpool``'s pairwise-summed mean)
+fall back to the fused kernels. :func:`supports` is the coverage table
+backends consult.
 
 Numerics that make the emitted code exact:
 
 - Constants are printed as C99 hex float literals (``0x1.5bp+3f``) —
   the bits survive the round trip through the compiler unchanged.
 - The activation fake-quant ``clip -> /alpha -> *steps -> round ->
-  /steps -> *alpha`` chain becomes ``rintf`` (round-half-even, numpy's
-  rounding) into a precomputed level-grid lookup: ``levels[k]`` is the
-  float32 value code ``k`` reconstructs to, computed by the same numpy
-  ufuncs, so the lookup and the chain agree bitwise.
+  /steps -> *alpha`` chain is emitted op for op, rounding half to even
+  with a magic constant (bitwise ``np.round`` on the quantizer's range).
 - Padded-conv borders come from a pool buffer zeroed once whose
   interior alone the prologue writes — the fused backend's padded
   arenas (the same pool entries), so gathers never test a bound.
@@ -38,13 +42,13 @@ Numerics that make the emitted code exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RendererError
-from repro.serve.artifact import ServeArtifact
+from repro.serve.artifact import ServeArtifact, decode_weight_record
 from repro.serve.ir import IRNode
 
 #: Node kinds the renderer has templates for. Anything else (GEMM-order
@@ -61,6 +65,72 @@ MODULE_PREAMBLE = """\
  * cache key. */
 #include <math.h>
 """
+
+#: The BLAS routines numpy's ``matmul`` reaches for float32, in the
+#: order the runtime binds them (``repro_bind_blas``).
+BLAS_ROUTINES = ("sgemm", "sgemv", "sdot")
+
+#: CBLAS enum values (``cblas.h``).
+CBLAS_ROW_MAJOR, CBLAS_COL_MAJOR = 101, 102
+CBLAS_NO_TRANS, CBLAS_TRANS = 111, 112
+
+_BLAS_PREAMBLE = """\
+/* numpy's BLAS, bound once at load by repro_bind_blas. */
+typedef {blasint} blasint;
+typedef void (*sgemm_t)(int, int, int, blasint, blasint, blasint, float,
+                        const float *, blasint, const float *, blasint,
+                        float, float *, blasint);
+typedef void (*sgemv_t)(int, int, blasint, blasint, float, const float *,
+                        blasint, const float *, blasint, float, float *,
+                        blasint);
+typedef float (*sdot_t)(blasint, const float *, blasint, const float *,
+                        blasint);
+static sgemm_t blas_sgemm;
+static sgemv_t blas_sgemv;
+static sdot_t blas_sdot;
+
+void repro_bind_blas(void *sgemm, void *sgemv, void *sdot) {{
+  blas_sgemm = (sgemm_t)sgemm;
+  blas_sgemv = (sgemv_t)sgemv;
+  blas_sdot = (sdot_t)sdot;
+}}
+
+/* c (m x p) = a (m x k) @ b, all C order; b is (k x p), or with bt the
+ * transpose of a C-order (p x k) matrix. The route is the one numpy's
+ * matmul takes for these shapes and strides (umath/matmul.c.src), so
+ * every output element accumulates exactly as np.matmul's does. */
+static NOINLINE void matmul(long m, long k, long p, const float *a,
+                            const float *b, int bt, float *c) {{
+  const long bk = bt ? 1 : p, bp = bt ? k : 1;  /* b's strides */
+  if (m == 1 && p == 1) {{  /* row @ column: numpy's dot */
+    double sum = 0.0;
+    sum += blas_sdot(k, a, 1, b, bk);
+    c[0] = (float)sum;
+  }} else if (k == 1) {{  /* numpy's own loop */
+    for (long i = 0; i < m; ++i)
+      for (long j = 0; j < p; ++j) {{
+        float acc = 0.0f;
+        acc += a[i] * b[j * bp];
+        c[i * p + j] = acc;
+      }}
+  }} else if (m == 1) {{  /* vector @ matrix */
+    blas_sgemv(bt ? {col} : {row}, {trans}, k, p, 1.0f, b, bt ? k : p,
+               a, 1, 0.0f, c, 1);
+  }} else if (p == 1) {{  /* matrix @ vector */
+    blas_sgemv({col}, {trans}, k, m, 1.0f, a, k, b, bk, 0.0f, c, 1);
+  }} else {{
+    blas_sgemm({row}, {no_trans}, bt ? {trans} : {no_trans}, m, p, k,
+               1.0f, a, k, b, bt ? k : p, 0.0f, c, p);
+  }}
+}}
+"""
+
+
+def blas_preamble(ilp64: bool) -> str:
+    """The BLAS pointer slots, their load-time setter and ``matmul``."""
+    return _BLAS_PREAMBLE.format(
+        blasint="long long" if ilp64 else "int", row=CBLAS_ROW_MAJOR,
+        col=CBLAS_COL_MAJOR, no_trans=CBLAS_NO_TRANS, trans=CBLAS_TRANS)
 
 
 def supports(node: IRNode) -> bool:
@@ -247,68 +317,118 @@ def _stage_body(prefix: str, stages: List[dict], channel: str = "c") -> str:
     return "\n        ".join(lines)
 
 
-def _channel_loop(symbol: str, prefix: str, stages: List[dict],
-                  channels: int, inner: int, in_place: bool) -> str:
-    """An (n, channels, inner) epilogue loop nest, ``n`` a runtime count.
-
-    ``in_place=True`` renders ``void f(long n, float *r)`` updating the
-    GEMM output; otherwise ``void f(long n, const float *x, float *r)``
-    (standalone batch-norm / ReLU nodes).
-    """
+def _channel_loop(prefix: str, stages: List[dict], count: str,
+                  channels: int, inner: int, src: str, dst: str) -> str:
+    """Statements applying ``stages`` over a ``(count, channels, inner)``
+    block, reading ``src`` and writing ``dst`` (in place when they are
+    the same pointer: the GEMM epilogues)."""
     body = _stage_body(prefix, stages)
-    sig = "float *r" if in_place else "const float *x, float *r"
-    read = "p[j]" if in_place else "q[j]"
-    setup = "" if in_place else (
-        f"\n      const float *q = x + (o * {channels} + c) * {inner}L;")
+    read = "d[j]" if src == dst else "s[j]"
+    setup = "" if src == dst else (
+        f"\n      const float *s = {src} + (o * {channels} + c) * {inner}L;")
     return f"""\
-void {symbol}(long n, {sig}) {{
-  for (long o = 0; o < n; ++o) {{
+  for (long o = 0; o < {count}; ++o)
     for (long c = 0; c < {channels}L; ++c) {{
-      float *p = r + (o * {channels} + c) * {inner}L;{setup}
+      float *d = {dst} + (o * {channels} + c) * {inner}L;{setup}
       for (long j = 0; j < {inner}L; ++j) {{
         float v = {read};
         {body}
-        p[j] = v;
+        d[j] = v;
       }}
     }}
-  }}
-}}"""
+"""
+
+
+def _function(symbol: str, params: str, body: str) -> str:
+    """A ``static`` function the compiler may not inline."""
+    return f"static NOINLINE void {symbol}({params}) {{\n{body}}}"
 
 
 # ----------------------------------------------------------------------
 # Per-node renderers
 # ----------------------------------------------------------------------
-@dataclass
-class CSegment:
-    """One node's contribution to the translation unit."""
-
-    source: str
-    #: [(binding key, C symbol, pointer-argument count)]
-    functions: List[Tuple[tuple, str, int]] = field(default_factory=list)
+#: Pointer declarations: a node's inputs and the buffers it writes are
+#: distinct pool entries, so ``restrict`` spares the compiler overlap
+#: checks (and code versioned on them).
+CONST_IN = "const float *restrict "
+OUT = "float *restrict "
 
 
-class ConvRenderer:
-    """Conv prologue (quant + zero-pad + im2col or depthwise gather) and
-    epilogue (bias + batch-norm + ReLU) around the numpy GEMM.
+@dataclass(frozen=True)
+class Buffer:
+    """A pooled scratch buffer of one node: its pointer-table ``name``,
+    the pool ``tag``, its ``shape`` for one batch size, and whether it
+    must start zeroed (a padded border is never written)."""
 
-    The prologue quantizes each input element once, in one pass shared
-    by every conv template (:meth:`_stage_pass`) that writes the
-    interior of a zero-bordered pool buffer, and then gathers by plain
-    copies: no bound tests, fixed trip counts. The GEMM itself is *not*
-    rendered: the backend runs the identical ``np.matmul`` on the
-    identically laid-out column buffer, keeping the float32 accumulation
-    order (and therefore the bits) of the reference backend.
+    name: str
+    tag: str
+    shape: Tuple[int, ...]
+    zeroed: bool = False
+
+
+class NodeRenderer:
+    """One native node: a ``static void k<id>(long n, void *const *b)``
+    called by its segment.
+
+    ``slots`` names the pointer-table entries the node owns beyond its
+    inputs: :meth:`constants` (weights, bound once) and :meth:`buffers`
+    (pooled scratch, bound once per batch size), ending with ``"out"``,
+    the node's output, shaped ``(rows,) + row_shape`` with ``rows >= n``.
+    BLAS calls per batch are ``blas_calls[0] * n + blas_calls[1]``.
     """
 
-    def __init__(self, node: IRNode, input_shape: Tuple[int, ...],
-                 artifact: ServeArtifact):
+    slots: Tuple[str, ...] = ("out",)
+    blas_calls: Tuple[int, int] = (0, 0)
+
+    def __init__(self, node: IRNode, row_shape: Tuple[int, ...]):
         if not supports(node):
             raise RendererError(
                 f"node {node.name or node.id} ({node.kind}) is outside "
                 "the native coverage table")
-        spec = node.spec
         self.node_id = node.id
-        self.name = node.name or f"conv{node.id}"
+        self.kind = node.kind
+        self.name = node.name or f"{node.kind}{node.id}"
+        self.row_shape = tuple(row_shape)
+
+    def constants(self) -> Dict[str, np.ndarray]:
+        return {}
+
+    def buffers(self, n: int) -> List[Buffer]:
+        return [Buffer("out", f"out{self.node_id}", (n,) + self.row_shape)]
+
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        raise NotImplementedError
+
+    @staticmethod
+    def _head(symbol: str, comment: str,
+              pointers: Sequence[Tuple[str, str, int]]) -> str:
+        """Comment, signature and one ``type *name = b[slot];`` per
+        pointer."""
+        lines = [f"/* {comment} */",
+                 f"static NOINLINE void {symbol}(long n, void *const *b) {{"]
+        lines.extend(f"  {ctype}{name} = b[{index}];"
+                     for ctype, name, index in pointers)
+        return "\n".join(lines) + "\n"
+
+
+class ConvRenderer(NodeRenderer):
+    """Conv: quant + zero-pad + im2col or depthwise gather, the GEMM
+    through numpy's BLAS, then bias + batch-norm + ReLU.
+
+    The prologue quantizes each input element once, in one pass shared
+    by both gather templates (:meth:`_stage_pass`) that writes the
+    interior of a zero-bordered pool buffer, and then gathers by plain
+    copies: no bound tests, fixed trip counts. The GEMM is one
+    ``matmul`` per request (``w @ cols``, numpy's sgemm), or for a
+    depthwise conv one per channel (numpy's sgemv over the
+    channel-major columns, as the fused backend lays them out).
+    """
+
+    def __init__(self, node: IRNode, input_shape: Tuple[int, ...],
+                 artifact: ServeArtifact):
+        super().__init__(node, node.output_shape)
+        spec = node.spec
         self.kernel = spec["kernel"]
         self.stride = spec["stride"]
         self.padding = spec["padding"]
@@ -324,44 +444,67 @@ class ConvRenderer:
         self.gathers = self.depthwise or not (
             self.kernel == 1 and self.stride == 1 and self.padding == 0)
         self.act = ActQuantC(spec["act_quant"]) if spec["act_quant"] else None
+        weight = decode_weight_record(artifact, spec["weight"])
+        self.weight = np.ascontiguousarray(weight.reshape(self.oc, -1))
         bias = (artifact.arrays[spec["bias"]]
                 if spec["bias"] is not None else None)
         self.stages = epilogue_stages(node, artifact, bias=bias)
+        slots = ["w"]
+        if self.stages_input:
+            slots.append("q")
+        if self.gathers or self.act is not None:
+            slots.append("cols")
+        if self.depthwise:
+            slots.append("gemv")
+        self.slots = tuple(slots) + ("out",)
+        self.blas_calls = (0, self.cin) if self.depthwise else (1, 0)
 
-    # -- prologue -------------------------------------------------------
-    @staticmethod
-    def _pre_head(prefix: str, staged: bool) -> str:
-        """Opening of ``void pre(long n, x, [q,] cols)``. The buffers
-        are distinct pool entries, so they are ``restrict``: the
-        compiler needs no overlap checks (nor code versioned on them)."""
-        q = "float *restrict q, " if staged else ""
-        return (f"void {prefix}_pre(long n, const float *restrict x, "
-                f"{q}float *restrict cols) {{\n")
+    @property
+    def stages_input(self) -> bool:
+        """Whether the gathering prologue stages its input into the
+        pooled zero-bordered buffer (quantizing or padding it) rather
+        than gathering straight from ``x``."""
+        return self.gathers and (self.act is not None or self.padding > 0)
 
-    def _stage_pass(self, prefix: str, dst: str) -> str:
-        """The head of a native prologue whose first statement is the
-        one pass over the input, shared by every conv template.
+    def constants(self) -> Dict[str, np.ndarray]:
+        return {"w": self.weight}
+
+    def buffers(self, n: int) -> List[Buffer]:
+        k, p = self.kernel, self.oh * self.ow
+        out: List[Buffer] = []
+        if self.stages_input:
+            # The pad width keys the pool like the fused backend's padded
+            # arenas, which are the same buffers.
+            out.append(Buffer("q", f"conv.padded.p{self.padding}",
+                              (n, self.cin, self.hp, self.wp), zeroed=True))
+        if "cols" in self.slots:
+            out.append(Buffer("cols", "conv.cols",
+                              (self.cin, n * p, k * k) if self.depthwise
+                              else (n, self.cin * k * k, p)))
+        if self.depthwise:
+            out.append(Buffer("gemv", "conv.dwout", (self.cin, n * p)))
+        return out + super().buffers(n)
+
+    def _stage_pass(self, symbol: str, dst: str) -> str:
+        """The one pass over the input, shared by every conv template.
 
         It writes ``quant(x)`` (or ``x`` itself, for a conv without a
-        quantizer) into ``dst``, the interior of a zero-bordered
-        ``(n, cin, h + 2*pad, w + 2*pad)`` pool buffer. So each input
-        element runs the quant chain exactly once, however many window
-        cells it lands in (bitwise identical: the chain is a pure
-        per-element function), and the gathers that follow read only
-        valid memory and never test a bound. The border is zeroed when
-        the buffer is pooled and never written.
+        quantizer) into ``dst``: the interior of a zero-bordered
+        ``(n, cin, h + 2*pad, w + 2*pad)`` pool buffer, or a pointwise
+        conv's GEMM columns. So each input element runs the quant chain
+        exactly once, however many window cells it lands in (bitwise
+        identical: the chain is a pure per-element function), and the
+        gathers that follow read only valid memory and never test a
+        bound. The border is zeroed when the buffer is pooled and never
+        written.
         """
         cin, h, w, pad = self.cin, self.h, self.w, self.padding
         hp, wp = self.hp, self.wp
-        helper, value = "", "%s"
-        if self.act is not None:
-            helper = self.act.emit(f"{prefix}_q") + "\n"
-            value = f"{prefix}_q(%s)"
-        head = helper + self._pre_head(prefix, staged=dst == "q")
+        value = f"{symbol}_q(%s)" if self.act is not None else "%s"
         if pad == 0:
-            return head + (f"  for (long i = 0; i < n * {cin * h * w}L; "
-                           f"++i) {dst}[i] = {value % 'x[i]'};\n")
-        return head + f"""\
+            return (f"  for (long i = 0; i < n * {cin * h * w}L; "
+                    f"++i) {dst}[i] = {value % 'x[i]'};\n")
+        return f"""\
   for (long c = 0; c < n * {cin}L; ++c)
 {ROLLED}
     for (long y = 0; y < {h}L; ++y) {{
@@ -371,21 +514,7 @@ class ConvRenderer:
     }}
 """
 
-    @property
-    def stages_input(self) -> bool:
-        """Whether the gathering prologue stages its input into the
-        pooled zero-bordered buffer (quantizing or padding it) rather
-        than gathering straight from ``x``."""
-        return self.gathers and (self.act is not None or self.padding > 0)
-
-    def _gather_head(self, prefix: str) -> Tuple[str, str]:
-        """``(head, source)`` of a gathering prologue: its code up to the
-        gather, and the buffer the gather copies from."""
-        if not self.stages_input:
-            return self._pre_head(prefix, staged=False), "x"
-        return self._stage_pass(prefix, "q"), "q"
-
-    def _pre_im2col(self, prefix: str) -> str:
+    def _gather_im2col(self, src: str) -> str:
         """Gather into the ``(n, cin*k*k, oh*ow)`` column buffer: every
         cell is a plain copy from the zero-bordered source, so the loop
         nest has fixed trip counts and no branch (a contiguous copy per
@@ -393,9 +522,8 @@ class ConvRenderer:
         k, s = self.kernel, self.stride
         cin, hp, wp, oh, ow = self.cin, self.hp, self.wp, self.oh, self.ow
         p = oh * ow
-        head, src = self._gather_head(prefix)
         return f"""\
-{head}  for (long i = 0; i < n * {cin}L; ++i) {{
+  for (long i = 0; i < n * {cin}L; ++i) {{
     const float *sc = {src} + i * {hp * wp}L;
     float *d = cols + i * {k * k * p}L;
 {ROLLED}
@@ -411,15 +539,16 @@ class ConvRenderer:
         }}
       }}
   }}
-}}"""
+"""
 
-    def _pre_depthwise(self, prefix: str) -> str:
+    def _gather_depthwise(self, src: str) -> str:
+        """Gather into the channel-major ``(cin, n*oh*ow, k*k)`` columns
+        the per-channel GEMVs read."""
         k, s = self.kernel, self.stride
         cin, hp, wp, oh, ow = self.cin, self.hp, self.wp, self.oh, self.ow
         p = oh * ow
-        head, src = self._gather_head(prefix)
         return f"""\
-{head}  for (long c = 0; c < {cin}L; ++c) {{
+  for (long c = 0; c < {cin}L; ++c) {{
     float *cc = cols + c * n * {p * k * k}L;
     for (long i = 0; i < n; ++i) {{
       const float *sc = {src} + (i * {cin} + c) * {hp * wp}L;
@@ -436,23 +565,21 @@ class ConvRenderer:
         }}
     }}
   }}
-}}"""
+"""
 
-    def _post_depthwise(self, symbol: str, prefix: str) -> str:
-        """Epilogue over the channel-major GEMM result ``(cin, n*p)``
-        that writes the request-major ``(n, cin, p)`` layout directly —
-        folding the transpose every consumer would otherwise pay a
-        contiguity copy for into the pass that already touches each
+    def _untranspose(self, symbol: str) -> str:
+        """Epilogue over the channel-major GEMV result ``(cin, n*p)``
+        that writes the request-major ``(n, cin, p)`` output directly,
+        folding the transpose into the pass that already touches each
         element. Per-element math is identical to the in-place loop."""
         p = self.oh * self.ow
-        body = _stage_body(prefix, self.stages)
+        body = _stage_body(symbol, self.stages)
         return f"""\
-void {symbol}(long n, const float *r, float *out) {{
   for (long c = 0; c < {self.cin}L; ++c) {{
-    const float *rc = r + c * n * {p}L;
+    const float *gc = gemv + c * n * {p}L;
     for (long i = 0; i < n; ++i) {{
-      const float *s = rc + i * {p}L;
-      float *d = out + (i * {self.cin} + c) * {p}L;
+      const float *s = gc + i * {p}L;
+      float *d = r + (i * {self.cin} + c) * {p}L;
       for (long j = 0; j < {p}L; ++j) {{
         float v = s[j];
         {body}
@@ -460,120 +587,168 @@ void {symbol}(long n, const float *r, float *out) {{
       }}
     }}
   }}
-}}"""
+"""
 
-    # -- render ---------------------------------------------------------
-    def render(self) -> CSegment:
-        prefix = f"k{self.node_id}"
-        parts: List[str] = [f"/* {self.name}: conv "
-                            f"{self.cin}x{self.h}x{self.w} -> "
-                            f"{self.oc}x{self.oh}x{self.ow} "
-                            f"k{self.kernel} s{self.stride} "
-                            f"p{self.padding}"
-                            f"{' depthwise' if self.depthwise else ''} */"]
-        functions: List[Tuple[tuple, str, int]] = []
-        pre, post = f"{prefix}_pre", f"{prefix}_post"
-        if not self.gathers:
-            # The quant pass writes the GEMM's columns directly.
-            if self.act is not None:
-                parts.append(self._stage_pass(prefix, "cols") + "}")
-                functions.append(((self.node_id, "pre"), pre, 2))
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        k, p = self.kernel, self.oh * self.ow
+        f = self.cin * k * k
+        comment = (f"{self.name}: conv {self.cin}x{self.h}x{self.w} -> "
+                   f"{self.oc}x{self.oh}x{self.ow} k{k} s{self.stride} "
+                   f"p{self.padding}{' depthwise' if self.depthwise else ''}")
+        pointers = [(CONST_IN, "x", inputs[0]), ("const float *", "w",
+                                                 slot["w"])]
+        pointers.extend((OUT, name, slot[name])
+                        for name in ("q", "cols", "gemv") if name in slot)
+        pointers.append((OUT, "r", slot["out"]))
+        parts = _stage_tables(symbol, self.stages)
+        if self.act is not None:
+            parts.append(self.act.emit(f"{symbol}_q"))
+        # Prologue, GEMM and epilogue stay separate functions: one
+        # function holding all three compiles markedly slower.
+        prologue = ""
+        if self.stages_input:
+            prologue = self._stage_pass(symbol, "q")
+        elif self.act is not None:
+            # A pointwise conv: the quant pass writes the columns.
+            prologue = self._stage_pass(symbol, "cols")
+        source = "q" if self.stages_input else "x"
+        if self.depthwise:
+            prologue += self._gather_depthwise(source)
+        elif self.gathers:
+            prologue += self._gather_im2col(source)
+        body = self._head(symbol, comment, pointers)
+        if prologue:
+            staged = ", q" if "q" in slot else ""
+            parts.append(_function(
+                f"{symbol}_pre", f"long n, {CONST_IN}x, "
+                + (f"{OUT}q, " if staged else "") + f"{OUT}cols", prologue))
+            body += f"  {symbol}_pre(n, x{staged}, cols);\n"
+        if self.depthwise:
+            parts.append(_function(
+                f"{symbol}_post", f"long n, {CONST_IN}gemv, {OUT}r",
+                self._untranspose(symbol)))
+            body += f"""\
+  for (long c = 0; c < {self.cin}L; ++c)
+    matmul(n * {p}L, {k * k}, 1, cols + c * n * {p * k * k}L,
+           w + c * {k * k}L, 0, gemv + c * n * {p}L);
+  {symbol}_post(n, gemv, r);
+"""
         else:
-            emit = self._pre_depthwise if self.depthwise \
-                else self._pre_im2col
-            parts.append(emit(prefix))
-            # (x, cols), plus the staged input ``q`` between them.
-            functions.append(((self.node_id, "pre"), pre,
-                              3 if self.stages_input else 2))
-        if self.stages:
-            parts.extend(_stage_tables(prefix, self.stages))
-            if self.depthwise:
-                # Out-of-place: untransposes the channel-major result.
-                parts.append(self._post_depthwise(post, prefix))
-                functions.append(((self.node_id, "post"), post, 2))
-            else:
-                parts.append(_channel_loop(
-                    post, prefix, self.stages, channels=self.oc,
-                    inner=self.oh * self.ow, in_place=True))
-                functions.append(((self.node_id, "post"), post, 1))
-        return CSegment("\n".join(parts), functions)
+            columns = "cols" if "cols" in slot else "x"
+            body += f"""\
+  for (long i = 0; i < n; ++i)
+    matmul({self.oc}, {f}, {p}, w, {columns} + i * {f * p}L, 0,
+           r + i * {self.oc * p}L);
+"""
+            if self.stages:
+                parts.append(_function(
+                    f"{symbol}_post", "long n, float *r",
+                    _channel_loop(symbol, self.stages, "n", self.oc, p,
+                                  "r", "r")))
+                body += f"  {symbol}_post(n, r);\n"
+        parts.append(body + "}")
+        return "\n".join(parts)
 
 
-class LinearRenderer:
-    """Linear prologue (activation quant) and per-row epilogue around the
-    numpy ``x @ W.T`` GEMM. Both take the row count, not the request
+class LinearRenderer(NodeRenderer):
+    """Linear: activation quant, ``x @ W.T`` through numpy's BLAS, then
+    the per-row epilogue. The count is the row count, not the request
     count: a streamed chunk of a time-merged graph carries any number of
-    rows per request."""
+    rows per request. One row runs as a duplicated two-row GEMM whose
+    row 0 is kept, exactly as ``row_stable_matmul`` pins it, so a row's
+    bits never depend on the row count."""
 
-    def __init__(self, node: IRNode, artifact: ServeArtifact):
+    slots = ("w", "lhs", "out")
+    blas_calls = (0, 1)
+
+    def __init__(self, node: IRNode, artifact: ServeArtifact,
+                 row_shape: Tuple[int, ...]):
+        super().__init__(node, row_shape)
         spec = node.spec
-        self.node_id = node.id
-        self.name = node.name or f"linear{node.id}"
         self.in_features = spec["in_features"]
         self.out_features = spec["out_features"]
+        self.weight = decode_weight_record(artifact, spec["weight"])
         self.act = ActQuantC(spec["act_quant"]) if spec["act_quant"] else None
         bias = (artifact.arrays[spec["bias"]]
                 if spec["bias"] is not None else None)
         self.stages = epilogue_stages(node, artifact, bias=bias)
 
-    def render(self) -> CSegment:
-        prefix = f"k{self.node_id}"
-        parts = [f"/* {self.name}: linear {self.in_features} -> "
-                 f"{self.out_features} */"]
-        functions: List[Tuple[tuple, str, int]] = []
+    def constants(self) -> Dict[str, np.ndarray]:
+        return {"w": self.weight}
+
+    def buffers(self, n: int) -> List[Buffer]:
+        rows = max(n, 2)
+        # The GEMM's left operand: the quantized rows, or (unquantized)
+        # only the duplicated single row.
+        lhs = Buffer("lhs", "linear.lhs",
+                     (rows if self.act is not None else 2, self.in_features))
+        return [lhs, Buffer("out", f"out{self.node_id}",
+                            (rows, self.out_features))]
+
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        features = self.in_features
+        parts = _stage_tables(symbol, self.stages)
+        body = self._head(
+            symbol, f"{self.name}: linear {features} -> "
+                    f"{self.out_features}",
+            [("const float *", "x", inputs[0]), ("const float *", "w",
+                                                 slot["w"]),
+             ("float *", "a", slot["lhs"]), ("float *", "r", slot["out"])])
+        body += "  const float *lhs = x;\n"
         if self.act is not None:
-            sym, pre = f"{prefix}_q", f"{prefix}_pre"
-            parts.append(self.act.emit(sym))
-            parts.append(f"""\
-void {pre}(long n, const float *x, float *xq) {{
-  for (long i = 0; i < n * {self.in_features}L; ++i) xq[i] = {sym}(x[i]);
-}}""")
-            functions.append(((self.node_id, "pre"), pre, 2))
+            parts.append(self.act.emit(f"{symbol}_q"))
+            body += (f"  for (long i = 0; i < n * {features}L; ++i) "
+                     f"a[i] = {symbol}_q(x[i]);\n  lhs = a;\n")
+        body += f"""\
+  if (n == 1) {{
+    for (long j = 0; j < {features}L; ++j) a[{features} + j] = a[j] = lhs[j];
+    lhs = a;
+  }}
+  matmul(n < 2 ? 2 : n, {features}, {self.out_features}, lhs, w, 1, r);
+"""
         if self.stages:
-            post = f"{prefix}_post"
-            parts.extend(_stage_tables(prefix, self.stages))
-            parts.append(_channel_loop(post, prefix, self.stages,
-                                       channels=self.out_features,
-                                       inner=1, in_place=True))
-            functions.append(((self.node_id, "post"), post, 1))
-        return CSegment("\n".join(parts), functions)
+            body += _channel_loop(symbol, self.stages, "n",
+                                  self.out_features, 1, "r", "r")
+        parts.append(body + "}")
+        return "\n".join(parts)
 
 
-class AddRenderer:
+class AddRenderer(NodeRenderer):
     """Residual add (+ optional post-ReLU) in one pass."""
 
-    def __init__(self, node: IRNode):
-        self.node_id = node.id
-        self.name = node.name or f"add{node.id}"
-        self.size = int(np.prod(node.output_shape))
+    def __init__(self, node: IRNode, row_shape: Tuple[int, ...]):
+        super().__init__(node, row_shape)
+        self.size = int(np.prod(row_shape))
         self.post_relu = node.spec.get("post") == "relu"
 
-    def render(self) -> CSegment:
-        symbol = f"k{self.node_id}_add"
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
         post = "\n    if (v < 0.0f) v = 0.0f;" if self.post_relu else ""
         label = " + relu" if self.post_relu else ""
-        source = f"""\
-/* {self.name}: add over {self.size} elements per request{label} */
-void {symbol}(long n, const float *a, const float *b, float *out) {{
+        return self._head(
+            symbol, f"{self.name}: add over {self.size} elements per "
+                    f"request{label}",
+            [(CONST_IN, "x0", inputs[0]), (CONST_IN, "x1", inputs[1]),
+             (OUT, "r", slot["out"])]) + f"""\
   for (long i = 0; i < n * {self.size}L; ++i) {{
-    float v = a[i] + b[i];{post}
-    out[i] = v;
+    float v = x0[i] + x1[i];{post}
+    r[i] = v;
   }}
 }}"""
-        return CSegment(source, [((self.node_id, "main"), symbol, 3)])
 
 
-class EltwiseRenderer:
+class EltwiseRenderer(NodeRenderer):
     """Standalone batch-norm / ReLU / ReLU6 node (one the fusion passes
-    could not attach to a GEMM) as a single out-of-place pass over ``n``
+    could not attach to a GEMM) as a single out-of-place pass over
     blocks of ``channels * inner`` elements. The block is the channel
     period, not the request, so a time-merged stream chunk carrying a
     partial request still covers whole blocks."""
 
-    def __init__(self, node: IRNode, artifact: ServeArtifact):
-        self.node_id = node.id
-        self.name = node.name or f"{node.kind}{node.id}"
-        self.kind = node.kind
+    def __init__(self, node: IRNode, artifact: ServeArtifact,
+                 row_shape: Tuple[int, ...]):
+        super().__init__(node, row_shape)
         shape = node.output_shape
         if node.kind in ("batchnorm2d", "batchnorm1d"):
             probe = IRNode(id=node.id, kind=node.kind, spec={}, inputs=[],
@@ -588,20 +763,26 @@ class EltwiseRenderer:
             self.stages = [{"op": node.kind}]
             self.channels = 1
             self.inner = shape[-1]
+        # Blocks per unit of the run's leading dimension.
+        self.blocks, rest = divmod(int(np.prod(row_shape)),
+                                   self.channels * self.inner)
+        if rest:
+            raise RendererError(
+                f"{self.name}: rows of shape {row_shape} do not tile "
+                f"{self.channels}x{self.inner} channel blocks")
 
-    def render(self) -> CSegment:
-        prefix = f"k{self.node_id}"
-        symbol = f"{prefix}_elt"
-        parts = [f"/* {self.name}: standalone {self.kind} */"]
-        parts.extend(_stage_tables(prefix, self.stages))
-        parts.append(_channel_loop(symbol, prefix, self.stages,
-                                   channels=self.channels, inner=self.inner,
-                                   in_place=False))
-        return CSegment("\n".join(parts), [((self.node_id, "main"),
-                                            symbol, 2)])
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        parts = _stage_tables(symbol, self.stages)
+        parts.append(self._head(
+            symbol, f"{self.name}: standalone {self.kind}",
+            [(CONST_IN, "x", inputs[0]), (OUT, "r", slot["out"])])
+            + _channel_loop(symbol, self.stages, f"n * {self.blocks}L",
+                            self.channels, self.inner, "x", "r") + "}")
+        return "\n".join(parts)
 
 
-class MaxPoolRenderer:
+class MaxPoolRenderer(NodeRenderer):
     """Max pooling: order-independent reduction, so the C loop matches
     numpy's windowed max for every finite and infinite input, bit for
     bit (pads compare as -inf). The compare is NaN-sticky like numpy's
@@ -609,27 +790,27 @@ class MaxPoolRenderer:
     not pinned)."""
 
     def __init__(self, node: IRNode, input_shape: Tuple[int, ...]):
+        super().__init__(node, node.output_shape)
         spec = node.spec
-        self.node_id = node.id
-        self.name = node.name or f"maxpool{node.id}"
         self.kernel = spec["kernel"]
         self.stride = spec["stride"]
         self.padding = spec.get("padding", 0)
         self.c, self.h, self.w = input_shape
         self.oh, self.ow = node.output_shape[1], node.output_shape[2]
 
-    def render(self) -> CSegment:
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
         k, s, pad = self.kernel, self.stride, self.padding
         c, h, w, oh, ow = self.c, self.h, self.w, self.oh, self.ow
-        symbol = f"k{self.node_id}_pool"
         guard_y = f"if (iy < 0 || iy >= {h}L) continue;" if pad > 0 else ""
         guard_x = f"if (ix < 0 || ix >= {w}L) continue;" if pad > 0 else ""
-        source = f"""\
-/* {self.name}: maxpool k{k} s{s} p{pad} {c}x{h}x{w} -> {c}x{oh}x{ow} */
-void {symbol}(long n, const float *x, float *out) {{
+        return self._head(
+            symbol, f"{self.name}: maxpool k{k} s{s} p{pad} {c}x{h}x{w} "
+                    f"-> {c}x{oh}x{ow}",
+            [(CONST_IN, "x", inputs[0]), (OUT, "r", slot["out"])]) + f"""\
   for (long i = 0; i < n * {c}L; ++i) {{
     const float *xc = x + i * {h * w}L;
-    float *oc = out + i * {oh * ow}L;
+    float *oc = r + i * {oh * ow}L;
     for (long oy = 0; oy < {oh}L; ++oy)
       for (long ox = 0; ox < {ow}L; ++ox) {{
         float m = -INFINITY;
@@ -647,12 +828,58 @@ void {symbol}(long n, const float *x, float *out) {{
       }}
   }}
 }}"""
-        return CSegment(source, [((self.node_id, "main"), symbol, 2)])
 
 
-def render_module(segments: List[CSegment], title: str = "graph") -> str:
-    """Assemble one translation unit from per-node segments."""
-    header = (f"{MODULE_PREAMBLE}\n"
-              f"/* {title}: {sum(len(s.functions) for s in segments)} "
-              "entry points */\n")
-    return header + "\n\n".join(segment.source for segment in segments) + "\n"
+# ----------------------------------------------------------------------
+# Segments and the module
+# ----------------------------------------------------------------------
+class SegmentRenderer:
+    """A run of native nodes as one entry point
+    ``seg<id>(long n, void *const *b)`` that calls each node's function
+    in order.
+
+    The pointer table ``b`` holds the run's inputs in slots
+    ``0 .. len(inputs) - 1`` (the only entries written per call), then
+    each node's ``slots`` in node order. ``layout`` lists
+    ``(renderer, input slots, {slot name: index})`` per node.
+    """
+
+    def __init__(self, segment_id: int,
+                 nodes: Sequence[Tuple[NodeRenderer, Sequence[int]]],
+                 inputs: Sequence[int]):
+        self.segment_id = segment_id
+        self.symbol = f"seg{segment_id}"
+        where = {node_id: index for index, node_id in enumerate(inputs)}
+        self.layout: List[Tuple[NodeRenderer, Tuple[int, ...],
+                                Dict[str, int]]] = []
+        count = len(inputs)
+        for renderer, sources in nodes:
+            slot = {name: count + index
+                    for index, name in enumerate(renderer.slots)}
+            count += len(renderer.slots)
+            self.layout.append((renderer, tuple(where[s] for s in sources),
+                                slot))
+            where[renderer.node_id] = slot["out"]
+        self.slot_count = count
+
+    def render(self) -> str:
+        parts = [renderer.emit(f"k{renderer.node_id}", inputs, slot)
+                 for renderer, inputs, slot in self.layout]
+        calls = "\n".join(f"  k{renderer.node_id}(n, b);"
+                          for renderer, _, _ in self.layout)
+        parts.append(f"""\
+/* segment {self.segment_id}: {len(self.layout)} nodes, one call per batch */
+void {self.symbol}(long n, void *const *b) {{
+  if (n <= 0) return;
+{calls}
+}}""")
+        return "\n\n".join(parts)
+
+
+def render_module(segments: Sequence[str], title: str = "graph",
+                  ilp64: bool = True) -> str:
+    """Assemble one translation unit from rendered segments."""
+    header = (f"{MODULE_PREAMBLE}#define NOINLINE __attribute__((noinline))"
+              f"\n\n{blas_preamble(ilp64)}\n"
+              f"/* {title}: {len(segments)} segments */\n")
+    return header + "\n\n".join(segments) + "\n"

@@ -1,13 +1,25 @@
-"""ctypes runtime for the ``compiled`` backend.
+"""ctypes runtime for the ``compiled`` backend: numpy's BLAS, called from C.
 
-One :class:`GraphProgram` per compiled model collects every native
-node's renderer at kernel-compile time; the first request renders one C
-translation unit for all of them, builds (or reuses) the cached ``.so``,
-loads it, and binds one function pointer per (node, role). Every
-function takes the batch's request (or row) count as its first argument,
-so that one library serves every batch size. Kernels then call straight
-into native code with raw buffer addresses — no per-op numpy dispatch on
-the glue.
+Two jobs:
+
+- **Resolve numpy's own BLAS** (:func:`blas_probe`), once per process.
+  The library is the OpenBLAS file numpy's wheel ships
+  (``numpy.libs/``, or ``numpy/.dylibs/`` on macOS); ``dlopen`` of that
+  path returns the mapping numpy already uses, so a GEMM called from C
+  runs the very code ``np.matmul`` runs. Symbol names and the integer
+  width come from ``numpy.__config__`` (``scipy-openblas`` built with
+  ``USE64BITINT`` exports ``scipy_cblas_sgemm64_`` and friends, taking
+  64-bit ints). Never "whichever OpenBLAS the process mapped first":
+  once scipy is imported that is scipy's LP64 build, which lacks these
+  symbols. Every bound routine must then reproduce ``np.matmul``
+  bitwise on a fixed probe, or the backend reports itself unavailable.
+- **Load one library per graph** (:class:`GraphProgram`). Each
+  :class:`~repro.serve.codegen.renderer.SegmentRenderer` registered at
+  kernel-compile time contributes one ``seg<id>(long n, void *const *b)``
+  entry point: one call per native run, with ``n`` the run input's
+  leading dimension and ``b`` the run's pointer table. The first request
+  renders the translation unit, builds (or reuses) the cached ``.so``,
+  hands it the BLAS function pointers once, and binds the entry points.
 
 Libraries are ``dlopen``ed once per process and memoized: two models
 compiled from the same artifact share one mapped library.
@@ -17,11 +29,22 @@ from __future__ import annotations
 
 import ctypes
 import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.errors import CompileError
 from repro.serve.codegen.build import build_library
-from repro.serve.codegen.renderer import CSegment, render_module
+from repro.serve.codegen.renderer import (
+    BLAS_ROUTINES,
+    CBLAS_COL_MAJOR,
+    CBLAS_NO_TRANS,
+    CBLAS_ROW_MAJOR,
+    CBLAS_TRANS,
+    render_module,
+)
 
 _dlopen_lock = threading.Lock()
 _loaded: Dict[str, ctypes.CDLL] = {}
@@ -38,46 +61,196 @@ def load_library(path: Path) -> ctypes.CDLL:
         return library
 
 
+# ----------------------------------------------------------------------
+# numpy's BLAS
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class NumpyBlas:
+    """The BLAS routines numpy's ``matmul`` calls, resolved from the
+    library numpy ships: ``symbols`` and ``addresses`` follow
+    :data:`~repro.serve.codegen.renderer.BLAS_ROUTINES` order."""
+
+    path: str
+    symbols: Tuple[str, ...]
+    addresses: Tuple[int, ...]
+    ilp64: bool
+
+    def describe(self) -> str:
+        width = "int64" if self.ilp64 else "int32"
+        return f"BLAS {self.path} [{', '.join(self.symbols)}; {width}]"
+
+
+_blas_lock = threading.Lock()
+_blas_result: Optional[Tuple[Optional[NumpyBlas], str]] = None
+
+
+def _numpy_blas_file() -> Optional[Path]:
+    """The OpenBLAS shared library shipped inside numpy's package."""
+    package = Path(np.__file__).resolve().parent
+    for directory in (package.parent / "numpy.libs", package / ".dylibs"):
+        if directory.is_dir():
+            found = sorted(p for p in directory.iterdir()
+                           if "openblas" in p.name)
+            if found:
+                return found[0]
+    return None
+
+
+def _lookup_symbol(library: ctypes.CDLL, name: str):
+    """``library.name`` (``AttributeError`` when it is not exported)."""
+    return getattr(library, name)
+
+
+def _blas_functions(library: ctypes.CDLL, symbols: Tuple[str, ...],
+                    ilp64: bool) -> Tuple[Callable, ...]:
+    """ctypes bindings of ``symbols`` (sgemm, sgemv, sdot)."""
+    i, f, p, e = (ctypes.c_int64 if ilp64 else ctypes.c_int,
+                  ctypes.c_float, ctypes.c_void_p, ctypes.c_int)
+    sgemm, sgemv, sdot = (_lookup_symbol(library, s) for s in symbols)
+    sgemm.argtypes = [e, e, e, i, i, i, f, p, i, p, i, f, p, i]
+    sgemv.argtypes = [e, e, i, i, f, p, i, p, i, f, p, i]
+    sdot.argtypes = [i, p, i, p, i]
+    sgemm.restype = sgemv.restype = None
+    sdot.restype = ctypes.c_float
+    return sgemm, sgemv, sdot
+
+
+def _probe_blas(sgemm, sgemv, sdot) -> Optional[str]:
+    """Call each routine as numpy's ``matmul`` does for one fixed shape
+    and compare bitwise; return the first mismatching case, or None."""
+    rng = np.random.default_rng(0)
+
+    def rand(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    m, k, p = 6, 37, 29
+    a, b, w = rand(m, k), rand(k, p), rand(p, k)
+    col, row = rand(k, 1), rand(1, k)
+    cases = []
+    out = np.empty((m, p), np.float32)
+    sgemm(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, CBLAS_NO_TRANS, m, p, k, 1.0,
+          a.ctypes.data, k, b.ctypes.data, p, 0.0, out.ctypes.data, p)
+    cases.append(("sgemm NoTrans/NoTrans", out.copy(), a @ b))
+    sgemm(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, CBLAS_TRANS, m, p, k, 1.0,
+          a.ctypes.data, k, w.ctypes.data, k, 0.0, out.ctypes.data, p)
+    cases.append(("sgemm NoTrans/Trans", out.copy(), a @ w.T))
+    mv = np.empty((m, 1), np.float32)
+    sgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, k, m, 1.0, a.ctypes.data, k,
+          col.ctypes.data, 1, 0.0, mv.ctypes.data, 1)
+    cases.append(("sgemv matrix @ vector", mv, a @ col))
+    vm = np.empty((1, p), np.float32)
+    sgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, k, p, 1.0, b.ctypes.data, p,
+          row.ctypes.data, 1, 0.0, vm.ctypes.data, 1)
+    cases.append(("sgemv vector @ matrix", vm, row @ b))
+    dot = np.float32(sdot(k, row.ctypes.data, 1, col.ctypes.data, 1))
+    cases.append(("sdot", np.array([[dot]], np.float32), row @ col))
+    for name, got, expected in cases:
+        if not np.array_equal(got, expected):
+            return name
+    return None
+
+
+def _resolve_blas() -> Tuple[Optional[NumpyBlas], str]:
+    try:
+        from numpy import __config__
+
+        config = __config__.CONFIG["Build Dependencies"]["blas"]
+        name = str(config["name"])
+    except (ImportError, AttributeError, KeyError, TypeError):
+        return None, "numpy does not describe its BLAS build"
+    if "openblas" not in name:
+        return None, f"numpy's BLAS is {name!r}, not OpenBLAS"
+    ilp64 = "USE64BITINT" in str(config.get("openblas configuration", ""))
+    prefix = "scipy_" if name.startswith("scipy-openblas") else ""
+    suffix = "64_" if ilp64 else ""
+    symbols = tuple(f"{prefix}cblas_{r}{suffix}" for r in BLAS_ROUTINES)
+    path = _numpy_blas_file()
+    if path is None:
+        return None, "numpy ships no OpenBLAS library file"
+    try:
+        library = ctypes.CDLL(str(path))
+        functions = _blas_functions(library, symbols, ilp64)
+    except (OSError, AttributeError) as error:
+        return None, f"numpy's BLAS {path} is unusable: {error}"
+    mismatch = _probe_blas(*functions)
+    if mismatch is not None:
+        return None, (f"numpy's BLAS {path}: {mismatch} differs from "
+                      "np.matmul")
+    addresses = tuple(ctypes.cast(fn, ctypes.c_void_p).value
+                      for fn in functions)
+    blas = NumpyBlas(str(path), symbols, addresses, ilp64)
+    return blas, blas.describe()
+
+
+def blas_probe() -> Tuple[Optional[NumpyBlas], str]:
+    """numpy's BLAS routines, resolved and probed once per process.
+
+    Returns ``(blas, note)``: ``blas`` is ``None`` when the symbols are
+    missing or a routine fails the bitwise probe, and ``note`` names the
+    library and symbols (or the reason).
+    """
+    global _blas_result
+    with _blas_lock:
+        if _blas_result is None:
+            _blas_result = _resolve_blas()
+        return _blas_result
+
+
+def _reset_blas_cache() -> None:
+    """Test hook: forget the cached resolution."""
+    global _blas_result
+    with _blas_lock:
+        _blas_result = None
+
+
+# ----------------------------------------------------------------------
+# One library per graph
+# ----------------------------------------------------------------------
 class GraphProgram:
     """Lazily-built native code for one compiled graph.
 
-    Kernels :meth:`register` their renderers while the backend compiles
-    nodes; :meth:`table` returns the ``{(node id, role): function}``
-    table, rendering + building on first use. Thread safe: concurrent
-    first requests build once (the build layer additionally guards
-    cross-process races). ``library`` is the built ``.so`` once bound.
+    Segment kernels :meth:`register` their renderers while the backend
+    compiles the graph; :meth:`table` returns ``{segment id: function}``,
+    rendering + building + binding BLAS on first use. Thread safe:
+    concurrent first requests build once (the build layer additionally
+    guards cross-process races). ``library`` is the built ``.so`` and
+    ``blas`` the routines bound into it, once built.
     """
 
     def __init__(self, tag: str = "graph"):
         self.tag = tag
         self.library: Optional[Path] = None
+        self.blas: Optional[NumpyBlas] = None
         self._renderers: List[object] = []
-        self._table: Optional[Dict[tuple, Callable]] = None
+        self._table: Optional[Dict[int, Callable]] = None
         self._lock = threading.Lock()
 
     def register(self, renderer) -> None:
         self._renderers.append(renderer)
 
-    @property
-    def node_count(self) -> int:
-        return len(self._renderers)
-
-    def table(self) -> Dict[tuple, Callable]:
+    def table(self) -> Dict[int, Callable]:
         with self._lock:
             if self._table is None:
                 self._table = self._build()
             return self._table
 
-    def _build(self) -> Dict[tuple, Callable]:
-        segments: List[CSegment] = [r.render() for r in self._renderers]
-        source = render_module(segments, title=self.tag)
+    def _build(self) -> Dict[int, Callable]:
+        blas, note = blas_probe()
+        if blas is None:
+            raise CompileError(f"cannot bind native kernels: {note}")
+        source = render_module([r.render() for r in self._renderers],
+                               title=self.tag, ilp64=blas.ilp64)
         self.library = build_library(source, tag=self.tag)
         library = load_library(self.library)
-        table: Dict[tuple, Callable] = {}
-        for segment in segments:
-            for key, symbol, nargs in segment.functions:
-                fn = getattr(library, symbol)
-                fn.restype = None
-                fn.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * nargs
-                table[key] = fn
+        bind = library.repro_bind_blas
+        bind.restype = None
+        bind.argtypes = [ctypes.c_void_p] * len(blas.addresses)
+        bind(*blas.addresses)
+        self.blas = blas
+        table: Dict[int, Callable] = {}
+        for renderer in self._renderers:
+            fn = getattr(library, renderer.symbol)
+            fn.restype = None
+            fn.argtypes = [ctypes.c_long, ctypes.POINTER(ctypes.c_void_p)]
+            table[renderer.segment_id] = fn
         return table

@@ -123,6 +123,31 @@ class TestBackendParity:
         plan.forward(b_in)
         assert np.array_equal(a, a_copy)
 
+    @pytest.mark.parametrize("family", ["resnet", "mobilenet_v2", "lstm"])
+    def test_compiled_reads_no_stale_scratch(self, family,
+                                             family_artifacts):
+        # The runtime oracle checks only the first batch of each size, so
+        # a native run that skipped a write would serve the previous
+        # batch's bits. Poison every pooled float32 buffer between two
+        # batches of one size (except the zero-bordered padded arenas,
+        # whose border is never written by design).
+        _require("compiled")
+        model, artifact, sample = family_artifacts[family]
+        plan = ExecutionPlan(artifact, backend="compiled")
+        rng = np.random.default_rng(29)
+        first, second = sample(rng, 5), sample(rng, 5)
+        assert np.array_equal(plan.forward(first),
+                              eager_forward(model, first))
+        poisoned = 0
+        for (tag, _, dtype), buffer in plan.compiled.ctx._pool.items():
+            if dtype == np.dtype(np.float32).str \
+                    and not tag.startswith("conv.padded."):
+                buffer.fill(np.nan)
+                poisoned += 1
+        assert poisoned
+        assert np.array_equal(plan.forward(second),
+                              eager_forward(model, second))
+
 
 # ----------------------------------------------------------------------
 # Satellite numerics

@@ -25,6 +25,7 @@ from repro.errors import BackendError, CompileError, ConfigurationError
 from repro.quant.ste import ActivationQuantizer
 from repro.serve import ExecutionPlan
 from repro.serve.backends import get_backend, resolve_backend
+from repro.serve.cli import build_model
 from repro.serve.codegen import (
     build_library,
     c_array,
@@ -37,6 +38,7 @@ from repro.serve.codegen import (
     load_library,
     render_module,
 )
+from repro.serve.codegen import runtime
 from repro.serve.codegen.build import _reset_probe_cache
 from repro.serve.codegen.renderer import MODULE_PREAMBLE, ActQuantC
 from repro.serve.export import build_artifact, eager_forward
@@ -53,6 +55,14 @@ def fresh_cache(tmp_path, monkeypatch):
     directory = tmp_path / "codegen-cache"
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(directory))
     return directory
+
+
+@pytest.fixture
+def fresh_blas():
+    """Resolve numpy's BLAS afresh in this test (and after it)."""
+    runtime._reset_blas_cache()
+    yield
+    runtime._reset_blas_cache()
 
 
 @pytest.fixture
@@ -227,6 +237,20 @@ class TestBackendErrors:
             backend = resolve_backend("compiled")
         assert backend.name == "fused"
 
+    @needs_cc
+    def test_compiled_resolves_to_fused_without_blas(self, monkeypatch,
+                                                     fresh_blas):
+        def missing(library, name):
+            raise AttributeError(f"undefined symbol: {name}")
+
+        monkeypatch.setattr(runtime, "_lookup_symbol", missing)
+        with pytest.warns(RuntimeWarning,
+                          match="falling back to 'fused'") as record:
+            backend = resolve_backend("compiled")
+        assert backend.name == "fused"
+        assert any("BLAS" in str(w.message) and "undefined symbol"
+                   in str(w.message) for w in record)
+
     def test_compiled_plan_degrades_to_fused(self, no_compiler, tmp_path,
                                              trained_mlp, toy_task):
         x, _ = toy_task
@@ -297,7 +321,8 @@ class TestBackendsCLI:
 # Edge-shape parity across all backends
 # ----------------------------------------------------------------------
 EDGE_MODELS = ("conv_odd_channels", "linear_single_feature",
-               "maxpool_tail", "standalone_eltwise", "conv_strided_padded")
+               "maxpool_tail", "standalone_eltwise", "conv_strided_padded",
+               "degenerate_gemms")
 
 
 def _edge_model(case: str):
@@ -333,6 +358,24 @@ def _edge_model(case: str):
             nn.Conv2d(3, 4, 3, stride=2, rng=gen), nn.Flatten(),
             nn.Linear(4 * 2 * 2, 2, rng=gen))
         shape = (3, 11, 11)
+    elif case == "degenerate_gemms":
+        # Every route numpy's matmul takes besides sgemm, with inner
+        # dimensions long enough for BLAS to order its sums its own way:
+        # an inner dimension of 1 (numpy's own loop: 1 input channel at
+        # k1, a k1 depthwise, 1 input feature), one output row or column
+        # (sgemv: 1 output channel, a 1x1 output plane) and a 1x1 result
+        # (sdot: both, and a 1x1 depthwise output at batch 1).
+        model = nn.Sequential(
+            nn.Conv2d(1, 8, 1, rng=gen), nn.ReLU(),
+            nn.Conv2d(8, 8, 1, groups=8, rng=gen), nn.ReLU(),
+            nn.Conv2d(8, 16, 3, padding=1, rng=gen), nn.ReLU(),
+            nn.Conv2d(16, 1, 3, padding=1, rng=gen), nn.ReLU(),
+            nn.Conv2d(1, 32, 3, padding=1, rng=gen), nn.ReLU(),
+            nn.Conv2d(32, 64, 5, rng=gen), nn.ReLU(),
+            nn.Conv2d(64, 64, 3, padding=1, groups=64, rng=gen), nn.ReLU(),
+            nn.Conv2d(64, 1, 1, rng=gen), nn.Flatten(),
+            nn.Linear(1, 2, rng=gen))
+        shape = (1, 5, 5)
     else:
         # Batch-norm / ReLU6 behind a pool: no GEMM to fuse into, so
         # they run as standalone elementwise nodes.
@@ -437,3 +480,55 @@ class TestOneLibraryPerGraph:
         second = plan.compiled.ctx.codegen_program.library
         assert first is not None and first == second
         assert cached_libraries() == [first]
+
+
+# ----------------------------------------------------------------------
+# numpy's BLAS, called from C
+# ----------------------------------------------------------------------
+@needs_cc
+class TestNumpyBlas:
+    def test_resolution_ignores_scipy_openblas(self, fresh_cache,
+                                               fresh_blas):
+        """scipy maps its own (LP64) OpenBLAS into the process; the
+        routines bound into generated code must still be the ones numpy
+        ships and calls."""
+        pytest.importorskip("scipy")
+        import scipy.special  # noqa: F401  (maps scipy's OpenBLAS)
+
+        model, sample = build_model("resnet_tiny", seed=0)
+        rng = np.random.default_rng(31)
+        results = post_training_quantize(model, [sample(rng, 8)])
+        artifact = build_artifact(model, sample(rng, 4),
+                                  layer_results=results, name="rt")
+        plan = ExecutionPlan(artifact, backend="compiled")
+        assert plan.backend == "compiled"
+        for n in (1, 6):
+            x = sample(rng, n)
+            assert np.array_equal(plan.forward(x), eager_forward(model, x))
+        blas = plan.compiled.ctx.codegen_program.blas
+        package = Path(np.__file__).resolve().parent
+        assert Path(blas.path).parent in (package.parent / "numpy.libs",
+                                          package / ".dylibs")
+        assert all("cblas_" in symbol for symbol in blas.symbols)
+
+    def test_runs_are_one_step_each(self, edge_artifacts):
+        """Every maximal run of native nodes is one step of the slot
+        program, and the compile log names each run and each node left
+        as a Python step."""
+        model, path, shape = edge_artifacts["standalone_eltwise"]
+        plan = ExecutionPlan.load(path, backend="compiled")
+        compiled = plan.compiled
+        nodes = compiled.graph.nodes[1:]
+        runs = [line for line in compiled.pass_log
+                if line.startswith("codegen run")]
+        python = [line for line in compiled.pass_log
+                  if line.startswith("python steps")]
+        fallback = [f"{node.kind}#{node.id}" for node in nodes
+                    if node.codegen == "fallback"]
+        assert fallback and len(python) == 1
+        assert python[0].split(": ")[1].split() == fallback
+        assert len(compiled._program) == len(runs) + len(fallback)
+        assert len(runs) < len(nodes) - len(fallback)
+        x = np.random.default_rng(3).normal(size=(2, *shape)).astype(
+            np.float32)
+        assert np.array_equal(plan.forward(x), eager_forward(model, x))

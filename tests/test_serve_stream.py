@@ -367,26 +367,28 @@ class TestChunkedBitExact:
 
     def test_streamed_chunks_stay_native(self, artifacts, monkeypatch):
         """A T=4 chunk of a time-merged graph carries a partial request's
-        rows; the native linear head takes any row count, so no fused
-        fallback kernel is ever created and the chunks still reproduce
-        the offline run."""
+        rows; the native linear head takes any row count, so its run
+        never falls back to the fused kernels and the chunks still
+        reproduce the offline run."""
         _require("compiled")
         from repro.serve.backends import compiled
 
         created = []
+        fused_path = compiled.CodegenSegmentKernel._run_fused
 
-        class RecordingFallback(compiled.FusedLinearKernel):
-            def __init__(self, node, *args):
-                created.append(node.id)
-                super().__init__(node, *args)
+        def recording(kernel, inputs):
+            created.append(kernel.node.id)
+            return fused_path(kernel, inputs)
 
-        monkeypatch.setattr(compiled, "FusedLinearKernel", RecordingFallback)
+        monkeypatch.setattr(compiled.CodegenSegmentKernel, "_run_fused",
+                            recording)
         server = ModelServer(workers=0)
         try:
             server.load("m", artifacts["gru_speech"], backend="compiled")
             plan = server.plan("m")
             assert plan.per_step_output
-            assert any(isinstance(kernel, compiled.CodegenLinearKernel)
+            assert any(isinstance(kernel, compiled.CodegenSegmentKernel)
+                       and kernel.node.kind == "linear"
                        for kernel in plan.compiled.kernels.values())
             seq = sequences_for(plan, 1)[0]
             state, outs = {}, []
