@@ -70,9 +70,11 @@ def test_mixed_bitexact_gemm(benchmark):
 
 #: (model, batch) rows of the kernel-latency report. ResNet-tiny runs
 #: at batch 8, where its conv prologues (not the GEMMs) dominate; the
-#: batch-1 rows are where per-node Python glue weighs most.
+#: batch-1 rows are where per-node Python glue weighs most; the RNN rows
+#: time the recurrence, a Python loop per step on the numpy backends.
 KERNEL_LATENCY_ROWS = (("mobilenet_v2", 16), ("resnet_tiny", 8),
-                       ("resnet_tiny", 1), ("mobilenet_v2", 1))
+                       ("resnet_tiny", 1), ("mobilenet_v2", 1),
+                       ("lstm_lm", 8), ("gru_speech", 8))
 
 
 def test_backend_kernel_latency_report(tmp_path):
@@ -103,6 +105,12 @@ def test_backend_kernel_latency_report(tmp_path):
             pipeline.result.export(sample(rng, 4), path=path)
         artifact = ServeArtifact.load(path)
         x = sample(rng, batch)
+        # A time-merged decoder (the RNN language and speech models)
+        # returns one row per request per time step.
+        graph = compile_graph(artifact, backend="reference").source_graph
+        output = graph.node(graph.output_id)
+        out_rows = batch * (output.output_shape[0] if output.merged_time
+                            else 1)
         timings = rows[model_name, batch] = {}
         for name in backends:
             compiled = compile_graph(artifact, backend=name)
@@ -112,7 +120,7 @@ def test_backend_kernel_latency_report(tmp_path):
                 started = time.perf_counter()
                 out = compiled.run(x)
                 samples.append((time.perf_counter() - started) * 1e3)
-            assert out.shape[0] == batch
+            assert out.shape[0] == out_rows
             timings[name] = sorted(samples)[len(samples) // 2]
             print(f"\n{model_name:<13} b{batch:<3} {name:<9} "
                   f"{timings[name]:8.3f} ms/batch")

@@ -68,8 +68,9 @@ class LSTMCell(_RNNCellBase):
         h, c = state
         gates = self._gates(x, h)
         h_size = self.hidden_size
-        i = gates[:, 0 * h_size:1 * h_size].sigmoid()
-        f = gates[:, 1 * h_size:2 * h_size].sigmoid()
+        # i and f are adjacent gate rows: one sigmoid covers both.
+        i_f = gates[:, 0 * h_size:2 * h_size].sigmoid()
+        i, f = i_f[:, :h_size], i_f[:, h_size:]
         g = gates[:, 2 * h_size:3 * h_size].tanh()
         o = gates[:, 3 * h_size:4 * h_size].sigmoid()
         c_next = f * c + i * g
@@ -97,8 +98,8 @@ class GRUCell(_RNNCellBase):
         gi = x @ w_ih.transpose() + self.bias_ih
         gh = h_in @ w_hh.transpose() + self.bias_hh
         h_size = self.hidden_size
-        r = (gi[:, :h_size] + gh[:, :h_size]).sigmoid()
-        z = (gi[:, h_size:2 * h_size] + gh[:, h_size:2 * h_size]).sigmoid()
+        r_z = (gi[:, :2 * h_size] + gh[:, :2 * h_size]).sigmoid()
+        r, z = r_z[:, :h_size], r_z[:, h_size:]
         n = (gi[:, 2 * h_size:] + r * gh[:, 2 * h_size:]).tanh()
         return (Tensor(np.float32(1.0)) - z) * n + z * h
 

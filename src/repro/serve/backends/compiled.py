@@ -9,7 +9,11 @@ Python. This backend renders every native node to C (see
 folds each maximal run of consecutive native nodes into one generated
 function. A run is one step of the slot program and one ctypes call per
 batch, whatever it holds: compiled resnet_tiny and mobilenet_v2 are
-three Python steps per batch (the run, ``globalavgpool``, ``linear``).
+three Python steps per batch (the run, ``globalavgpool``, ``linear``),
+gru_speech is one (the recurrence, the time merge and the head) and
+lstm_lm two (the ``embedding`` gather, then that run). A recurrent
+node runs its whole time loop in C from the carried state, so
+``run_stateful`` and streamed chunks stay native too.
 
 The GEMMs stay bit-exact because C makes the **identical** BLAS call
 numpy's ``matmul`` makes for the same shapes and strides, into the
@@ -25,10 +29,11 @@ buffer); a call writes only the input addresses. Non-float32 inputs run
 the run's nodes on the fused kernels.
 
 Node kinds outside the renderer's coverage table (reductions with
-numpy-internal accumulation order like ``avgpool``, recurrent cells,
-views, integer gathers) run on the fused backend's kernels inside the
-same plan — the ``annotate_codegen`` pass records the split and the
-compile log lists every run and every remaining Python step.
+numpy-internal accumulation order like ``avgpool``, the ``take_last``
+and ``flatten`` views, integer gathers) run on the fused backend's
+kernels inside the same plan — the ``annotate_codegen`` pass records
+the split and the compile log lists every run and every remaining
+Python step.
 
 Availability: a C compiler (probed once per process: ``$REPRO_CC``,
 ``clang``, ``cc``, ``gcc``) and numpy's BLAS routines, resolved and
@@ -56,7 +61,9 @@ from repro.serve.codegen.renderer import (
     EltwiseRenderer,
     LinearRenderer,
     MaxPoolRenderer,
+    MergeTimeRenderer,
     NodeRenderer,
+    RnnRenderer,
     SegmentRenderer,
 )
 from repro.serve.codegen.runtime import GraphProgram, blas_probe
@@ -66,6 +73,9 @@ _F32 = np.dtype(np.float32)
 
 #: Kinds whose output rows keep their input's row shape.
 _ROW_PRESERVING = ("add", "batchnorm2d", "batchnorm1d", "relu", "relu6")
+
+#: Native kinds that render no code (see ``NodeRenderer.view``).
+_VIEWS = ("merge_time",)
 
 
 def _graph_tag(artifact: ServeArtifact) -> str:
@@ -125,7 +135,9 @@ def native_runs(graph: Graph) -> List[List[IRNode]]:
         for cut in sorted(cuts):
             runs.append(stretch[start:cut + 1])
             start = cut + 1
-    return runs
+    # A run of views alone has no code: its nodes stay Python steps.
+    return [run for run in runs
+            if any(node.kind not in _VIEWS for node in run)]
 
 
 def _renderer(node: IRNode, graph: Graph, artifact: ServeArtifact,
@@ -139,6 +151,10 @@ def _renderer(node: IRNode, graph: Graph, artifact: ServeArtifact,
         return AddRenderer(node, row)
     if kind == "maxpool":
         return MaxPoolRenderer(node, row)
+    if kind == "rnn":
+        return RnnRenderer(node, artifact)
+    if kind == "merge_time":
+        return MergeTimeRenderer(node, rows[node.id])
     return EltwiseRenderer(node, artifact, row)
 
 
@@ -146,7 +162,10 @@ class CodegenSegmentKernel(Kernel):
     """One run of native nodes: one native call per batch.
 
     ``node`` is the run's last (output) node and ``sources`` the values
-    it reads from outside, in pointer-table order.
+    it reads from outside, in pointer-table order. A recurrent node in
+    the run takes its initial state from ``ctx.state_in`` and leaves its
+    final state in ``ctx.state_out`` under ``run_stateful``, as the
+    fused kernel does.
     """
 
     def __init__(self, nodes: Sequence[IRNode], graph: Graph,
@@ -160,12 +179,19 @@ class CodegenSegmentKernel(Kernel):
             sources.extend(s for s in node.inputs
                            if s not in inside and s not in sources)
         self.sources = tuple(sources)
-        self.input_rows = tuple(rows[s] for s in sources)
         self.renderer = SegmentRenderer(
             self.node.id,
             [(_renderer(node, graph, artifact, rows), node.inputs)
              for node in nodes],
             sources)
+        # A run over the time axis checks only the per-step shape: its
+        # time extent is a run-time argument.
+        skip = 2 if self.renderer.temporal else 1
+        self.input_rows = tuple(rows[s][skip - 1:] for s in sources)
+        self._skip = skip
+        self.recurrent = [(renderer, slot)
+                          for renderer, _, slot, _ in self.renderer.layout
+                          if renderer.temporal]
         program.register(self.renderer)
         self.program = program
         self._graph, self._artifact = graph, artifact
@@ -174,33 +200,41 @@ class CodegenSegmentKernel(Kernel):
 
     def describe(self) -> str:
         """One compile-log line: the run's nodes and calls per batch."""
-        per_n, fixed = (sum(calls) for calls in zip(
-            *(r.blas_calls for r, _, _ in self.renderer.layout)))
+        per_n, per_t, fixed = (sum(calls) for calls in zip(
+            *(r.blas_calls for r, _, _, _ in self.renderer.layout)))
         nodes = " ".join(f"{node.kind}#{node.id}" for node in self.nodes)
+        steps = f"{per_t}t + " if per_t else ""
+        dims = ("n, t = leading dim, time steps" if self.renderer.temporal
+                else "n = leading dim")
         return (f"codegen run {self.renderer.symbol}: [{nodes}] -> "
                 f"1 native call per batch "
-                f"({per_n}n + {fixed} BLAS calls, n = leading dim)")
+                f"({per_n}n + {steps}{fixed} BLAS calls, {dims})")
 
     def _bind(self, inputs: Sequence[np.ndarray]):
-        """The native function, the pointer table (every slot but the
-        inputs filled) and the returned view for this batch shape; None
-        when the inputs' row shapes are not the ones the code was
-        rendered for."""
-        if tuple(x.shape[1:] for x in inputs) != self.input_rows:
+        """The native function, ``(n, t)``, the pointer table (every slot
+        but the inputs and initial states filled), the returned view and
+        each pooled buffer by slot, for this input shape; None when the
+        inputs' row shapes are not the ones the code was rendered for."""
+        skip = self._skip
+        if tuple(x.shape[skip:] for x in inputs) != self.input_rows:
             return None
         n = inputs[0].shape[0]
+        t = inputs[0].shape[1] if self.renderer.temporal else 1
         table = (ctypes.c_void_p * self.renderer.slot_count)()
-        for renderer, _, slot in self.renderer.layout:
+        pooled: Dict[int, np.ndarray] = {}
+        for renderer, _, slot, merged in self.renderer.layout:
             for name, array in renderer.constants().items():
                 table[slot[name]] = array.ctypes.data
-            for buffer in renderer.buffers(n):
-                pooled = self.ctx.scratch(buffer.tag, buffer.shape,
-                                          zeroed=buffer.zeroed)
-                table[slot[buffer.name]] = pooled.ctypes.data
-        # The last buffer bound is the run's output (its last node's).
-        result = pooled[:n]
-        return self.program.table()[self.renderer.segment_id], n, table, \
-            result
+            for buffer in renderer.buffers(n * t if merged else n, t):
+                array = self.ctx.scratch(buffer.tag, buffer.shape,
+                                         zeroed=buffer.zeroed)
+                table[slot[buffer.name]] = array.ctypes.data
+                pooled[slot[buffer.name]] = array
+        shape = self.renderer.output_shape(n, t)
+        result = pooled[self.renderer.output_slot].reshape(-1)[
+            :int(np.prod(shape))].reshape(shape)
+        return (self.program.table()[self.renderer.segment_id], n, t, table,
+                result, pooled)
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         for x in inputs:
@@ -212,15 +246,50 @@ class CodegenSegmentKernel(Kernel):
             bound = self._bound[key] = self._bind(inputs) or False
         if bound is False:
             return self._run_fused(inputs)
-        fn, n, table, result = bound
+        fn, n, t, table, result, pooled = bound
+        if self.recurrent:
+            held = self._seed_state(table, n)  # noqa: F841 (kept alive)
+            if held is None:
+                return self._run_fused(inputs)
         for slot, x in enumerate(inputs):
             if not x.flags.c_contiguous:
                 # A strided view (a ``take_last`` slice) from a fallback
                 # node: native code takes raw pointers.
                 x = self._contiguous(x, slot)
             table[slot] = x.ctypes.data
-        fn(n, table)
+        fn(n, t, table)
+        if self.recurrent and self.ctx.carry_state:
+            for renderer, slot in self.recurrent:
+                # h/c live in pooled scratch; hand out copies.
+                final = {"c": None}
+                for key in renderer.state_keys:
+                    final[key] = [pooled[slot[f"{key}{index}"]].copy()
+                                  for index in range(len(renderer.layers))]
+                self.ctx.state_out[renderer.node_id] = final
         return result
+
+    def _seed_state(self, table, n: int):
+        """Point each recurrent node's initial-state slots at the carried
+        state, or NULL (zeros) outside ``run_stateful``. Returns the
+        arrays the table now points into, or None when a carried state
+        does not fit the batch."""
+        held = []
+        for renderer, slot in self.recurrent:
+            state = (self.ctx.state_in.get(renderer.node_id)
+                     if self.ctx.carry_state else None)
+            for key in renderer.state_keys:
+                layers = state.get(key) if state is not None else None
+                for index in range(len(renderer.layers)):
+                    address = None
+                    if layers is not None:
+                        array = np.ascontiguousarray(layers[index],
+                                                     dtype=np.float32)
+                        if array.shape != (n, renderer.hidden):
+                            return None
+                        held.append(array)
+                        address = array.ctypes.data
+                    table[slot[f"{key}_in{index}"]] = address
+        return held
 
     def _contiguous(self, x: np.ndarray, slot: int) -> np.ndarray:
         buffer = self.ctx.scratch(f"cg.in{self.node.id}.{slot}", x.shape)
@@ -229,7 +298,7 @@ class CodegenSegmentKernel(Kernel):
 
     def _run_fused(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         """The run's nodes on the fused kernels, bit-exact off the native
-        path (non-float32 inputs)."""
+        path (non-float32 inputs, a carried state of another shape)."""
         if self._fused is None:
             backend = FusedBackend()
             self._fused = [backend.compile_node(node, self._graph,
@@ -275,14 +344,16 @@ class CompiledBackend(KernelBackend):
         ctx.codegen_program = program
         rows = row_shapes(graph)
         kernels: Dict[int, Kernel] = {}
+        covered = {graph.input_id}
         for run in native_runs(graph):
             kernel = CodegenSegmentKernel(run, graph, artifact, ctx,
                                           program, rows)
             kernels[kernel.node.id] = kernel
+            covered.update(node.id for node in run)
             log.append(kernel.describe())
         steps = []
         for node in graph.nodes:
-            if node.id != graph.input_id and node.codegen != "native":
+            if node.id not in covered:
                 kernels[node.id] = self._fused.compile_node(
                     node, graph, artifact, ctx)
                 steps.append(f"{node.kind}#{node.id}")

@@ -58,7 +58,7 @@ from repro.serve.backends.reference import (
 )
 from repro.serve.ir import Graph, IRNode
 from repro.tensor.conv import _output_size, pool_windows
-from repro.tensor.tensor import stable_sigmoid
+from repro.tensor import stable_sigmoid, stable_tanh
 
 
 # ----------------------------------------------------------------------
@@ -477,13 +477,13 @@ class FusedRnnKernel(Kernel):
         # one sigmoid call covers both (element-wise fn: identical bits).
         i_f = stable_sigmoid(gates[:, 0 * size:2 * size])
         i, f = i_f[:, :size], i_f[:, size:]
-        g = np.tanh(gates[:, 2 * size:3 * size])
+        g = stable_tanh(gates[:, 2 * size:3 * size])
         o = stable_sigmoid(gates[:, 3 * size:4 * size])
         # c = f*c + i*g, h = o*tanh(c) — same order, in place.
         fc = np.multiply(f, c, out=f)
         ig = np.multiply(i, g, out=g)
         np.add(fc, ig, out=c)
-        np.multiply(o, np.tanh(c), out=h)
+        np.multiply(o, stable_tanh(c), out=h)
 
     def _gru_step(self, cell, gi_t, h, gh):
         size = cell.hidden
@@ -492,7 +492,7 @@ class FusedRnnKernel(Kernel):
         # r and z share one sigmoid over the adjacent gate rows.
         r_z = stable_sigmoid(gi_t[:, :2 * size] + gh[:, :2 * size])
         r, z = r_z[:, :size], r_z[:, size:]
-        ngate = np.tanh(gi_t[:, 2 * size:] + r * gh[:, 2 * size:])
+        ngate = stable_tanh(gi_t[:, 2 * size:] + r * gh[:, 2 * size:])
         # h = (1 - z)*n + z*h — z*h read before h is overwritten.
         zh = np.multiply(z, h, out=gh[:, :size])
         onez = np.subtract(np.float32(1.0), z, out=gh[:, size:2 * size])

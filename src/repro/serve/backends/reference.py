@@ -31,7 +31,7 @@ from repro.serve.backends.base import (
 )
 from repro.serve.ir import Graph, IRNode
 from repro.tensor.conv import _im2col, _output_size, pool_windows
-from repro.tensor.tensor import stable_sigmoid
+from repro.tensor import stable_sigmoid, stable_tanh
 
 
 # ----------------------------------------------------------------------
@@ -290,12 +290,12 @@ class RnnKernel(Kernel):
         gates = (row_stable_matmul(x, cell.w_ih.T) + cell.b_ih
                  + row_stable_matmul(h, cell.w_hh.T) + cell.b_hh)
         size = cell.hidden
-        i = stable_sigmoid(gates[:, 0 * size:1 * size])
-        f = stable_sigmoid(gates[:, 1 * size:2 * size])
-        g = np.tanh(gates[:, 2 * size:3 * size])
+        i_f = stable_sigmoid(gates[:, 0 * size:2 * size])
+        i, f = i_f[:, :size], i_f[:, size:]
+        g = stable_tanh(gates[:, 2 * size:3 * size])
         o = stable_sigmoid(gates[:, 3 * size:4 * size])
         c_next = f * c + i * g
-        return o * np.tanh(c_next), c_next
+        return o * stable_tanh(c_next), c_next
 
     @staticmethod
     def _gru_step(cell, x, h):
@@ -307,9 +307,9 @@ class RnnKernel(Kernel):
         gi = row_stable_matmul(x_in, cell.w_ih.T) + cell.b_ih
         gh = row_stable_matmul(h_in, cell.w_hh.T) + cell.b_hh
         size = cell.hidden
-        r = stable_sigmoid(gi[:, :size] + gh[:, :size])
-        z = stable_sigmoid(gi[:, size:2 * size] + gh[:, size:2 * size])
-        n = np.tanh(gi[:, 2 * size:] + r * gh[:, 2 * size:])
+        r_z = stable_sigmoid(gi[:, :2 * size] + gh[:, :2 * size])
+        r, z = r_z[:, :size], r_z[:, size:]
+        n = stable_tanh(gi[:, 2 * size:] + r * gh[:, 2 * size:])
         return (np.float32(1.0) - z) * n + z * h
 
 

@@ -4,8 +4,10 @@
 with one entry point per run of native nodes, the batch size a run-time
 argument: :mod:`renderer` emits the source (quantizer clips and epilogue
 constants baked in as literals, GEMMs as the calls numpy's ``matmul``
-makes), :mod:`build` probes for a C compiler once and maintains a
-content-hash-keyed ``.so`` cache with atomic publication, and
+makes, an RNN's time loop as a call into the one recurrent library
+every graph shares), :mod:`build` probes for a C compiler once and
+maintains a content-hash-keyed ``.so`` cache with atomic publication,
+and
 :mod:`runtime` resolves numpy's own BLAS routines, hands them to the
 built library once at load and binds its entry points through
 ``ctypes``. The ``compiled`` backend

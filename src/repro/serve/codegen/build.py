@@ -33,7 +33,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CompileError
 from repro.util.hashing import stable_digest
@@ -194,40 +194,74 @@ def build_library(source: str, tag: str = "graph") -> Path:
     """Compile ``source`` to a shared library, reusing the cache when the
     identical source was built before. Raises :class:`CompileError` when
     no compiler is available or the compiler rejects the source."""
+    return build_libraries([(source, tag, ())])[0]
+
+
+def build_libraries(units: Sequence[Tuple[str, str, Tuple[str, ...]]]
+                    ) -> List[Path]:
+    """:func:`build_library` for several ``(source, tag, extra flags)``
+    units at once: the compilers of the units not cached yet run side by
+    side. Extra flags follow the probed ones and join the cache key."""
     compiler, flags, note = _probe()
     if compiler is None:
         raise CompileError(f"cannot build native kernels: {note}")
-    digest = source_digest(source, compiler, flags)
     directory = cache_dir()
-    library = directory / f"{tag}-{digest}.so"
-    if library.exists():
-        return library
+    libraries = [directory / f"{tag}-"
+                 f"{source_digest(source, compiler, flags + tuple(extra))}.so"
+                 for source, tag, extra in units]
+    if all(library.exists() for library in libraries):
+        return libraries
     with _build_lock:
-        if library.exists():
-            return library
-        c_file = directory / f"{tag}-{digest}.c"
-        c_file.write_text(source)
-        handle, tmp_name = tempfile.mkstemp(
-            prefix=f".{tag}-{digest}-", suffix=".so.tmp", dir=str(directory))
-        os.close(handle)
-        command = [compiler, *flags, "-o", tmp_name, str(c_file), "-lm"]
-        try:
-            proc = subprocess.run(command, stdout=subprocess.PIPE,
-                                  stderr=subprocess.PIPE, timeout=300)
-        except (OSError, subprocess.SubprocessError) as error:
-            os.unlink(tmp_name)
-            raise CompileError(
-                f"compiler invocation failed: {' '.join(command)}: {error}"
-            ) from error
-        if proc.returncode != 0:
-            os.unlink(tmp_name)
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
-            tail = "\n".join(stderr.splitlines()[-12:])
-            raise CompileError(
-                f"compiler exited {proc.returncode}: {' '.join(command)}\n"
-                f"{tail}")
-        os.replace(tmp_name, library)  # atomic publish
-    return library
+        jobs = []
+        for (source, tag, extra), library in zip(units, libraries):
+            if library.exists() or any(library == job[0] for job in jobs):
+                continue
+            c_file = library.with_suffix(".c")
+            c_file.write_text(source)
+            handle, tmp_name = tempfile.mkstemp(
+                prefix=f".{library.stem}-", suffix=".so.tmp",
+                dir=str(directory))
+            os.close(handle)
+            command = [compiler, *flags, *extra, "-o", tmp_name,
+                       str(c_file), "-lm"]
+            try:
+                proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE)
+            except OSError as error:
+                os.unlink(tmp_name)
+                _reap(jobs)
+                raise CompileError(
+                    f"compiler invocation failed: {' '.join(command)}: "
+                    f"{error}") from error
+            jobs.append((library, tmp_name, command, proc))
+        failure = None
+        for library, tmp_name, command, proc in jobs:
+            try:
+                _, stderr = proc.communicate(timeout=300)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                _, stderr = proc.communicate()
+            if proc.returncode != 0:
+                os.unlink(tmp_name)
+                text = stderr.decode("utf-8", "replace").strip()
+                tail = "\n".join(text.splitlines()[-12:])
+                failure = failure or CompileError(
+                    f"compiler exited {proc.returncode}: "
+                    f"{' '.join(command)}\n{tail}")
+                continue
+            os.replace(tmp_name, library)  # atomic publish
+        if failure is not None:
+            raise failure
+    return libraries
+
+
+def _reap(jobs) -> None:
+    """Stop and clean up compilers already started (a later start
+    failed)."""
+    for _, tmp_name, _, proc in jobs:
+        proc.kill()
+        proc.communicate()
+        os.unlink(tmp_name)
 
 
 def cached_libraries() -> List[Path]:

@@ -3,12 +3,15 @@ from C; one call per native run.
 
 Walks compiled IR nodes and emits one C translation unit per graph.
 Each maximal run of native nodes becomes one entry point
-``seg<id>(long n, void *const *b)`` (:class:`SegmentRenderer`) that
-calls one ``static`` function per node in order: stage/gather, then the
-node's GEMM through numpy's own BLAS, then the epilogue. ``n`` is the
-leading dimension of the run's input (requests; rows after a time merge)
-and each node derives its own count from it; ``b`` is the run's pointer
-table — run inputs first, then every node's weights and pooled buffers.
+``seg<id>(long n, long t, void *const *b)`` (:class:`SegmentRenderer`)
+that calls one ``static`` function per node in order: stage/gather, then
+the node's GEMM through numpy's own BLAS, then the epilogue. ``n`` is the
+leading dimension of the run's input (requests, or rows) and ``t`` its
+time extent; each node derives its own count from them (``n * t`` after
+a time merge); ``b`` is the run's pointer table — run inputs first, then
+every node's weights and pooled buffers. A recurrent node's whole time
+loop runs in the recurrent library (:func:`rnn_module`), one build
+shared by every graph.
 Everything else — per-request strides, spatial bounds, padding widths,
 quantizer clip constants and epilogue tables — is baked in as a
 literal, so the compiler sees static inner loop nests.
@@ -16,10 +19,12 @@ literal, so the compiler sees static inner loop nests.
 **Bit-exactness is the design constraint, not speed at any cost.** The
 generated loops cover exactly the ops whose numpy implementations are
 per-element IEEE-754 float32 arithmetic in a fixed order (quantizer
-chains, bias/batch-norm/ReLU epilogues, window gathers, max-pooling) —
-for those, C code compiled with ``-ffp-contract=off -fno-fast-math``
-reproduces numpy bit for bit. GEMM accumulation order is BLAS-internal,
-so GEMMs are never written as C loops: the generated ``matmul`` makes
+chains, bias/batch-norm/ReLU epilogues, window gathers, max-pooling, and
+the RNN gates, whose sigmoid/tanh :mod:`repro.tensor.activations`
+defines as such a sequence) — for those, C code compiled with
+``-ffp-contract=off -fno-fast-math`` reproduces numpy bit for bit.
+GEMM accumulation order is BLAS-internal, so GEMMs are never written
+as C loops: the generated ``matmul`` makes
 the call numpy's ``matmul`` makes for the same shapes and strides
 (sgemm, sgemv or sdot, or numpy's own loop when the inner dimension is
 1), through function pointers into the library numpy itself loaded
@@ -50,13 +55,15 @@ import numpy as np
 from repro.errors import RendererError
 from repro.serve.artifact import ServeArtifact, decode_weight_record
 from repro.serve.ir import IRNode
+from repro.tensor import activations as act
 
-#: Node kinds the renderer has templates for. Anything else (GEMM-order
-#: sensitive reductions, views, recurrent cells, integer gathers) is
-#: served by the fused backend's kernels inside the compiled plan.
+#: Node kinds the renderer has templates for (``merge_time`` is a view:
+#: no code, no buffer). Anything else (reductions numpy orders its own
+#: way, the ``take_last``/``flatten`` views, integer gathers) is served
+#: by the fused backend's kernels inside the compiled plan.
 NATIVE_KINDS = frozenset({
     "conv", "linear", "add", "batchnorm2d", "batchnorm1d",
-    "relu", "relu6", "maxpool",
+    "relu", "relu6", "maxpool", "rnn", "merge_time",
 })
 
 MODULE_PREAMBLE = """\
@@ -368,17 +375,22 @@ class Buffer:
 
 class NodeRenderer:
     """One native node: a ``static void k<id>(long n, void *const *b)``
-    called by its segment.
+    called by its segment, ``n`` the node's leading dimension.
 
     ``slots`` names the pointer-table entries the node owns beyond its
     inputs: :meth:`constants` (weights, bound once) and :meth:`buffers`
-    (pooled scratch, bound once per batch size), ending with ``"out"``,
+    (pooled scratch, bound once per input shape), ending with ``"out"``,
     the node's output, shaped ``(rows,) + row_shape`` with ``rows >= n``.
-    BLAS calls per batch are ``blas_calls[0] * n + blas_calls[1]``.
+    BLAS calls per batch are ``blas_calls[0] * n + blas_calls[1] * t +
+    blas_calls[2]``. A ``temporal`` node (the RNN) runs over the time
+    axis: its function is ``k<id>(long n, long t, void *const *b)``; a
+    ``view`` emits no code and owns no slot.
     """
 
     slots: Tuple[str, ...] = ("out",)
-    blas_calls: Tuple[int, int] = (0, 0)
+    blas_calls: Tuple[int, int, int] = (0, 0, 0)
+    temporal = False
+    view = False
 
     def __init__(self, node: IRNode, row_shape: Tuple[int, ...]):
         if not supports(node):
@@ -393,8 +405,13 @@ class NodeRenderer:
     def constants(self) -> Dict[str, np.ndarray]:
         return {}
 
-    def buffers(self, n: int) -> List[Buffer]:
+    def buffers(self, n: int, t: int = 1) -> List[Buffer]:
         return [Buffer("out", f"out{self.node_id}", (n,) + self.row_shape)]
+
+    def out_shape(self, n: int, t: int) -> Tuple[int, ...]:
+        """The node's output for leading dimension ``n`` (and time
+        extent ``t``)."""
+        return (n,) + self.row_shape
 
     def emit(self, symbol: str, inputs: Sequence[int],
              slot: Dict[str, int]) -> str:
@@ -457,7 +474,7 @@ class ConvRenderer(NodeRenderer):
         if self.depthwise:
             slots.append("gemv")
         self.slots = tuple(slots) + ("out",)
-        self.blas_calls = (0, self.cin) if self.depthwise else (1, 0)
+        self.blas_calls = (0, 0, self.cin) if self.depthwise else (1, 0, 0)
 
     @property
     def stages_input(self) -> bool:
@@ -469,7 +486,7 @@ class ConvRenderer(NodeRenderer):
     def constants(self) -> Dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def buffers(self, n: int) -> List[Buffer]:
+    def buffers(self, n: int, t: int = 1) -> List[Buffer]:
         k, p = self.kernel, self.oh * self.ow
         out: List[Buffer] = []
         if self.stages_input:
@@ -660,7 +677,7 @@ class LinearRenderer(NodeRenderer):
     bits never depend on the row count."""
 
     slots = ("w", "lhs", "out")
-    blas_calls = (0, 1)
+    blas_calls = (0, 0, 1)
 
     def __init__(self, node: IRNode, artifact: ServeArtifact,
                  row_shape: Tuple[int, ...]):
@@ -677,7 +694,7 @@ class LinearRenderer(NodeRenderer):
     def constants(self) -> Dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def buffers(self, n: int) -> List[Buffer]:
+    def buffers(self, n: int, t: int = 1) -> List[Buffer]:
         rows = max(n, 2)
         # The GEMM's left operand: the quantized rows, or (unquantized)
         # only the duplicated single row.
@@ -831,17 +848,418 @@ class MaxPoolRenderer(NodeRenderer):
 
 
 # ----------------------------------------------------------------------
+# Recurrent layers: the owned gate activations and the time loop
+# ----------------------------------------------------------------------
+#: Lanes of the vector type the activation loops run on (GNU C vector
+#: extensions: element-wise IEEE float32 arithmetic, so each lane gets
+#: exactly the scalar sequence's bits).
+VECTOR_LANES = 8
+
+
+def activation_functions(prefix: str) -> str:
+    """``<prefix>_sigmoid_v``/``<prefix>_tanh_v(long m, float *v)``,
+    applied in place over ``m`` floats: the float32 operation sequences
+    :mod:`repro.tensor.activations` defines, statement for statement and
+    with its constants, so each returns numpy's bits.
+
+    They are written on an 8-lane vector type, so they run vectorized
+    without the compiler's auto-vectorizer (the recurrent library is
+    built without it, to keep its build short); a tail shorter than a
+    vector is padded with zeros. Selects are bit masks. ``rint`` is the
+    round-half-even magic add (exact for |k| <= 2**22; a ``-0.0`` it
+    turns into ``+0.0`` only flips the sign of an ``r`` that is itself 0,
+    which ``p`` absorbs). ``ldexp`` is two multiplies: by ``2**(k+64)``,
+    exact, since the product stays normal, then by ``2**-64``, the one
+    rounding ``ldexp`` itself performs. The exponent is clamped before
+    its float-to-int conversion, so neither a NaN nor an out-of-range
+    value is ever converted.
+    """
+    f = c_float
+    poly = "\n".join(f"  p = p + {f(c)};\n  p = p * r;"
+                     for c in act.EXP_POLY[1:-1])
+    tpoly = "\n".join(f"  q = q + {f(c)};\n  q = q * z;"
+                      for c in act.TANH_POLY[1:])
+    small = f(act.TANH_SMALL)
+    sel, splat = f"{prefix}_sel", f"{prefix}_splat"
+    loops = "\n".join(f"""\
+static NOINLINE void {prefix}_{name}_v(long m, float *v) {{
+  long i = 0;
+  for (; i + {VECTOR_LANES} <= m; i += {VECTOR_LANES}) {{
+    vf x;
+    __builtin_memcpy(&x, v + i, sizeof x);
+    x = {prefix}_{name}(x);
+    __builtin_memcpy(v + i, &x, sizeof x);
+  }}
+  if (i < m) {{
+    vf x = {{0}};
+    __builtin_memcpy(&x, v + i, (m - i) * sizeof(float));
+    x = {prefix}_{name}(x);
+    __builtin_memcpy(v + i, &x, (m - i) * sizeof(float));
+  }}
+}}""" for name in ("sigmoid", "tanh"))
+    return f"""\
+typedef float vf __attribute__((vector_size({4 * VECTOR_LANES})));
+typedef int vi __attribute__((vector_size({4 * VECTOR_LANES})));
+static inline vf {prefix}_sel(vi m, vf a, vf b) {{  /* m ? a : b */
+  return (vf)((m & (vi)a) | (~m & (vi)b));
+}}
+static inline vf {prefix}_splat(float c) {{
+  vf v = {{0}};
+  return v + c;
+}}
+static inline vf {prefix}_exp(vf a) {{  /* a <= 0, or NaN */
+  a = {sel}(a < {f(act.EXP_FLOOR)}, {splat}({f(act.EXP_FLOOR)}), a);
+  vf k = a * {f(act.LOG2E)};
+  k = (k + {RNE_MAGIC}) - {RNE_MAGIC};  /* rint */
+  vf r = a - k * {f(act.LN2_HI)};
+  r = r - k * {f(act.LN2_LO)};
+  vf p = r * {f(act.EXP_POLY[0])};
+{poly}
+  p = p + {f(act.EXP_POLY[-1])};
+  p = p * (r * r);
+  p = p + r;
+  p = p + 1.0f;
+  vf kc = {sel}(k > {f(act.K_FLOOR)}, k, {splat}({f(act.K_FLOOR)}));
+  vi scale = (__builtin_convertvector(kc, vi) + 191) << 23;  /* 2**(k+64) */
+  return (p * (vf)scale) * 0x1p-64f;
+}}
+static inline vf {prefix}_sigmoid(vf x) {{
+  vf e = {prefix}_exp(-(vf)((vi)x & 0x7fffffff));
+  vf num = {prefix}_sel(x >= 0.0f, {prefix}_splat(1.0f), e);
+  return num / (e + 1.0f);
+}}
+static inline vf {prefix}_tanh(vf x) {{
+  vf a = (vf)((vi)x & 0x7fffffff);
+  vf s = {prefix}_sel(x < -{small}, {prefix}_splat(-{small}), x);
+  s = {prefix}_sel(s > {small}, {prefix}_splat({small}), s);
+  vf z = s * s;
+  vf q = z * {f(act.TANH_POLY[0])};
+{tpoly}
+  q = q * s;
+  q = q + s;
+  vf b = {sel}(a > {f(act.TANH_CLAMP)}, {splat}({f(act.TANH_CLAMP)}), a);
+  vf e = {prefix}_exp(b * -2.0f);
+  vf big = 1.0f - e;
+  big = big / (e + 1.0f);
+  vf t = {prefix}_sel(a < {small}, q, big);
+  /* copysign */
+  return (vf)(((vi)t & 0x7fffffff) | ((vi)x & (int)0x80000000u));
+}}
+{loops}"""
+
+
+class RnnRenderer(NodeRenderer):
+    """LSTM/GRU: every layer's whole time loop, one ``repro_rnn_layer``
+    call per layer (see :func:`rnn_module`).
+
+    Per layer, in the fused kernel's order: activation fake-quant of the
+    ``(n*t, in)`` input sequence, the hoisted input GEMM over all ``n*t``
+    rows (+ ``b_ih``), then per step the fake-quant of ``h``, the
+    recurrent GEMM ``h @ W_hh.T`` (a 1-row ``h`` as the duplicated
+    two-row GEMM ``row_stable_matmul`` makes) and the gate and ``c``/``h``
+    update with the repo's own sigmoid/tanh, in the reference's op order.
+    Layers run to completion one after another, the last writing the
+    node's ``(n, t, hidden)`` output. The ``h_in<l>``/``c_in<l>`` slots
+    carry a layer's initial state (NULL: zeros) and its ``h<l>``/``c<l>``
+    buffers hold the final state after the call, so a stateful run stays
+    native. The node's function only fills the argument block: shapes,
+    quantizer constants and buffer addresses.
+    """
+
+    temporal = True
+
+    def __init__(self, node: IRNode, artifact: ServeArtifact):
+        super().__init__(node, node.output_shape)
+        spec = node.spec
+        self.cell = spec["cell"]
+        self.hidden = spec["hidden_size"]
+        self.gates = (4 if self.cell == "lstm" else 3) * self.hidden
+        arrays = artifact.arrays
+        self.layers = []
+        for cell in spec["cells"]:
+            self.layers.append({
+                "features": cell["input_size"],
+                "wih": np.ascontiguousarray(decode_weight_record(
+                    artifact, cell["weight_ih"]), dtype=np.float32),
+                "whh": np.ascontiguousarray(decode_weight_record(
+                    artifact, cell["weight_hh"]), dtype=np.float32),
+                "bih": np.ascontiguousarray(arrays[cell["bias_ih"]],
+                                            dtype=np.float32),
+                "bhh": np.ascontiguousarray(arrays[cell["bias_hh"]],
+                                            dtype=np.float32),
+                "act": (ActQuantC(cell["act_quant"]) if cell["act_quant"]
+                        else None),
+            })
+        self.state_keys = ("h", "c") if self.cell == "lstm" else ("h",)
+        slots: List[str] = []
+        for index in range(len(self.layers)):
+            slots.extend(f"{name}{index}" for name in ("wih", "whh", "bih",
+                                                       "bhh"))
+            slots.extend(f"{key}_in{index}" for key in self.state_keys)
+            slots.extend(f"{name}{index}" for name in ("xq", "gi", "hq",
+                                                       "gh"))
+            slots.extend(f"{key}{index}" for key in self.state_keys)
+            if index < len(self.layers) - 1:
+                slots.append(f"y{index}")
+        self.slots = tuple(slots) + ("out",)
+        self.blas_calls = (0, len(self.layers), len(self.layers))
+
+    def constants(self) -> Dict[str, np.ndarray]:
+        return {f"{name}{index}": layer[name]
+                for index, layer in enumerate(self.layers)
+                for name in ("wih", "whh", "bih", "bhh")}
+
+    def buffers(self, n: int, t: int = 1) -> List[Buffer]:
+        rows, hidden, gates = max(n * t, 2), self.hidden, self.gates
+        out: List[Buffer] = []
+        last = len(self.layers) - 1
+        for index, layer in enumerate(self.layers):
+            own = f"rnn{self.node_id}.l{index}"
+            out += [Buffer(f"xq{index}", "rnn.xq", (rows, layer["features"])),
+                    Buffer(f"gi{index}", "rnn.gi", (rows, gates)),
+                    Buffer(f"hq{index}", "rnn.hq", (max(n, 2), hidden)),
+                    Buffer(f"gh{index}", "rnn.gh", (max(n, 2), gates))]
+            out += [Buffer(f"{key}{index}", f"{own}.{key}", (n, hidden))
+                    for key in self.state_keys]
+            if index < last:
+                out.append(Buffer(f"y{index}", f"{own}.y", (n, t, hidden)))
+        return out + [Buffer("out", f"out{self.node_id}", (n, t, hidden))]
+
+    def out_shape(self, n: int, t: int) -> Tuple[int, ...]:
+        return (n, t, self.hidden)
+
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        lines = [f"/* {self.name}: {self.cell} x{len(self.layers)} layers, "
+                 f"hidden {self.hidden}: every time loop in "
+                 "repro_rnn_layer */",
+                 f"static NOINLINE void {symbol}(long n, long t, "
+                 "void *const *b) {",
+                 "  struct repro_rnn L = {0};",
+                 f"  L.n = n; L.t = t; L.hidden = {self.hidden}; "
+                 f"L.lstm = {int(self.cell == 'lstm')};"]
+        source = f"b[{inputs[0]}]"
+        last = len(self.layers) - 1
+        for index, layer in enumerate(self.layers):
+            act = layer["act"]
+            lines.append(f"  L.features = {layer['features']}; "
+                         f"L.quant = {int(act is not None)};")
+            if act is not None:
+                lines.append(f"  L.low = {c_float(act.low)}; "
+                             f"L.alpha = {c_float(act.alpha)}; "
+                             f"L.steps = {c_float(act.steps)};")
+            target = slot["out"] if index == last else slot[f"y{index}"]
+            fields = [("x", source), ("y", f"b[{target}]")]
+            fields += [(name, f"b[{slot[f'{name}{index}']}]")
+                       for name in ("wih", "whh", "bih", "bhh", "xq", "gi",
+                                    "hq", "gh")]
+            fields += [(f"{key}0", f"b[{slot[f'{key}_in{index}']}]")
+                       for key in self.state_keys]
+            fields += [(key, f"b[{slot[f'{key}{index}']}]")
+                       for key in self.state_keys]
+            lines.extend(f"  L.{name} = {value};" for name, value in fields)
+            lines.append("  rnn_layer(&L);")
+            source = f"b[{target}]"
+        return "\n".join(lines) + "\n}"
+
+
+#: The argument block of ``repro_rnn_layer``, shared by the recurrent
+#: library and the graphs that call it.
+RNN_STRUCT = """\
+struct repro_rnn {
+  long n, t, features, hidden;
+  int lstm, quant;  /* cell kind; fake-quant of x and h */
+  float low, alpha, steps;  /* the quantizer's clip range and grid */
+  const float *x, *wih, *whh, *bih, *bhh, *h0, *c0;  /* h0/c0: NULL = 0 */
+  float *xq, *gi, *hq, *gh, *h, *c, *y;
+};
+typedef void (*rnn_layer_t)(const struct repro_rnn *);
+"""
+
+_RNN_LIBRARY = """\
+/* The fake-quant chain of ActQuantC with run-time constants. */
+static NOINLINE void rnn_quant(long m, const float *restrict x,
+                               float *restrict r, float low, float alpha,
+                               float steps) {{
+  for (long i = 0; i < m; ++i) {{
+    float v = x[i];
+    if (v < low) v = low;
+    if (v > alpha) v = alpha;
+    v = v / alpha;
+    v = v * steps;
+    v = (v + {rne}) - {rne};
+    v = v / steps;
+    v = v * alpha;
+    r[i] = v;
+  }}
+}}
+
+/* One LSTM step over the n rows: preactivations land in the step's gh
+ * row, the activation loops run over its gate spans in place. */
+static NOINLINE void lstm_step(long n, long t, long s, long hd,
+                               const float *restrict gi,
+                               float *restrict gh,
+                               const float *restrict bhh,
+                               float *restrict h, float *restrict c,
+                               float *restrict y) {{
+  const long g4 = 4 * hd;
+  for (long i = 0; i < n; ++i) {{
+    const float *gx = gi + (i * t + s) * g4;
+    float *g = gh + i * g4;
+    float *hr = h + i * hd, *cr = c + i * hd, *yr = y + (i * t + s) * hd;
+    for (long j = 0; j < g4; ++j) g[j] = (gx[j] + g[j]) + bhh[j];
+    rnn_sigmoid_v(2 * hd, g);  /* i, f */
+    rnn_tanh_v(hd, g + 2 * hd);  /* g */
+    rnn_sigmoid_v(hd, g + 3 * hd);  /* o */
+    for (long j = 0; j < hd; ++j) {{
+      float fc = g[hd + j] * cr[j];
+      float ig = g[j] * g[2 * hd + j];
+      cr[j] = fc + ig;
+      g[2 * hd + j] = cr[j];
+    }}
+    rnn_tanh_v(hd, g + 2 * hd);  /* tanh(c) */
+    for (long j = 0; j < hd; ++j) {{
+      float hn = g[3 * hd + j] * g[2 * hd + j];
+      hr[j] = hn;
+      yr[j] = hn;
+    }}
+  }}
+}}
+
+/* One GRU step, the same way. */
+static NOINLINE void gru_step(long n, long t, long s, long hd,
+                              const float *restrict gi, float *restrict gh,
+                              const float *restrict bhh, float *restrict h,
+                              float *restrict y) {{
+  const long g3 = 3 * hd;
+  for (long i = 0; i < n; ++i) {{
+    const float *gx = gi + (i * t + s) * g3;
+    float *g = gh + i * g3;
+    float *hr = h + i * hd, *yr = y + (i * t + s) * hd;
+    for (long j = 0; j < g3; ++j) g[j] = g[j] + bhh[j];
+    for (long j = 0; j < 2 * hd; ++j) g[j] = gx[j] + g[j];
+    rnn_sigmoid_v(2 * hd, g);  /* r, z */
+    for (long j = 0; j < hd; ++j)
+      g[2 * hd + j] = gx[2 * hd + j] + g[j] * g[2 * hd + j];
+    rnn_tanh_v(hd, g + 2 * hd);  /* n */
+    for (long j = 0; j < hd; ++j) {{
+      float zh = g[hd + j] * hr[j];
+      float onez = 1.0f - g[hd + j];
+      float hn = onez * g[2 * hd + j];
+      hn = hn + zh;
+      hr[j] = hn;
+      yr[j] = hn;
+    }}
+  }}
+}}
+
+/* One layer over an (n, t, features) sequence, in the fused kernel's
+ * order: fake-quant of the sequence, the hoisted input GEMM over its
+ * n*t rows (+ b_ih), then per step the fake-quant of h, the recurrent
+ * GEMM (a 1-row h as the duplicated two-row GEMM row_stable_matmul
+ * makes) and the gates. h (and c) end holding the final state. */
+void repro_rnn_layer(const struct repro_rnn *L) {{
+  const long n = L->n, t = L->t, f = L->features, hd = L->hidden;
+  const long gates = (L->lstm ? 4 : 3) * hd, rows = n * t;
+  float *restrict xq = L->xq, *restrict gi = L->gi, *restrict hq = L->hq;
+  float *restrict h = L->h, *restrict c = L->c;
+  const float *lhs = L->x;
+  if (L->quant) {{
+    rnn_quant(rows * f, L->x, xq, L->low, L->alpha, L->steps);
+    lhs = xq;
+  }}
+  if (rows == 1) {{
+    for (long j = 0; j < f; ++j) xq[f + j] = xq[j] = lhs[j];
+    lhs = xq;
+  }}
+  matmul(rows < 2 ? 2 : rows, f, gates, lhs, L->wih, 1, gi);
+  for (long i = 0; i < rows; ++i)
+    for (long j = 0; j < gates; ++j)
+      gi[i * gates + j] = gi[i * gates + j] + L->bih[j];
+  for (long i = 0; i < n * hd; ++i) {{
+    h[i] = L->h0 ? L->h0[i] : 0.0f;
+    if (L->lstm) c[i] = L->c0 ? L->c0[i] : 0.0f;
+  }}
+  for (long s = 0; s < t; ++s) {{
+    const float *hl = h;
+    if (L->quant) {{
+      rnn_quant(n * hd, h, hq, L->low, L->alpha, L->steps);
+      hl = hq;
+    }}
+    if (n == 1) {{
+      for (long j = 0; j < hd; ++j) hq[hd + j] = hq[j] = hl[j];
+      hl = hq;
+    }}
+    matmul(n < 2 ? 2 : n, hd, gates, hl, L->whh, 1, L->gh);
+    if (L->lstm)
+      lstm_step(n, t, s, hd, gi, L->gh, L->bhh, h, c, L->y);
+    else
+      gru_step(n, t, s, hd, gi, L->gh, L->bhh, h, L->y);
+  }}
+}}
+"""
+
+
+def rnn_module(ilp64: bool = True) -> str:
+    """The recurrent library: ``repro_rnn_layer`` over run-time shapes and
+    quantizer constants, with the owned activations and numpy's BLAS. Its
+    source is the same for every model, so one build (cached by content
+    hash) serves every recurrent graph of a process; each graph library
+    gets its address bound at load (``repro_bind_rnn``)."""
+    return (f"{MODULE_PREAMBLE}#define NOINLINE __attribute__((noinline))"
+            f"\n\n{blas_preamble(ilp64)}\n{RNN_STRUCT}\n"
+            f"{activation_functions('rnn')}\n\n"
+            + _RNN_LIBRARY.format(rne=RNE_MAGIC))
+
+
+#: Extra flags of the recurrent library's build (after the probed ones,
+#: so its ``-O`` wins). Its hot loops are written on vector types, so
+#: ``-O3`` and the auto-vectorizer add no speed, only build time: they
+#: vectorize the small glue loops, and the build takes ~1.5x as long.
+RNN_CFLAGS = ("-O1",)
+
+
+#: Goes ahead of the segments of a graph with recurrent nodes: the slot
+#: they call the recurrent library's layer loop through.
+RNN_BINDING = RNN_STRUCT + """\
+/* The recurrent library's layer loop, bound once at load. */
+static rnn_layer_t rnn_layer;
+
+void repro_bind_rnn(void *layer) {
+  rnn_layer = (rnn_layer_t)layer;
+}
+"""
+
+
+class MergeTimeRenderer(NodeRenderer):
+    """``(n, t, f) -> (n*t, f)``: a view. The nodes after it in the run
+    take ``n * t`` as their leading dimension and read the same buffer."""
+
+    slots = ()
+    view = True
+
+    def emit(self, symbol: str, inputs: Sequence[int],
+             slot: Dict[str, int]) -> str:
+        return ""
+
+
+# ----------------------------------------------------------------------
 # Segments and the module
 # ----------------------------------------------------------------------
 class SegmentRenderer:
     """A run of native nodes as one entry point
-    ``seg<id>(long n, void *const *b)`` that calls each node's function
-    in order.
+    ``seg<id>(long n, long t, void *const *b)`` that calls each node's
+    function in order.
 
-    The pointer table ``b`` holds the run's inputs in slots
-    ``0 .. len(inputs) - 1`` (the only entries written per call), then
-    each node's ``slots`` in node order. ``layout`` lists
-    ``(renderer, input slots, {slot name: index})`` per node.
+    ``n`` is the leading dimension of the run's input and ``t`` its time
+    extent (its second dimension) when the run holds a ``temporal`` node
+    or a time merge, else 1. Nodes after a ``merge_time`` take ``n * t``
+    as their leading dimension. The pointer table ``b`` holds the run's
+    inputs in slots ``0 .. len(inputs) - 1`` (the only entries written
+    per call, with a recurrent node's initial-state slots), then each
+    node's ``slots`` in node order. ``layout`` lists ``(renderer, input
+    slots, {slot name: index}, merged)`` per non-view node, ``merged``
+    telling whether it runs after the time merge.
     """
 
     def __init__(self, segment_id: int,
@@ -849,29 +1267,57 @@ class SegmentRenderer:
                  inputs: Sequence[int]):
         self.segment_id = segment_id
         self.symbol = f"seg{segment_id}"
+        self.temporal = any(r.temporal or r.view for r, _ in nodes)
+        #: Whether the run calls the recurrent library.
+        self.recurrent = any(r.temporal for r, _ in nodes)
+        if self.temporal and len(inputs) != 1:
+            raise RendererError(
+                f"segment {segment_id}: a run over the time axis must have "
+                f"one input, not {len(inputs)}")
         where = {node_id: index for index, node_id in enumerate(inputs)}
         self.layout: List[Tuple[NodeRenderer, Tuple[int, ...],
-                                Dict[str, int]]] = []
+                                Dict[str, int], bool]] = []
         count = len(inputs)
+        merged = False
         for renderer, sources in nodes:
+            if renderer.view:
+                where[renderer.node_id] = where[sources[0]]
+                merged = True
+                continue
             slot = {name: count + index
                     for index, name in enumerate(renderer.slots)}
             count += len(renderer.slots)
             self.layout.append((renderer, tuple(where[s] for s in sources),
-                                slot))
+                                slot, merged))
             where[renderer.node_id] = slot["out"]
         self.slot_count = count
+        last = nodes[-1][0]
+        #: The run's output: its pointer-table slot and whether it is
+        #: read with the merged (``n * t``) leading dimension.
+        self.output_slot = where[last.node_id]
+        self.output_merged = merged
+        self.output_renderer = last
+
+    def output_shape(self, n: int, t: int) -> Tuple[int, ...]:
+        """Shape of the run's output for input leading dims ``(n, t)``."""
+        last = self.output_renderer
+        if last.temporal:
+            return last.out_shape(n, t)
+        return last.out_shape(n * t if self.output_merged else n, t)
 
     def render(self) -> str:
         parts = [renderer.emit(f"k{renderer.node_id}", inputs, slot)
-                 for renderer, inputs, slot in self.layout]
-        calls = "\n".join(f"  k{renderer.node_id}(n, b);"
-                          for renderer, _, _ in self.layout)
+                 for renderer, inputs, slot, _ in self.layout]
+        calls = []
+        for renderer, _, _, merged in self.layout:
+            count = "n, t" if renderer.temporal else (
+                "n * t" if merged else "n")
+            calls.append(f"  k{renderer.node_id}({count}, b);")
         parts.append(f"""\
 /* segment {self.segment_id}: {len(self.layout)} nodes, one call per batch */
-void {self.symbol}(long n, void *const *b) {{
-  if (n <= 0) return;
-{calls}
+void {self.symbol}(long n, long t, void *const *b) {{
+  if (n <= 0 || t <= 0) return;
+{chr(10).join(calls)}
 }}""")
         return "\n\n".join(parts)
 

@@ -13,16 +13,22 @@ Two jobs:
   once scipy is imported that is scipy's LP64 build, which lacks these
   symbols. Every bound routine must then reproduce ``np.matmul``
   bitwise on a fixed probe, or the backend reports itself unavailable.
-- **Load one library per graph** (:class:`GraphProgram`). Each
+- **Load one library per graph** (:class:`GraphProgram`), plus the
+  recurrent library (:func:`~repro.serve.codegen.renderer.rnn_module`)
+  its recurrent nodes call, built alongside it. Each
   :class:`~repro.serve.codegen.renderer.SegmentRenderer` registered at
-  kernel-compile time contributes one ``seg<id>(long n, void *const *b)``
-  entry point: one call per native run, with ``n`` the run input's
-  leading dimension and ``b`` the run's pointer table. The first request
+  kernel-compile time contributes one
+  ``seg<id>(long n, long t, void *const *b)`` entry point: one call per
+  native run, with ``n`` the run input's leading dimension, ``t`` its
+  time extent (1 for a run without a time axis) and ``b`` the run's
+  pointer table. The first request
   renders the translation unit, builds (or reuses) the cached ``.so``,
   hands it the BLAS function pointers once, and binds the entry points.
 
 Libraries are ``dlopen``ed once per process and memoized: two models
-compiled from the same artifact share one mapped library.
+compiled from the same artifact share one mapped library, and every
+recurrent graph shares the one recurrent library (its source does not
+depend on the model).
 """
 
 from __future__ import annotations
@@ -36,14 +42,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CompileError
-from repro.serve.codegen.build import build_library
+from repro.serve.codegen.build import build_libraries
 from repro.serve.codegen.renderer import (
     BLAS_ROUTINES,
     CBLAS_COL_MAJOR,
     CBLAS_NO_TRANS,
     CBLAS_ROW_MAJOR,
     CBLAS_TRANS,
+    RNN_BINDING,
+    RNN_CFLAGS,
     render_module,
+    rnn_module,
 )
 
 _dlopen_lock = threading.Lock()
@@ -206,6 +215,16 @@ def _reset_blas_cache() -> None:
 # ----------------------------------------------------------------------
 # One library per graph
 # ----------------------------------------------------------------------
+def _load_bound(path: Path, blas: NumpyBlas) -> ctypes.CDLL:
+    """Load a built module and hand it numpy's BLAS routines."""
+    library = load_library(path)
+    bind = library.repro_bind_blas
+    bind.restype = None
+    bind.argtypes = [ctypes.c_void_p] * len(blas.addresses)
+    bind(*blas.addresses)
+    return library
+
+
 class GraphProgram:
     """Lazily-built native code for one compiled graph.
 
@@ -238,19 +257,28 @@ class GraphProgram:
         blas, note = blas_probe()
         if blas is None:
             raise CompileError(f"cannot bind native kernels: {note}")
-        source = render_module([r.render() for r in self._renderers],
-                               title=self.tag, ilp64=blas.ilp64)
-        self.library = build_library(source, tag=self.tag)
-        library = load_library(self.library)
-        bind = library.repro_bind_blas
-        bind.restype = None
-        bind.argtypes = [ctypes.c_void_p] * len(blas.addresses)
-        bind(*blas.addresses)
+        recurrent = any(r.recurrent for r in self._renderers)
+        segments = [r.render() for r in self._renderers]
+        units = [(render_module(([RNN_BINDING] if recurrent else [])
+                                + segments, title=self.tag,
+                                ilp64=blas.ilp64), self.tag, ())]
+        if recurrent:
+            units.append((rnn_module(blas.ilp64), "rnn", RNN_CFLAGS))
+        paths = build_libraries(units)
+        self.library = paths[0]
+        library = _load_bound(paths[0], blas)
+        if recurrent:
+            layer = _load_bound(paths[1], blas).repro_rnn_layer
+            bind = library.repro_bind_rnn
+            bind.restype = None
+            bind.argtypes = [ctypes.c_void_p]
+            bind(ctypes.cast(layer, ctypes.c_void_p).value)
         self.blas = blas
         table: Dict[int, Callable] = {}
         for renderer in self._renderers:
             fn = getattr(library, renderer.symbol)
             fn.restype = None
-            fn.argtypes = [ctypes.c_long, ctypes.POINTER(ctypes.c_void_p)]
+            fn.argtypes = [ctypes.c_long, ctypes.c_long,
+                           ctypes.POINTER(ctypes.c_void_p)]
             table[renderer.segment_id] = fn
         return table

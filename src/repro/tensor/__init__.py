@@ -7,8 +7,9 @@ the operations applied to it, and :meth:`~repro.tensor.tensor.Tensor.backward`
 runs reverse-mode differentiation over the recorded graph.
 """
 
+from repro.tensor.activations import stable_sigmoid, stable_tanh
 from repro.tensor.tensor import (Tensor, no_grad, is_grad_enabled,
-                                 row_stable_matmul, stable_sigmoid)
+                                 row_stable_matmul)
 from repro.tensor.ops import (
     concatenate,
     stack,
@@ -25,6 +26,7 @@ __all__ = [
     "is_grad_enabled",
     "row_stable_matmul",
     "stable_sigmoid",
+    "stable_tanh",
     "concatenate",
     "stack",
     "where",

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor.activations import stable_sigmoid, stable_tanh
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -53,23 +54,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free two-branch sigmoid, dtype-preserving.
-
-    ``1 / (1 + exp(-x))`` overflows (with a RuntimeWarning) for
-    large-magnitude negative inputs; the two-branch form uses the
-    equivalent ``exp(x) / (1 + exp(x))`` there, so the exponent argument is
-    never positive and ``exp`` stays in (0, 1]. Evaluated as a single
-    select over the shared ``exp(-|x|)`` term — per element exactly
-    ``1/(1+e)`` or ``e/(1+e)``. Shared by the eager :meth:`Tensor.sigmoid`
-    and the serving backends (:mod:`repro.serve.backends`) so the two
-    inference paths stay bit-identical.
-    """
-    x = np.asarray(x)
-    exp = np.exp(-np.abs(x))  # always in (0, 1]
-    return np.where(x >= 0, 1.0, exp) / (1.0 + exp)
 
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray,
@@ -382,7 +366,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
+        out_data = stable_tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data ** 2))

@@ -23,7 +23,7 @@ from repro.serve import (
 )
 from repro.serve.cli import build_model
 from repro.serve.export import build_artifact, eager_forward
-from repro.tensor import stable_sigmoid
+from repro.tensor import stable_sigmoid, stable_tanh
 
 # One zoo model per exported family named in the paper's tables.
 FAMILIES = {
@@ -185,6 +185,16 @@ class TestStableSigmoid:
         x = rng.normal(scale=3.0, size=10_000).astype(np.float32)
         naive = (1.0 / (1.0 + np.exp(-x.astype(np.float64))))
         np.testing.assert_allclose(stable_sigmoid(x), naive,
+                                   rtol=1e-6, atol=1e-7)
+
+    def test_tanh_matches_float64_where_safe(self):
+        rng = np.random.default_rng(1)
+        x = np.concatenate([
+            rng.normal(scale=3.0, size=10_000),
+            # Around 0, where 1 - exp(-2|x|) would cancel.
+            rng.normal(scale=1e-3, size=1_000)]).astype(np.float32)
+        np.testing.assert_allclose(stable_tanh(x),
+                                   np.tanh(x.astype(np.float64)),
                                    rtol=1e-6, atol=1e-7)
 
     def test_rnn_plan_stays_bit_exact(self, family_artifacts):

@@ -10,6 +10,7 @@ the typed :class:`~repro.errors.BackendError` vocabulary, and the
 (including a real PATH-stripped subprocess).
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -40,9 +41,14 @@ from repro.serve.codegen import (
 )
 from repro.serve.codegen import runtime
 from repro.serve.codegen.build import _reset_probe_cache
-from repro.serve.codegen.renderer import MODULE_PREAMBLE, ActQuantC
+from repro.serve.codegen.renderer import (
+    MODULE_PREAMBLE,
+    ActQuantC,
+    activation_functions,
+)
 from repro.serve.export import build_artifact, eager_forward
 from repro.serve.ptq import post_training_quantize
+from repro.tensor import stable_sigmoid, stable_tanh
 
 needs_cc = pytest.mark.skipif(
     not have_compiler(),
@@ -172,6 +178,116 @@ class TestActQuantC:
         nonzero = valued & (expected != 0.0)
         assert np.array_equal(got[nonzero].view(np.int32),
                               expected[nonzero].view(np.int32))
+
+
+# ----------------------------------------------------------------------
+# The owned gate activations, rendered
+# ----------------------------------------------------------------------
+def _float32_sweep():
+    """Specials plus every 4099th float32 bit pattern (all exponents,
+    both signs, NaNs and infinities included) plus dense normal draws.
+    NaNs are quiet ones: arithmetic on a signaling NaN raises the
+    invalid flag by IEEE-754's rules, whoever performs it."""
+    rng = np.random.default_rng(41)
+    patterns = np.arange(0, 2 ** 32, 4099, dtype=np.uint64).astype(
+        np.uint32).view(np.float32)
+    patterns[np.isnan(patterns)] = np.nan
+    return np.concatenate([
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e3, -1e3, 88.0,
+                  -88.0, -87.5, -103.9, -104.0, -104.1, -200.0, 52.0,
+                  -52.0, 0.625, -0.625, 1e-45, -1e-45, 3e38, -3e38],
+                 dtype=np.float32),
+        np.nextafter(np.float32([0.625, -0.625]), np.float32(0.0)),
+        patterns,
+        rng.normal(scale=4.0, size=100_000).astype(np.float32),
+    ])
+
+
+def _activation_library():
+    source = (MODULE_PREAMBLE + "#define NOINLINE\n"
+              + activation_functions("t") + "\n"
+              + "void t_apply(long n, int which, const float *x, "
+                "float *r) {\n"
+              + "  for (long i = 0; i < n; ++i) r[i] = x[i];\n"
+              + "  if (which) t_tanh_v(n, r); else t_sigmoid_v(n, r);\n"
+              + "}\n")
+    fn = load_library(build_library(source, tag="test-act")).t_apply
+    fn.restype = None
+    fn.argtypes = [ctypes.c_long, ctypes.c_int, c_void_p, c_void_p]
+    return source, fn
+
+
+class TestOwnedActivations:
+    def test_infinities_and_nan(self):
+        x = np.float32([np.inf, -np.inf, np.nan])
+        assert np.array_equal(stable_sigmoid(x), np.float32([1, 0, np.nan]),
+                              equal_nan=True)
+        assert np.array_equal(stable_tanh(x), np.float32([1, -1, np.nan]),
+                              equal_nan=True)
+
+    def test_no_floating_point_warnings(self):
+        x = _float32_sweep()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            stable_sigmoid(x)
+            stable_tanh(x)
+
+    @needs_cc
+    @pytest.mark.parametrize("which", [0, 1], ids=["sigmoid", "tanh"])
+    def test_rendered_c_is_bitwise_numpy(self, which, fresh_cache):
+        """The generated C performs the numpy sequence op for op: equal
+        bits on every non-NaN output, NaN exactly where numpy has one."""
+        _, fn = _activation_library()
+        x = _float32_sweep()
+        got = np.empty_like(x)
+        fn(x.size, which, x.ctypes.data, got.ctypes.data)
+        expected = (stable_tanh if which else stable_sigmoid)(x)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int32),
+                              expected[~nan].view(np.int32))
+
+    @needs_cc
+    def test_no_undefined_float_to_int_conversion(self, tmp_path):
+        """Run the rendered functions on NaN, infinities and the whole
+        exponent range under UBSan's float-cast-overflow check: the
+        exponent is clamped before it is converted. UBSan does not see
+        a vector conversion, so this build converts lane by lane."""
+        source, _ = _activation_library()
+        conversion = "__builtin_convertvector(kc, vi)"
+        assert source.count(conversion) == 1
+        lanes = ("static inline vi lanes_to_int(vf v) {\n  vi r;\n"
+                 "  for (int i = 0; i < (int)(sizeof r / sizeof r[0]); ++i)"
+                 "\n    r[i] = (int)v[i];\n  return r;\n}\n")
+        source = source.replace(conversion, "lanes_to_int(kc)").replace(
+            "static inline vf t_exp", lanes + "static inline vf t_exp")
+        x = _float32_sweep()
+        program = tmp_path / "act.c"
+        program.write_text(
+            source.replace("#include <math.h>",
+                           "#include <math.h>\n#include <stdio.h>")
+            + "int main(void) {\n  float x, r; double sum = 0.0;\n"
+              "  while (fread(&x, sizeof x, 1, stdin) == 1) {\n"
+              "    t_apply(1, 0, &x, &r); sum += r == r;\n"
+              "    t_apply(1, 1, &x, &r); sum += r == r;\n  }\n"
+              "  printf(\"%.0f\\n\", sum);\n  return 0;\n}\n")
+        binary = tmp_path / "act"
+        compiler = compiler_probe()[0]
+        flags = ["-O1", "-fsanitize=float-cast-overflow",
+                 "-fno-sanitize-recover=all", "-ffp-contract=off"]
+        trivial = tmp_path / "trivial.c"
+        trivial.write_text("int main(void) { return 0; }\n")
+        if subprocess.run([compiler, *flags, str(trivial), "-o",
+                           str(tmp_path / "trivial")],
+                          capture_output=True).returncode != 0:
+            pytest.skip("the compiler has no UBSan runtime")
+        built = subprocess.run(
+            [compiler, *flags, str(program), "-o", str(binary), "-lm"],
+            capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr[:500]
+        run = subprocess.run([str(binary)], input=x.tobytes(),
+                             capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()[:500]
+        assert int(run.stdout) == 2 * int((~np.isnan(x)).sum())
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +438,37 @@ class TestBackendsCLI:
 # ----------------------------------------------------------------------
 EDGE_MODELS = ("conv_odd_channels", "linear_single_feature",
                "maxpool_tail", "standalone_eltwise", "conv_strided_padded",
-               "degenerate_gemms")
+               "degenerate_gemms", "lstm_unquantized")
+
+
+class _LstmHead(nn.Module):
+    """One LSTM layer, then a per-step linear head over the merged time
+    axis."""
+
+    def __init__(self, features, hidden, gen):
+        super().__init__()
+        self.lstm = nn.LSTM(features, hidden, rng=gen)
+        self.head = nn.Linear(hidden, 2, rng=gen)
+
+    def forward(self, x):
+        out, _ = self.lstm(x)
+        n, t, h = out.shape
+        return self.head(out.reshape(n * t, h))
+
+    def export_structure(self):
+        return ("chain", [self.lstm, "merge_time", self.head])
 
 
 def _edge_model(case: str):
     gen = np.random.default_rng(21)
-    if case == "conv_odd_channels":
+    if case == "lstm_unquantized":
+        # The first quantizable layer keeps float inputs, so NaN and
+        # infinities reach the gates and the state unclipped; T=1 and
+        # hidden 5 make every GEMM of the time loop tiny, and batch 1
+        # makes both of them duplicated two-row GEMMs.
+        model = _LstmHead(3, 5, gen)
+        shape = (1, 3)
+    elif case == "conv_odd_channels":
         # Odd channel counts and odd spatial sizes through conv + pool.
         model = nn.Sequential(
             nn.Conv2d(3, 5, 3, padding=1, rng=gen), nn.ReLU(),
@@ -510,6 +651,47 @@ class TestNumpyBlas:
         assert Path(blas.path).parent in (package.parent / "numpy.libs",
                                           package / ".dylibs")
         assert all("cblas_" in symbol for symbol in blas.symbols)
+
+    @pytest.mark.parametrize("m,k,p,bt", [
+        (1, 37, 1, 0), (1, 255, 1, 1),     # sdot
+        (1, 37, 29, 0), (1, 37, 29, 1),    # sgemv, vector @ matrix
+        (6, 37, 1, 0), (6, 255, 1, 1),     # sgemv, matrix @ vector
+        (6, 1, 29, 0), (6, 1, 29, 1),      # numpy's own k=1 loop
+        (6, 37, 29, 0), (6, 37, 29, 1),    # sgemm NoTrans / Trans
+        (2, 24, 96, 1), (17, 24, 72, 1),   # recurrent GEMMs of the zoo
+    ])
+    def test_generated_matmul_is_np_matmul(self, m, k, p, bt, fresh_cache):
+        """The generated ``matmul`` takes numpy's route for every shape:
+        on random floats (whose sums depend on accumulation order, unlike
+        the zoo's quantized operands) each route's bits equal
+        ``np.matmul``'s, ``b`` either C order or a transposed view."""
+        blas, note = runtime.blas_probe()
+        if blas is None:
+            pytest.skip(note)
+        source = render_module(
+            ["void t_matmul(long m, long k, long p, const float *a, "
+             "const float *b, int bt, float *c) {\n"
+             "  matmul(m, k, p, a, b, bt, c);\n}"],
+            title="test-matmul", ilp64=blas.ilp64)
+        library = load_library(build_library(source, tag="test-matmul"))
+        bind = library.repro_bind_blas
+        bind.restype = None
+        bind.argtypes = [c_void_p] * len(blas.addresses)
+        bind(*blas.addresses)
+        fn = library.t_matmul
+        fn.restype = None
+        fn.argtypes = [ctypes.c_long] * 3 + [c_void_p, c_void_p,
+                                             ctypes.c_int, c_void_p]
+        rng = np.random.default_rng(m * 1000 + k * 10 + p + bt)
+        for _ in range(16):
+            a = rng.normal(size=(m, k)).astype(np.float32)
+            stored = rng.normal(size=(p, k) if bt else (k, p)).astype(
+                np.float32)
+            expected = np.matmul(a, stored.T if bt else stored)
+            got = np.empty((m, p), np.float32)
+            fn(m, k, p, a.ctypes.data, stored.ctypes.data, bt,
+               got.ctypes.data)
+            assert np.array_equal(got, expected), (m, k, p, bt)
 
     def test_runs_are_one_step_each(self, edge_artifacts):
         """Every maximal run of native nodes is one step of the slot

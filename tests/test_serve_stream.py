@@ -366,9 +366,10 @@ class TestChunkedBitExact:
             server.close()
 
     def test_streamed_chunks_stay_native(self, artifacts, monkeypatch):
-        """A T=4 chunk of a time-merged graph carries a partial request's
-        rows; the native linear head takes any row count, so its run
-        never falls back to the fused kernels and the chunks still
+        """A T=4 chunk runs the recurrence natively from carried state
+        (the time extent is a run-time argument), and its time-merged
+        rows go through the native linear head in the same run, so the
+        run never falls back to the fused kernels and the chunks still
         reproduce the offline run."""
         _require("compiled")
         from repro.serve.backends import compiled
@@ -390,6 +391,9 @@ class TestChunkedBitExact:
             assert any(isinstance(kernel, compiled.CodegenSegmentKernel)
                        and kernel.node.kind == "linear"
                        for kernel in plan.compiled.kernels.values())
+            assert any(isinstance(kernel, compiled.CodegenSegmentKernel)
+                       and any(node.kind == "rnn" for node in kernel.nodes)
+                       for kernel in plan.compiled.kernels.values())
             seq = sequences_for(plan, 1)[0]
             state, outs = {}, []
             for chunk in chunks_of(seq, (4, 4, 4)):
@@ -400,6 +404,26 @@ class TestChunkedBitExact:
                                   offline_output(plan, seq))
         finally:
             server.close()
+
+    @pytest.mark.parametrize("name,steps", [
+        ("gru_speech", []), ("lstm_lm", ["embedding#1"])])
+    def test_recurrence_is_one_native_run(self, artifacts, name, steps):
+        """The compile log: the whole recurrence, the time merge and the
+        head are one native run; only the embedding gather stays a
+        Python step."""
+        _require("compiled")
+        server = ModelServer(workers=0)
+        try:
+            server.load("m", artifacts[name], backend="compiled")
+            log = server.plan("m").compiled.pass_log
+        finally:
+            server.close()
+        runs = [line for line in log if line.startswith("codegen run")]
+        python = [line.split(": ")[1].split() for line in log
+                  if line.startswith("python steps")]
+        assert len(runs) == 1 and "rnn#" in runs[0]
+        assert "merge_time#" in runs[0] and "linear#" in runs[0]
+        assert python == ([steps] if steps else [])
 
     def test_states_portable_across_backends(self, artifacts):
         """Node ids are deterministic, so a state captured on one
