@@ -14,6 +14,7 @@ safe, because scratch is only live inside its node's kernel invocation.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,9 +29,23 @@ from repro.serve.ir import Graph, IRNode
 from repro.tensor.tensor import row_stable_matmul  # noqa: F401
 
 
+#: Run-input shapes whose scratch one :class:`ExecContext` keeps, least
+#: recently run evicted first. Above the 16 batch sizes plus 16 stream
+#: shapes a warmed server runs per model, so a steady mix never evicts;
+#: a stream of ragged chunk lengths cycles through it.
+SCRATCH_SHAPES = 36
+
+
 class ExecContext:
     """Shared mutable execution state: the scratch buffer pool, plus the
     recurrent-state channels used by streaming execution.
+
+    The pool is kept per run-input shape (:meth:`enter`, called once per
+    graph walk) for the :data:`SCRATCH_SHAPES` most recent shapes.
+    ``bound`` holds what kernels derive from pooled buffers for the
+    current shape (views, pointer tables), so those go with the buffers
+    they reference when a shape is evicted, and a re-entered shape gets
+    freshly zeroed buffers.
 
     ``carry_state`` is normally False and RNN kernels behave exactly as
     they always have (implicit zero initial state, no state emission).
@@ -44,10 +59,28 @@ class ExecContext:
     """
 
     def __init__(self):
-        self._pool: Dict[tuple, np.ndarray] = {}
+        self._shapes: "OrderedDict[tuple, Tuple[dict, dict]]" = \
+            OrderedDict()
+        self._shape: Optional[tuple] = None
+        self.enter(())      # scratch taken outside a graph walk
         self.carry_state: bool = False
         self.state_in: Dict[int, dict] = {}
         self.state_out: Dict[int, dict] = {}
+
+    def enter(self, shape: tuple) -> None:
+        """Make ``shape``'s pool current, evicting the least recently
+        entered shape's pool past :data:`SCRATCH_SHAPES`."""
+        if shape == self._shape:
+            return
+        entry = self._shapes.get(shape)
+        if entry is None:
+            if len(self._shapes) >= SCRATCH_SHAPES:
+                self._shapes.popitem(last=False)
+            entry = self._shapes[shape] = ({}, {})
+        else:
+            self._shapes.move_to_end(shape)
+        self._shape = shape
+        self._pool, self.bound = entry
 
     def scratch(self, tag: str, shape: Tuple[int, ...],
                 dtype=np.float32, zeroed: bool = False) -> np.ndarray:
@@ -62,7 +95,8 @@ class ExecContext:
         return buffer
 
     def scratch_bytes(self) -> int:
-        return sum(b.nbytes for b in self._pool.values())
+        return sum(b.nbytes for pool, _ in self._shapes.values()
+                   for b in pool.values())
 
 
 class Kernel:
@@ -173,6 +207,8 @@ class CompiledModel:
         self.ctx: Optional[ExecContext] = None
 
     def _execute(self, batch: np.ndarray) -> np.ndarray:
+        if self.ctx is not None:
+            self.ctx.enter(batch.shape)
         values: List[Optional[np.ndarray]] = [None] * self._slots
         values[0] = batch
         for run, sources, target, frees in self._program:

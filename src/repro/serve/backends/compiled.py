@@ -24,8 +24,9 @@ backend.
 
 A run ends wherever an intermediate result is read outside it, so each
 run has one output. Its pointer table — run inputs, weights and every
-pooled buffer — is bound once per batch size (the pool never moves a
-buffer); a call writes only the input addresses. Non-float32 inputs run
+pooled buffer — is bound once per input shape and kept beside those
+buffers in the shape's scratch pool, so the two are evicted together; a
+call writes only the input addresses. Non-float32 inputs run
 the run's nodes on the fused kernels.
 
 Node kinds outside the renderer's coverage table (reductions with
@@ -195,7 +196,6 @@ class CodegenSegmentKernel(Kernel):
         program.register(self.renderer)
         self.program = program
         self._graph, self._artifact = graph, artifact
-        self._bound: dict = {}
         self._fused = None
 
     def describe(self) -> str:
@@ -240,10 +240,10 @@ class CodegenSegmentKernel(Kernel):
         for x in inputs:
             if x.dtype is not _F32:
                 return self._run_fused(inputs)
-        key = inputs[0].shape
-        bound = self._bound.get(key)
+        key = (self, inputs[0].shape)
+        bound = self.ctx.bound.get(key)
         if bound is None:
-            bound = self._bound[key] = self._bind(inputs) or False
+            bound = self.ctx.bound[key] = self._bind(inputs) or False
         if bound is False:
             return self._run_fused(inputs)
         fn, n, t, table, result, pooled = bound

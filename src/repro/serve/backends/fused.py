@@ -10,9 +10,10 @@ per-request path is restructured for throughput:
   intermediate allocations, no separate graph steps.
 - **Scratch arenas.** Padded inputs, im2col columns, GEMM outputs and
   activation-quant workspaces live in a pooled arena
-  (:meth:`ExecContext.scratch`), bound once per batch size per kernel;
-  same-shaped layers share allocations, padded borders are zeroed exactly
-  once, and the steady-state request path performs no large allocations.
+  (:meth:`ExecContext.scratch`), one per recent run-input shape, bound
+  once per shape per kernel; same-shaped layers share allocations, padded
+  borders are zeroed once per allocation, and the steady-state request
+  path performs no large allocations.
 - **Allocation-free activation fake-quant.** The exact reference ufunc
   chain, applied in place, with the final reconstruction multiply landing
   directly in the consumer's buffer (a padded-conv interior), and the full
@@ -195,13 +196,12 @@ class FusedConvKernel(Kernel):
                                                 channel_axis=0)
             if self.bias is not None:
                 self.bias = self.bias.reshape(self.oc, 1, 1, 1)
-        self._bound: dict = {}  # (batch size, dtype) -> bound buffer tuple
         self._groups_path = None  # cached einsum contraction path
 
     def _bind(self, n: int, dtype) -> tuple:
         """Resolve (padded, interior, cols, out) for one batch size."""
-        key = (n, np.dtype(dtype).str)
-        bound = self._bound.get(key)
+        key = (self, n, np.dtype(dtype).str)
+        bound = self.ctx.bound.get(key)
         if bound is None:
             k, s, pad = self.kernel, self.stride, self.padding
             h, w = self.hw
@@ -237,7 +237,7 @@ class FusedConvKernel(Kernel):
                                         (self.cin, n * oh * ow, 1),
                                         dtype=np.float32))
             bound = (padded, interior, cols, out)
-            self._bound[key] = bound
+            self.ctx.bound[key] = bound
         return bound
 
     def _gather(self, src: np.ndarray, cols: np.ndarray, n: int) -> None:

@@ -55,6 +55,20 @@ class ServedRequest:
             raise ConfigurationError(f"request {self.id} not served yet")
         return (self.completed_at - self.enqueued_at) * 1e3
 
+    def settle(self, result: Optional[np.ndarray] = None,
+               error: Optional[BaseException] = None) -> None:
+        """Resolve (or, given ``error``, fail) this request's future and
+        drop the reference to it. The future keeps this record
+        (``future.request``); a record pointing back would leave both,
+        the payload and the batch output to the cycle collector."""
+        future, self.future = self.future, None
+        if error is not None:
+            self.error = error
+            if future is not None:
+                future._fail(error)
+        elif future is not None:
+            future._resolve(result, self)
+
 
 def coerce_payload(plan, payload) -> np.ndarray:
     """Validate one request against a plan and coerce it to serving form.

@@ -22,25 +22,53 @@ import numpy as np
 from repro.errors import ServingError
 
 
+#: Serializes callback registration against resolution (and a resolution
+#: against a second one). Held only for a few attribute writes, never
+#: while a callback or a waiter runs, so one lock serves every future.
+_SETTLE = threading.Lock()
+
+
 class InferenceFuture:
-    """Handle to one submitted request; resolves to its output array."""
+    """Handle to one submitted request; resolves to its output array.
+
+    Completion is one latch: a lock taken at construction and released
+    once, on resolution. Each waiter acquires it and passes it straight
+    on, so any number of threads can wait; ``done()`` is a plain flag.
+    """
 
     def __init__(self, model: Optional[str] = None):
         self.model = model
-        self._event = threading.Event()
+        self._done = False
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._request = None            # ServedRequest, set on success
         self._callbacks: List[Callable[["InferenceFuture"], None]] = []
-        self._lock = threading.Lock()
+        self._latch = threading.Lock()
+        self._latch.acquire()
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
+
+    def _wait(self, timeout: Optional[float]) -> bool:
+        """Settled within ``timeout`` s? (``None`` waits forever; ``<= 0``
+        never blocks, as ``threading.Event.wait``.)"""
+        if self._done:
+            return True
+        if timeout is None or timeout > 0:
+            acquired = self._latch.acquire(
+                timeout=-1 if timeout is None else timeout)
+        else:
+            acquired = self._latch.acquire(blocking=False)
+        if acquired:
+            self._latch.release()
+        # The flag is set before the release: a probe that lost the latch
+        # to a waiter passing it on still sees the resolution.
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
         """Block until served; returns the output or raises the failure."""
-        if not self._event.wait(timeout):
+        if not self._wait(timeout):
             raise TimeoutError(
                 f"request{f' for model {self.model!r}' if self.model else ''}"
                 f" not served within {timeout} s")
@@ -50,7 +78,7 @@ class InferenceFuture:
 
     def exception(self, timeout: Optional[float] = None
                   ) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
+        if not self._wait(timeout):
             raise TimeoutError(f"request not served within {timeout} s")
         return self._error
 
@@ -81,8 +109,8 @@ class InferenceFuture:
     def add_done_callback(self,
                           fn: Callable[["InferenceFuture"], None]) -> None:
         """Run ``fn(self)`` once resolved (immediately if already done)."""
-        with self._lock:
-            if not self._event.is_set():
+        with _SETTLE:
+            if not self._done:
                 self._callbacks.append(fn)
                 return
         fn(self)
@@ -91,29 +119,25 @@ class InferenceFuture:
     # Resolution (server/executor side)
     # ------------------------------------------------------------------
     def _resolve(self, result: np.ndarray, request=None) -> None:
-        with self._lock:
-            if self._event.is_set():
-                raise ServingError("future resolved twice")
-            self._result = result
-            self._request = request
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        self._settle(result, None, request)
 
     def _fail(self, error: BaseException) -> None:
-        with self._lock:
-            if self._event.is_set():
+        self._settle(None, error, None)
+
+    def _settle(self, result, error, request) -> None:
+        with _SETTLE:
+            if self._done:
                 raise ServingError("future resolved twice")
-            self._error = error
-            self._event.set()
+            self._result, self._error, self._request = result, error, request
+            self._done = True
             callbacks, self._callbacks = self._callbacks, []
+        self._latch.release()
         for callback in callbacks:
             callback(self)
 
     def __repr__(self) -> str:
         state = "pending"
-        if self._event.is_set():
+        if self._done:
             state = "error" if self._error is not None else "done"
         model = f" model={self.model!r}" if self.model else ""
         return f"<InferenceFuture{model} {state}>"

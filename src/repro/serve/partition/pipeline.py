@@ -301,9 +301,7 @@ class PipelineEngine(ServerMixin):
                 self._stage_errors[index] += 1
                 self._failed += size
             for request in batch.requests:
-                request.error = failure
-                if request.future is not None:
-                    request.future._fail(failure)
+                request.settle(error=failure)
             return 0
         with self._work:
             self._stage_latencies[index].extend([elapsed_ms] * size)
@@ -321,8 +319,7 @@ class PipelineEngine(ServerMixin):
             request.batch_id = batch.id
             request.batch_size = size
             request.fpga_ms = batch.fpga_ms / size
-            if request.future is not None:
-                request.future._resolve(outputs[position], request)
+            request.settle(outputs[position])
         with self._work:
             self._completed += size
             self._latencies.extend(r.latency_ms for r in batch.requests)
@@ -387,8 +384,7 @@ class PipelineEngine(ServerMixin):
             self._work.notify_all()
         error = ServingError("pipeline closed before the request was served")
         for request in pending:
-            if request.future is not None and not request.future.done():
-                request.future._fail(error)
+            request.settle(error=error)
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []

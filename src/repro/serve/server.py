@@ -271,6 +271,13 @@ class _HostedModel:
             stream_chunks=self.stream_chunks)
 
 
+def _failed(model: str, error: BaseException) -> InferenceFuture:
+    """A future already failed with ``error`` (a rejected submit)."""
+    future = InferenceFuture(model=model)
+    future._fail(error)
+    return future
+
+
 def _fail_pending(entry: _HostedModel, error: ServingError) -> None:
     """Fail every request/chunk still queued on one model's batchers."""
     for chunk in entry.streamer.fail_all():
@@ -280,9 +287,7 @@ def _fail_pending(entry: _HostedModel, error: ServingError) -> None:
         if not batch:
             return
         for request in batch:
-            request.error = error
-            if request.future is not None:
-                request.future._fail(error)
+            request.settle(error=error)
 
 
 class ModelServer(ServerMixin):
@@ -566,12 +571,11 @@ class ModelServer(ServerMixin):
             entry = self._resolve_locked(model)
         # Validate/coerce outside the lock — a dtype conversion copies the
         # payload, and concurrent submitters must not serialize on it.
-        future = InferenceFuture(model=entry.name)
         try:
             payload = coerce_payload(entry.plan, x)
         except ReproError as error:
-            future._fail(error)
-            return future
+            return _failed(entry.name, error)
+        future = InferenceFuture(model=entry.name)
         if self._cache is None:
             with self._work:
                 if not self._running:
@@ -716,39 +720,31 @@ class ModelServer(ServerMixin):
             if not self._running:
                 raise ServingError("server is closed")
             entry = self._resolve_locked(model)
-        failure_future = InferenceFuture(model=entry.name)
         try:
             payload = coerce_chunk(entry.plan, chunk)
         except ReproError as error:
-            failure_future._fail(error)
-            return failure_future
-        victims = []
+            return _failed(entry.name, error)
         with self._work:
             if not self._running:
                 raise ServingError("server is closed")
             if self._models.get(entry.name) is not entry:
-                failure_future._fail(ServingError(
+                return _failed(entry.name, ServingError(
                     f"model {entry.name!r} was unloaded"))
-                return failure_future
             try:
                 entry.sessions.get(session_id)
             except SessionError as error:
                 # An expired/unknown session also orphans whatever it
                 # still had queued; fail those chunks with the same error.
-                victims = [(queued, error) for queued in
-                           entry.streamer.fail_session(session_id)]
+                victims = entry.streamer.fail_session(session_id)
                 failed = error
             else:
-                failed = None
                 future = entry.streamer.submit(session_id, payload,
                                                model=entry.name)
                 self._work.notify()
-        if failed is not None:
-            for queued, error in victims:
-                queued.future._fail(error)
-            failure_future._fail(failed)
-            return failure_future
-        return future
+                return future
+        for queued in victims:
+            queued.future._fail(failed)
+        return _failed(entry.name, failed)
 
     def close_session(self, model: str, session_id: str) -> int:
         """Close a session, releasing its state; returns chunks served.
@@ -946,9 +942,7 @@ class ModelServer(ServerMixin):
         except Exception as error:      # noqa: BLE001 — fail the futures
             entry.errors += 1
             for request in batch:
-                request.error = error
-                if request.future is not None:
-                    request.future._fail(error)
+                request.settle(error=error)
             return
         completed = self._clock()
         # Time-merged plans return (N*T, ...); re-view as (N, T, ...) so
@@ -960,8 +954,7 @@ class ModelServer(ServerMixin):
             request.batch_id = batch_id
             request.batch_size = len(batch)
             request.fpga_ms = fpga_ms / len(batch)
-            if request.future is not None:
-                request.future._resolve(outputs[index], request)
+            request.settle(outputs[index])
         entry.requests += len(batch)
         entry.batches += 1
         entry.serve_seconds += completed - started

@@ -17,6 +17,7 @@ import io
 import json
 import pathlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -448,6 +449,52 @@ class TestChunkedBitExact:
         finally:
             ref.close()
             fused.close()
+
+    @pytest.mark.parametrize("backend", ("fused", "compiled"))
+    def test_ragged_stream_scratch_stays_bounded(self, artifacts, backend):
+        """Chunk lengths 1..40 at batch 3 are 40 run-input shapes, more
+        than a context keeps: scratch stays within SCRATCH_SHAPES pools
+        of the largest shape, and a second pass over shapes whose pools
+        (and bound pointer tables) were evicted still reproduces the
+        one-shot run bit for bit."""
+        _require(backend)
+        from repro.serve.backends.base import SCRATCH_SHAPES
+
+        sizes = list(range(1, 41))
+        assert len(sizes) > SCRATCH_SHAPES
+        server = ModelServer(workers=0)
+        try:
+            server.load("offline", artifacts["gru_speech"], backend=backend)
+            server.load("m", artifacts["gru_speech"], backend=backend)
+            offline_plan, plan = server.plan("offline"), server.plan("m")
+            rng = np.random.default_rng(3)
+            seq = rng.normal(size=(3, 2 * sum(sizes))
+                             + plan.input_shape[1:]).astype(np.float32)
+            expected, _ = offline_plan.forward_stream(seq, {})
+            ctx = plan.compiled.ctx
+            before = ctx.scratch_bytes()
+            plan.forward_stream(seq[:, :sizes[-1]], {})
+            largest = ctx.scratch_bytes() - before
+            state, outs, cursor = {}, [], 0
+            for index, size in enumerate(sizes + sizes):
+                out, state = plan.forward_stream(
+                    seq[:, cursor:cursor + size], state)
+                outs.append(plan.stream_outputs(out, 3))
+                cursor += size
+                if index == 0:
+                    first = [weakref.ref(buffer)
+                             for buffer in ctx._pool.values()]
+                if index == len(sizes) - 1:
+                    # The first shape's pool and every pointer table
+                    # into it are gone: nothing keeps its buffers alive.
+                    assert first and all(ref() is None for ref in first)
+                assert len(ctx._shapes) <= SCRATCH_SHAPES
+                assert ctx.scratch_bytes() <= SCRATCH_SHAPES * largest
+            assert len(ctx._shapes) == SCRATCH_SHAPES
+            assert np.array_equal(np.concatenate(outs, axis=1),
+                                  plan.stream_outputs(expected, 3))
+        finally:
+            server.close()
 
 
 # ----------------------------------------------------------------------
