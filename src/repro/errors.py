@@ -142,7 +142,15 @@ class FrameError(ServingError, ValueError):
     ``"not-object"`` (payload is JSON but not an object). The same codes
     are answered by :func:`repro.serve.cli.serve_protocol` for malformed
     stdin lines, so stdio and socket clients see one error vocabulary.
+
+    A frame whose JSON header parsed but whose raw array attachment is
+    malformed (bytes that disagree with its dtype and shape, an object
+    or structured dtype) fails ``"bad-request"``, and ``message_id``
+    holds the header's ``"id"`` so the failure can still be answered
+    and attributed.
     """
+
+    message_id = None
 
     def __init__(self, code: str, message: str):
         super().__init__(message)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.serve.transport import (
     MAX_MESSAGE_BYTES,
     array_from_wire,
     array_to_wire,
+    decode_message,
 )
 
 
@@ -301,24 +302,62 @@ def _error_fields(error) -> Dict:
             "retryable": bool(getattr(error, "retryable", False))}
 
 
+def _read_message(line, max_line_bytes: int) -> Optional[Dict]:
+    """One protocol line -> its message (``None`` for a blank line);
+    every malformed line raises a typed :class:`FrameError`."""
+    if isinstance(line, FrameError):
+        raise line         # the transport already classified this frame
+    if isinstance(line, (bytes, bytearray)):
+        raw = bytes(line)
+        if len(raw) > max_line_bytes:
+            raise FrameError("oversized", f"request line is {len(raw)} "
+                                          f"bytes; cap is {max_line_bytes}")
+        if b"\0" in raw:
+            return decode_message(raw)      # a frame with an attachment
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise FrameError("bad-utf8",
+                             f"request line is not UTF-8: {error}") from None
+    elif len(line) > max_line_bytes:
+        raise FrameError("oversized", f"request line is {len(line)} chars; "
+                                      f"cap is {max_line_bytes}")
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        message = json.loads(line)
+    except ValueError as error:
+        raise FrameError("bad-json", f"malformed request: {error}") from None
+    if not isinstance(message, dict):
+        raise FrameError("not-object", "request must be a JSON object, got "
+                                       f"{type(message).__name__}")
+    return message
+
+
 def serve_protocol(server: Server, lines, out,
                    max_line_bytes: int = MAX_MESSAGE_BYTES) -> int:
     """Drive any :class:`~repro.serve.frontend.Server` over the JSON-lines
     wire protocol.
 
     ``lines`` is any iterable of protocol lines: text (sys.stdin, a pipe,
-    a list in tests), raw ``bytes`` (a framed transport), or
+    a list in tests), raw ``bytes`` (a framed transport's payloads), or
     :class:`FrameError` instances (a transport that already detected a
     malformed frame — :func:`repro.serve.transport.frame_lines` yields
-    them). Responses are written to ``out`` as one JSON object per line.
+    them). Responses are written to ``out`` as one JSON object per line,
+    or, when ``out`` is a :class:`~repro.serve.transport.FrameWriter`,
+    sent to it one message per frame.
 
     Every malformed line is *answered*, never fatal, with a typed
     ``"code"`` shared with the cluster transport: ``oversized`` /
     ``bad-utf8`` / ``truncated`` (frame level), ``bad-json`` /
     ``not-object`` / ``bad-request`` / ``unknown-op`` (message level),
     plus whatever code the server's own errors carry (``unknown-model``,
-    ``shed``, ...). Payloads arrive as ``"input"`` (JSON list) or
-    ``"input_b64"`` (base64 + dtype + shape, answered in kind).
+    ``shed``, ...). Payloads arrive as ``"input"`` (JSON list),
+    ``"input_b64"`` (base64 + dtype + shape) or, on a framed transport,
+    as the frame's raw array attachment; each is answered in kind. A
+    malformed attachment is answered ``bad-request`` with the id its
+    header carried.
 
     Inference responses preserve submission order (FIFO is a serving
     guarantee, so head-of-line blocking here is by design) and are
@@ -331,21 +370,36 @@ def serve_protocol(server: Server, lines, out,
     """
     import threading
 
-    # (request id, model, future, binary?) in submission order
+    # (request id, model, future, answer form) in submission order
     outstanding = []
     # Guards `outstanding` and response writes. Reentrant because a
     # cluster router's stats() *drives* its workers: futures resolve
     # (and their flush callbacks fire) on this thread, under this lock.
     wire = threading.RLock()
+    send = getattr(out, "send", None)      # a FrameWriter takes messages
 
     def emit(payload) -> None:
+        if send is not None:
+            send(payload)
+            return
         out.write(json.dumps(payload) + "\n")
         try:
             out.flush()
         except (AttributeError, ValueError):
             pass
 
-    def response(request_id, model, future, binary):
+    def request_payload(message):
+        """``(payload, answer form)``: the output goes back the way the
+        input came, as base64, a raw frame attachment or a JSON list."""
+        if "input_b64" in message:
+            return array_from_wire(message, "input"), "b64"
+        payload = message["input"]
+        if isinstance(payload, np.ndarray):
+            # A text ``out`` cannot carry an attachment: answer base64.
+            return payload, "raw" if send is not None else "b64"
+        return np.asarray(payload), "list"
+
+    def response(request_id, model, future, form):
         error = future.exception(timeout=None)
         if error is not None:
             return {"id": request_id, "model": model,
@@ -365,7 +419,9 @@ def serve_protocol(server: Server, lines, out,
             if getattr(request, "coalesced", False):
                 payload["coalesced"] = True
         result = np.asarray(future.result())
-        if binary:
+        if form == "raw":
+            payload["output"] = result
+        elif form == "b64":
             payload.update(array_to_wire(result, key="output"))
         else:
             payload["output"] = result.tolist()
@@ -374,52 +430,21 @@ def serve_protocol(server: Server, lines, out,
     def flush_completed() -> None:
         with wire:
             while outstanding and outstanding[0][2].done():
-                request_id, model, future, binary = outstanding.pop(0)
-                emit(response(request_id, model, future, binary))
+                request_id, model, future, form = outstanding.pop(0)
+                emit(response(request_id, model, future, form))
 
     served = 0
     for line in lines:
-        if isinstance(line, FrameError):
-            # The transport already classified this frame as malformed.
-            with wire:
-                emit(_error_fields(line))
-            continue
-        if isinstance(line, (bytes, bytearray)):
-            raw = bytes(line)
-            if len(raw) > max_line_bytes:
-                with wire:
-                    emit({"error": f"request line is {len(raw)} bytes; "
-                                   f"cap is {max_line_bytes}",
-                          "code": "oversized", "retryable": False})
-                continue
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                with wire:
-                    emit({"error": f"request line is not UTF-8: {error}",
-                          "code": "bad-utf8", "retryable": False})
-                continue
-        elif len(line) > max_line_bytes:
-            with wire:
-                emit({"error": f"request line is {len(line)} chars; "
-                               f"cap is {max_line_bytes}",
-                      "code": "oversized", "retryable": False})
-            continue
-        line = line.strip()
-        if not line:
-            continue
         try:
-            message = json.loads(line)
-        except ValueError as error:
+            message = _read_message(line, max_line_bytes)
+        except FrameError as error:
+            answer = _error_fields(error)
+            if error.message_id is not None:
+                answer["id"] = error.message_id
             with wire:
-                emit({"error": f"malformed request: {error}",
-                      "code": "bad-json", "retryable": False})
+                emit(answer)
             continue
-        if not isinstance(message, dict):
-            with wire:
-                emit({"error": "request must be a JSON object, got "
-                               f"{type(message).__name__}",
-                      "code": "not-object", "retryable": False})
+        if message is None:
             continue
         op = message.get("op", "infer")
         if op == "stats":
@@ -474,9 +499,9 @@ def serve_protocol(server: Server, lines, out,
         if op == "stream_submit":
             model = message.get("model")
             session = message.get("session")
-            binary = "input_b64" in message
             if model is None or session is None \
-                    or (not binary and "input" not in message):
+                    or ("input_b64" not in message
+                        and "input" not in message):
                 with wire:
                     emit({"id": message.get("id"),
                           "error": "stream_submit needs 'model', "
@@ -485,8 +510,7 @@ def serve_protocol(server: Server, lines, out,
                           "code": "bad-request", "retryable": False})
                 continue
             try:
-                payload = (array_from_wire(message, "input") if binary
-                           else np.asarray(message["input"]))
+                payload, form = request_payload(message)
                 future = server.submit_stream(model, str(session), payload)
             except (ServingError, ValueError, TypeError) as error:
                 with wire:
@@ -495,7 +519,7 @@ def serve_protocol(server: Server, lines, out,
                 continue
             with wire:
                 outstanding.append((message.get("id"), model, future,
-                                    binary))
+                                    form))
             served += 1
             future.add_done_callback(lambda _: flush_completed())
             flush_completed()
@@ -507,8 +531,8 @@ def serve_protocol(server: Server, lines, out,
                       "code": "unknown-op", "retryable": False})
             continue
         model = message.get("model")
-        binary = "input_b64" in message
-        if model is None or (not binary and "input" not in message):
+        if model is None or ("input_b64" not in message
+                             and "input" not in message):
             with wire:
                 emit({"id": message.get("id"),
                       "error": "infer request needs 'model' and 'input' "
@@ -519,8 +543,7 @@ def serve_protocol(server: Server, lines, out,
             # Decode/np.asarray can reject bad payloads (ragged lists,
             # byte-count mismatches); a bad request must answer an error
             # line, never kill the server.
-            payload = (array_from_wire(message, "input") if binary
-                       else np.asarray(message["input"]))
+            payload, form = request_payload(message)
             future = server.submit(model, payload)
         except (ServingError, ValueError, TypeError) as error:
             with wire:
@@ -528,7 +551,7 @@ def serve_protocol(server: Server, lines, out,
                       **_error_fields(error)})
             continue
         with wire:
-            outstanding.append((message.get("id"), model, future, binary))
+            outstanding.append((message.get("id"), model, future, form))
         served += 1
         # Resolution (possibly on a worker thread) flushes the head of
         # the line; calling it here too covers already-failed submits.
@@ -546,8 +569,8 @@ def serve_protocol(server: Server, lines, out,
                 break
             head = outstanding[0][2]
             if head.done():
-                request_id, model, future, binary = outstanding.pop(0)
-                emit(response(request_id, model, future, binary))
+                request_id, model, future, form = outstanding.pop(0)
+                emit(response(request_id, model, future, form))
                 continue
         head.exception()        # wait with `wire` released
     return served

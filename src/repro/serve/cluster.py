@@ -14,8 +14,14 @@ worker at a time without dropping an in-flight request.
 
 Workers speak the PR 4 JSON-lines protocol, verbatim
 (:func:`~repro.serve.cli.serve_protocol`), carried over the
-length-framed transport of :mod:`~repro.serve.transport`. Two worker
-flavors share one router:
+length-framed transport of :mod:`~repro.serve.transport`. Payloads and
+outputs travel as the frame's raw array attachment
+(``<JSON header> 0x00 <array bytes>``): the router sends the array
+itself as ``"input"`` and reads ``"output"`` back as an array, so no
+hop base64-encodes. A frame without a NUL byte is a plain JSON frame. A
+response whose attachment is malformed fails its request typed
+(``bad-response``) and counts one protocol error; the reader keeps
+serving. Two worker flavors share one router:
 
 - :class:`ProcessWorker` — a real ``python -m repro.serve
   cluster-worker`` subprocess on a localhost socket; a reader thread per
@@ -75,8 +81,6 @@ from repro.serve.transport import (
     FaultPlan,
     FrameWriter,
     SocketTransport,
-    array_from_wire,
-    array_to_wire,
 )
 
 __all__ = ["ClusterRouter", "LocalWorker", "ProcessWorker",
@@ -295,29 +299,29 @@ class LocalWorker(_WorkerBase):
 
         if not self.alive:
             return 0
-        lines = []
+        frames = []
         while True:
             try:
-                line = self._endpoint.recv_line()
+                frame = self._endpoint.recv_bytes()
             except TransportClosed:
                 self.mark_dead()
                 return 0
             except FrameError as error:
-                lines.append(error)
+                frames.append(error)
                 continue
-            if line is None:
+            if frame is None:
                 break
-            lines.append(line)
-        if not lines:
+            frames.append(frame)
+        if not frames:
             return 0
         try:
-            serve_protocol(self._server, lines, FrameWriter(self._endpoint),
+            serve_protocol(self._server, frames, FrameWriter(self._endpoint),
                            max_line_bytes=self.max_bytes)
         except TransportClosed:
             self.mark_dead()
         if self._endpoint.closed:
             self.alive = False
-        return len(lines)
+        return len(frames)
 
     # ------------------------------------------------------------------
     def export_sessions(self) -> Dict[str, Dict[str, dict]]:
@@ -420,7 +424,7 @@ class ProcessWorker(_WorkerBase):
                                       text=True, env=env)
         banner = self._proc.stdout.readline().strip()
         if not banner.startswith("PORT "):
-            self._proc.kill()
+            self._reap(kill=True)
             raise ServingError(
                 f"worker {self.name!r} failed to start "
                 f"(said {banner!r}, expected 'PORT <n>')")
@@ -440,12 +444,20 @@ class ProcessWorker(_WorkerBase):
         if self.transport is not None:
             self.transport.close()     # EOF: the worker loop exits cleanly
         if self._proc is not None:
-            try:
-                self._proc.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-            self._proc = None
+            self._reap()
+
+    def _reap(self, kill: bool = False) -> None:
+        """Wait for (or kill) the subprocess, then close the pipe its
+        banner came on, so no stop or restart leaks a descriptor."""
+        if kill:
+            self._proc.kill()
+        try:
+            self._proc.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
+        self._proc = None
 
     def step(self) -> int:
         return 0    # the reader thread drives responses
@@ -583,7 +595,7 @@ class ClusterRouter(ServerMixin):
                 future._fail(error)
                 return future
         try:
-            message = {"model": model, **array_to_wire(np.asarray(x))}
+            message = {"model": model, "input": np.asarray(x)}
         except Exception as error:
             bad = ServingError(f"payload could not be encoded: {error}")
             bad.code = "bad-request"
@@ -718,8 +730,7 @@ class ClusterRouter(ServerMixin):
             return future
         try:
             message = {"op": "stream_submit", "model": model,
-                       "session": session_id,
-                       **array_to_wire(np.asarray(chunk))}
+                       "session": session_id, "input": np.asarray(chunk)}
         except Exception as error:
             bad = ServingError(f"chunk could not be encoded: {error}")
             bad.code = "bad-request"
@@ -813,18 +824,24 @@ class ClusterRouter(ServerMixin):
     # ------------------------------------------------------------------
     # Responses, deaths, timeouts
     # ------------------------------------------------------------------
+    def _pop_answered_locked(self, request_id) -> Optional[_Pending]:
+        """Pop the entry a response answers (``None`` when the id names
+        no pending request); callers hold ``self._lock``."""
+        entry = (self._pending.pop(request_id, None)
+                 if type(request_id) is int else None)
+        if entry is not None:
+            self._by_worker[entry.worker].discard(request_id)
+            if entry.kind in ("infer", "stream"):
+                self._in_flight[entry.worker] = max(
+                    0, self._in_flight[entry.worker] - 1)
+                self._counters.completed += 1
+        return entry
+
     def _handle_message(self, worker: _WorkerBase, message: Dict) -> None:
         request_id = message.get("id")
         with self._lock:
-            entry = (self._pending.pop(request_id, None)
-                     if request_id is not None else None)
-            if entry is not None:
-                self._by_worker[entry.worker].discard(request_id)
-                if entry.kind in ("infer", "stream"):
-                    self._in_flight[entry.worker] = max(
-                        0, self._in_flight[entry.worker] - 1)
-                    self._counters.completed += 1
-            elif "error" in message:
+            entry = self._pop_answered_locked(request_id)
+            if entry is None and "error" in message:
                 # A typed answer to a frame the router cannot attribute
                 # (e.g. the worker rejected a corrupted request frame).
                 self._counters.protocol_errors += 1
@@ -837,19 +854,11 @@ class ClusterRouter(ServerMixin):
         if entry.kind in ("stats", "control"):
             entry.future._resolve(message, None)
             return
-        try:
-            if "output_b64" in message:
-                output = array_from_wire(message, "output")
-            else:
-                output = np.asarray(message.get("output"))
-        except (TypeError, ValueError) as error:
-            # The entry is already popped, so no timeout would ever
-            # reach it: fail it here, and keep the reader alive.
+        output = message.get("output")
+        if not isinstance(output, np.ndarray):
             with self._lock:
                 self._counters.protocol_errors += 1
-            entry.future._fail(WorkerError(
-                f"worker {worker.name!r} sent an unreadable response for "
-                f"{entry.model!r}: {error}", code="bad-response"))
+            self._fail_unreadable(worker, entry, "no output array attached")
             return
         entry.future._resolve(output, RoutedRequest(
             id=request_id, model=entry.model, worker=worker.name,
@@ -859,6 +868,26 @@ class ClusterRouter(ServerMixin):
             batch_size=message.get("batch_size"),
             cached=bool(message.get("cached", False)),
             coalesced=bool(message.get("coalesced", False))))
+
+    @staticmethod
+    def _fail_unreadable(worker: _WorkerBase, entry: _Pending,
+                         reason) -> None:
+        # The entry is already popped, so no timeout would ever reach
+        # it: fail it here, and keep the reader alive.
+        entry.future._fail(WorkerError(
+            f"worker {worker.name!r} sent an unreadable response for "
+            f"{entry.model!r}: {reason}", code="bad-response"))
+
+    def _frame_error(self, worker: _WorkerBase, error: FrameError) -> None:
+        """Count a response frame that failed to decode. When its header
+        named the request (a malformed attachment), that request fails
+        ``bad-response``; otherwise it is left to its timeout."""
+        with self._lock:
+            entry = self._pop_answered_locked(error.message_id)
+            self._counters.protocol_errors += 1
+            self._lock.notify_all()
+        if entry is not None:
+            self._fail_unreadable(worker, entry, error)
 
     def _drop_pending(self, request_id: int) -> Optional[_Pending]:
         with self._lock:
@@ -948,9 +977,8 @@ class ClusterRouter(ServerMixin):
                 except TransportClosed:
                     self._worker_died(worker)
                     break
-                except FrameError:
-                    with self._lock:
-                        self._counters.protocol_errors += 1
+                except FrameError as error:
+                    self._frame_error(worker, error)
                     progressed += 1
                     continue
                 if message is None:
@@ -1039,8 +1067,7 @@ class ClusterRouter(ServerMixin):
             except TransportClosed:
                 break
             except FrameError as error:
-                with self._lock:
-                    self._counters.protocol_errors += 1
+                self._frame_error(worker, error)
                 if error.code == "truncated":
                     break
                 continue

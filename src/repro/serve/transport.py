@@ -16,11 +16,27 @@ exactly one protocol line per frame. Two carriers implement it:
   no sockets, no threads, no sleeps. ``recv`` is non-blocking and only
   yields frames whose (virtual) delivery time has passed.
 
+Array attachments: a frame may carry one numpy array as raw bytes, so
+payloads cross the wire without base64 or JSON escaping. Its payload is
+then ``<UTF-8 JSON header> 0x00 <array bytes>``, and the header's
+``"attachment"`` object names the message key the array belongs to,
+its ``dtype`` (``dtype.str``, byte order included) and its ``shape``.
+JSON text never contains a NUL byte, so a frame without one is a plain
+JSON frame, exactly as before. :func:`encode_message` turns the one
+``np.ndarray`` value of a message into the attachment;
+:func:`decode_message` puts it back under its key, as an array that
+owns a copy of the attachment bytes only (not the whole frame). Numeric
+and bool dtypes travel; an object or structured dtype does not.
+
 Malformed frames decode to a typed :class:`~repro.errors.FrameError`
 (``oversized`` / ``bad-utf8`` / ``truncated`` / ``bad-json`` /
 ``not-object``) instead of a generic parse exception — the same codes
 :func:`repro.serve.cli.serve_protocol` answers for malformed stdin
-lines, so stdio and socket clients share one error vocabulary.
+lines, so stdio and socket clients share one error vocabulary. A frame
+whose header parses but whose attachment is malformed (byte count not
+``itemsize × prod(shape)``, a bad shape, a dtype that cannot travel)
+fails ``bad-request`` with the header's ``id`` in ``message_id``, so
+the peer can still answer or attribute it.
 
 Fault injection: a :class:`FaultPlan` is threaded through either
 transport and keys deterministic actions by ``(direction, frame
@@ -35,6 +51,8 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+import re
 import socket
 import struct
 import threading
@@ -79,15 +97,58 @@ FRAME_ERROR_CODES = frozenset(
 # ----------------------------------------------------------------------
 # Message <-> bytes
 # ----------------------------------------------------------------------
+#: dtype kinds an attachment may carry: bool, ints, floats, complex.
+ATTACHMENT_KINDS = "biufc"
+#: The ``dtype.str`` of such a dtype, e.g. ``<f4``, ``|b1``, ``>i8``.
+_WIRE_DTYPE = re.compile(rf"[<>|=][{ATTACHMENT_KINDS}][0-9]{{1,2}}")
+
+
+def _attachment_key(message: dict) -> Optional[str]:
+    """The key of the message's one ``np.ndarray`` value, if any."""
+    found = None
+    for key, value in message.items():
+        if isinstance(value, np.ndarray):
+            if found is not None:
+                raise FrameError(
+                    "bad-request",
+                    f"a frame carries one array attachment; "
+                    f"{found!r} and {key!r} are both arrays")
+            found = key
+    return found
+
+
 def encode_message(message: dict, max_bytes: int = MAX_MESSAGE_BYTES
                    ) -> bytes:
-    """One framed wire message: length prefix + UTF-8 JSON payload."""
-    data = json.dumps(message).encode("utf-8")
-    if len(data) > max_bytes:
+    """One framed wire message: length prefix + payload.
+
+    The payload is the UTF-8 JSON of ``message``; when one value is an
+    ``np.ndarray`` it is ``<JSON header> 0x00 <array bytes>`` instead
+    (see the module docstring).
+    """
+    key = _attachment_key(message)
+    if key is None:
+        data = json.dumps(message).encode("utf-8")
+        size, parts = len(data), (data,)
+    else:
+        # order="C" (not ascontiguousarray, which promotes 0-d to (1,))
+        array = np.asarray(message[key], order="C")
+        if array.dtype.kind not in ATTACHMENT_KINDS:
+            raise FrameError(
+                "bad-request",
+                f"dtype {array.dtype} of {key!r} cannot travel as an "
+                "array attachment (numeric and bool dtypes only)")
+        header = {name: value for name, value in message.items()
+                  if name != key}
+        header["attachment"] = {"key": key, "dtype": array.dtype.str,
+                                "shape": list(array.shape)}
+        data = json.dumps(header).encode("utf-8")
+        size = len(data) + 1 + array.nbytes
+        parts = (data, b"\0", memoryview(array))
+    if size > max_bytes:
         raise FrameError(
             "oversized",
-            f"frame payload is {len(data)} bytes; cap is {max_bytes}")
-    return FRAME_HEADER.pack(len(data)) + data
+            f"frame payload is {size} bytes; cap is {max_bytes}")
+    return b"".join((FRAME_HEADER.pack(size), *parts))
 
 
 def decode_text(data: bytes) -> str:
@@ -99,8 +160,7 @@ def decode_text(data: bytes) -> str:
                          f"frame payload is not UTF-8: {error}") from None
 
 
-def decode_message(data: bytes) -> dict:
-    """Frame payload bytes -> message dict (typed failures)."""
+def _decode_json(data: bytes) -> dict:
     text = decode_text(data)
     try:
         message = json.loads(text)
@@ -113,6 +173,56 @@ def decode_message(data: bytes) -> dict:
             f"frame payload must be a JSON object, got "
             f"{type(message).__name__}")
     return message
+
+
+def decode_message(data: bytes) -> dict:
+    """Frame payload bytes -> message dict (typed failures)."""
+    split = data.find(b"\0")
+    if split < 0:
+        return _decode_json(data)
+    message = _decode_json(data[:split])
+    try:
+        key, array = _read_attachment(message.pop("attachment", None),
+                                      data[split + 1:])
+    except FrameError as error:
+        error.message_id = message.get("id")
+        raise
+    message[key] = array
+    return message
+
+
+def _read_attachment(spec, raw: bytes) -> Tuple[str, np.ndarray]:
+    """``(key, array)`` of an attachment; ``raw`` is its own bytes, so
+    the array pins nothing else of the frame."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("key"), str):
+        raise FrameError(
+            "bad-request",
+            "frame has bytes after its JSON header but no "
+            "'attachment' object naming their key")
+    name = spec.get("dtype")
+    try:
+        # Only the dtype.str of a numeric or bool dtype reaches numpy.
+        if not isinstance(name, str) or not _WIRE_DTYPE.fullmatch(name):
+            raise TypeError(f"{name!r} is not the dtype.str of a numeric "
+                            "or bool dtype")
+        dtype = np.dtype(name)
+    except TypeError as error:
+        raise FrameError("bad-request",
+                         f"bad attachment dtype: {error}") from None
+    shape = spec.get("shape")
+    if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape):
+        raise FrameError(
+            "bad-request",
+            f"attachment shape must be a list of non-negative ints, "
+            f"got {shape!r}")
+    expected = dtype.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise FrameError(
+            "bad-request",
+            f"attachment is {len(raw)} bytes but dtype {dtype.str} x "
+            f"shape {tuple(shape)} needs {expected}")
+    return spec["key"], np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +329,11 @@ class FaultPlan:
         return self._actions.get((direction, index))
 
 
-def _corrupted(data: bytes) -> bytes:
-    return bytes([data[0] ^ 0xFF]) + data[1:] if data else data
+def _corrupted(data: bytes, at: int) -> bytes:
+    """``data`` with byte ``at`` (the payload's first) flipped."""
+    if len(data) <= at:
+        return data
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
 
 
 class _PlanMixin:
@@ -231,9 +344,11 @@ class _PlanMixin:
         self._send_direction = send_direction
         self._sent_frames = 0
 
-    def _apply_plan(self, data: bytes) -> Optional[Tuple[bytes, float]]:
-        """Returns ``(payload, delay_ms)`` to deliver, ``None`` to drop;
-        raises :class:`TransportClosed` for a kill (connection dies)."""
+    def _apply_plan(self, data: bytes, start: int = 0
+                    ) -> Optional[Tuple[bytes, float]]:
+        """Returns ``(data, delay_ms)`` to deliver, ``None`` to drop;
+        raises :class:`TransportClosed` for a kill (connection dies).
+        The payload begins at byte ``start`` of ``data``."""
         index = self._sent_frames
         self._sent_frames += 1
         action = self._plan.action(self._send_direction, index)
@@ -243,7 +358,7 @@ class _PlanMixin:
         if kind == "drop":
             return None
         if kind == "corrupt":
-            return _corrupted(data), 0.0
+            return _corrupted(data, start), 0.0
         if kind == "delay":
             return data, value
         # kill: the frame is lost and the connection is gone.
@@ -417,17 +532,18 @@ class SocketTransport(_PlanMixin):
 
     # ------------------------------------------------------------------
     def send(self, message: dict) -> None:
-        self.send_raw(encode_message(message,
-                                     self.max_bytes)[FRAME_HEADER.size:])
+        self._send_frame(encode_message(message, self.max_bytes))
 
     def send_raw(self, data: bytes) -> None:
+        self._send_frame(FRAME_HEADER.pack(len(data)) + data)
+
+    def _send_frame(self, frame: bytes) -> None:
         if self._closed:
             raise TransportClosed("socket transport is closed")
-        delivery = self._apply_plan(data)
+        delivery = self._apply_plan(frame, FRAME_HEADER.size)
         if delivery is None:
             return
-        payload, _delay = delivery
-        frame = FRAME_HEADER.pack(len(payload)) + payload
+        frame, _delay = delivery
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
@@ -488,14 +604,16 @@ class SocketTransport(_PlanMixin):
 def frame_lines(transport):
     """Iterate a transport's frames as protocol lines.
 
-    Yields ``str`` lines for well-formed frames and the
-    :class:`FrameError` itself for malformed ones (so
-    :func:`~repro.serve.cli.serve_protocol` can answer its typed code
-    and keep serving); stops on clean EOF or a closed connection.
+    Yields each well-formed frame's raw payload ``bytes`` (a JSON line,
+    or a JSON header plus an array attachment, which
+    :func:`~repro.serve.cli.serve_protocol` decodes) and the
+    :class:`FrameError` itself for malformed ones (so ``serve_protocol``
+    can answer its typed code and keep serving); stops on clean EOF or
+    a closed connection.
     """
     while True:
         try:
-            line = transport.recv_line(block=True)
+            frame = transport.recv_bytes(block=True)
         except TransportClosed:
             return
         except FrameError as error:
@@ -503,23 +621,30 @@ def frame_lines(transport):
             if error.code == "truncated":
                 return        # the stream is unrecoverable mid-frame
             continue
-        if line is None:
+        if frame is None:
             return
-        yield line
+        yield frame
 
 
 class FrameWriter:
-    """File-like ``out`` for serve_protocol: one written line = one frame.
+    """``out`` for serve_protocol over a transport: one message = one
+    frame.
+
+    :meth:`send` takes whole messages, so an array value travels as the
+    frame's raw attachment; :meth:`write` takes text, one line = one
+    JSON frame.
 
     A closed peer makes writes silent no-ops — the serving loop discovers
     the death on its read side; losing a response to a dead client is the
     same outcome a closed pipe would give the stdio server.
 
-    A response line bigger than the transport's frame cap (a stats dump
-    with a huge latency window, a giant batched output) is replaced by a
+    A response bigger than the transport's frame cap (a stats dump with
+    a huge latency window, a giant batched output) is replaced by a
     typed ``oversized`` error frame carrying the original message's
     ``id`` when one can be recovered — the peer gets an answer it can
     correlate instead of a dropped connection or an unreadable frame.
+    A message that cannot be encoded at all answers its typed
+    ``FrameError`` the same way.
     """
 
     def __init__(self, transport):
@@ -537,6 +662,17 @@ class FrameWriter:
         except ValueError:
             pass
         return json.dumps(answer).encode("utf-8")
+
+    def send(self, message: dict) -> None:
+        try:
+            try:
+                self._transport.send(message)
+            except FrameError as error:
+                self._transport.send({
+                    "error": str(error), "code": error.code,
+                    "retryable": False, "id": message.get("id")})
+        except TransportClosed:
+            pass
 
     def write(self, text: str) -> int:
         self._buffer += text

@@ -30,13 +30,17 @@ from repro.serve import (
     ClusterRouter,
     FaultPlan,
     LocalWorker,
+    ModelServer,
     PlacementPolicy,
     WorkerView,
+    build_artifact,
     get_placement,
     list_placements,
+    post_training_quantize,
     register_placement,
 )
-from repro.serve.cli import serve_protocol
+from repro.serve import cli, transport
+from repro.serve.cli import build_model, serve_protocol
 from repro.serve.placement import ConsistentHashPlacement
 from repro.util.hashing import ring_hash
 from tests.conftest import make_mlp
@@ -456,21 +460,29 @@ class TestChaos:
         router.close()
 
     @pytest.mark.parametrize("mangle", [
-        lambda message: {**message, "output_b64": "not base64!"},
-        lambda message: {**message, "shape": [len(message["shape"]) + 7]},
-    ], ids=["bad-base64", "size-mismatch"])
+        lambda header, body: ({**header, "attachment": {
+            **header["attachment"], "shape": [len(body) + 7]}}, body),
+        lambda header, body: ({**header, "attachment": {
+            **header["attachment"], "dtype": "|O"}}, body),
+        lambda header, body: (header, body[:-3]),
+    ], ids=["size-mismatch", "bad-dtype", "truncated-attachment"])
     def test_malformed_response_payload_fails_typed_and_reader_survives(
             self, deployed, mangle):
+        # The bad-base64 / size-mismatch cases of the base64 encoding,
+        # which the router no longer receives, are held against a b64
+        # client of serve_protocol in test_serve_protocol.py.
         deployment, quantized = deployed
         router, fleet, _ = make_cluster(deployment, workers=1)
         endpoint = fleet[0]._endpoint
         send_raw, mangled = endpoint.send_raw, []
 
         def mangle_first_response(data):
-            message = json.loads(data)
-            if "output_b64" in message and not mangled:
-                mangled.append(message["id"])
-                data = json.dumps(mangle(message)).encode("utf-8")
+            head, nul, body = data.partition(b"\0")
+            if nul and not mangled:
+                header = json.loads(head)
+                mangled.append(header["id"])
+                header, body = mangle(header, body)
+                data = json.dumps(header).encode("utf-8") + b"\0" + body
             send_raw(data)
 
         endpoint.send_raw = mangle_first_response
@@ -700,6 +712,113 @@ class TestRollingRestart:
 
 
 # ----------------------------------------------------------------------
+# Raw array attachments end to end: bit-exact, never base64
+# ----------------------------------------------------------------------
+ZOO = ("resnet_tiny", "lstm_lm", "gru_speech")
+
+
+@pytest.fixture(scope="module")
+def zoo(tmp_path_factory):
+    """Saved artifacts of a float32 CNN, an int64-token LSTM and a GRU."""
+    root = tmp_path_factory.mktemp("zoo")
+    paths, samplers = {}, {}
+    for name in ZOO:
+        model, sample = build_model(name, seed=0)
+        rng = np.random.default_rng(11)
+        results = post_training_quantize(model, [sample(rng, 8)])
+        path = root / f"{name}.npz"
+        build_artifact(model, sample(rng, 4), layer_results=results,
+                       name=name).save(path)
+        paths[name], samplers[name] = str(path), sample
+    return paths, samplers
+
+
+def assert_zoo_bit_exact(router, zoo):
+    """Every zoo model through ``router`` equals its single-request
+    ``predict`` bitwise; gru_speech chunks equal the offline stream."""
+    paths, samplers = zoo
+    reference = ModelServer(workers=0)
+    try:
+        for name in ZOO:
+            reference.load(name, paths[name])
+        for name in ("resnet_tiny", "lstm_lm"):
+            xs = samplers[name](np.random.default_rng(3), 4)
+            assert xs.dtype == (np.int64 if name == "lstm_lm"
+                                else np.float32)
+            for x in xs:
+                got = router.predict(name, x)
+                want = reference.predict(name, x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        plan = reference.plan("gru_speech")
+        seq = samplers["gru_speech"](np.random.default_rng(4), 1)[0]
+        offline = plan.stream_outputs(plan.forward(seq[None]), 1)[0]
+    finally:
+        reference.close()
+    sid = router.open_session("gru_speech")
+    chunks = [router.submit_stream("gru_speech", sid, seq[start:stop])
+              for start, stop in ((0, 3), (3, 7), (7, 12))]
+    router.drain()
+    streamed = np.concatenate([f.result(timeout=60.0) for f in chunks])
+    assert streamed.tobytes() == offline.tobytes()
+    assert router.close_session("gru_speech", sid) == 3
+
+
+@pytest.fixture
+def no_base64(monkeypatch):
+    """Make every base64 array encode/decode on the serving path raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("base64 on a framed transport")
+
+    for module in (transport, cli):
+        monkeypatch.setattr(module, "array_to_wire", refuse)
+        monkeypatch.setattr(module, "array_from_wire", refuse)
+
+
+class TestAttachmentWire:
+    def test_router_never_base64_encodes(self, deployed, no_base64):
+        deployment, quantized = deployed
+        router, fleet, _ = make_cluster(deployment, workers=2)
+        frames = {"to_worker": [], "to_router": []}
+        for worker in fleet:
+            for end, direction in ((worker.transport, "to_worker"),
+                                   (worker._endpoint, "to_router")):
+                send_raw = end.send_raw
+
+                def spy(data, send_raw=send_raw, direction=direction):
+                    frames[direction].append(data)
+                    send_raw(data)
+
+                end.send_raw = spy
+        xs = payloads(6)
+        futures = [router.submit("mlp", x) for x in xs]
+        router.drain()
+        for future, x in zip(futures, xs):
+            assert future.result(timeout=0).tobytes() == \
+                quantized.predict(x[None])[0].tobytes()
+        router.close()
+        for direction, sent in frames.items():
+            assert len(sent) == 6
+            for data in sent:
+                header = json.loads(data.partition(b"\0")[0])
+                key = "input" if direction == "to_worker" else "output"
+                assert header["attachment"]["key"] == key
+                assert header["attachment"]["dtype"] == "<f4"
+                assert not any(name.endswith("_b64") for name in header)
+
+    def test_local_workers_are_bit_exact(self, zoo, no_base64):
+        paths, _ = zoo
+        clock = ManualClock()
+        fleet = [LocalWorker(f"w{index}", paths, clock=clock, max_batch=4)
+                 for index in range(2)]
+        router = ClusterRouter(fleet, "consistent_hash", clock=clock)
+        try:
+            assert_zoo_bit_exact(router, zoo)
+        finally:
+            router.close()
+
+
+# ----------------------------------------------------------------------
 # Determinism guard
 # ----------------------------------------------------------------------
 class TestNoSleeps:
@@ -745,3 +864,29 @@ class TestProcessCluster:
             assert all(f.exception(timeout=0) is None for f in retry)
         finally:
             router.close()
+
+    def test_subprocess_workers_are_bit_exact(self, zoo):
+        router = ClusterRouter.spawn(zoo[0], workers=2,
+                                     placement="consistent_hash",
+                                     max_batch=4, max_wait_ms=1.0)
+        try:
+            assert_zoo_bit_exact(router, zoo)
+        finally:
+            router.close()
+
+    def test_stop_and_restart_close_the_banner_pipe(self, deployed,
+                                                    tmp_path):
+        path = tmp_path / "mlp.npz"
+        deployed[0].save(path)
+        router = ClusterRouter.spawn({"mlp": str(path)}, workers=2,
+                                     max_batch=4, max_wait_ms=1.0)
+        try:
+            first = [worker._proc for worker in router._workers]
+            router.rolling_restart(timeout=120.0)
+            assert all(proc.stdout.closed for proc in first)
+            second = [worker._proc for worker in router._workers]
+            assert not any(proc.stdout.closed for proc in second)
+        finally:
+            router.close()
+        assert all(proc.stdout.closed for proc in second)
+        assert all(proc.returncode is not None for proc in first + second)

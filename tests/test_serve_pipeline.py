@@ -332,3 +332,17 @@ class TestProcessPipeline:
                 assert np.allclose(got, want, atol=1e-6)
         finally:
             cluster.close(drain=False)
+
+    def test_cli_process_pipeline_is_bit_exact(self, tmp_path, capsys):
+        # `serve pipeline --process`: a 2-stage resnet_tiny pipeline
+        # whose activations hop between subprocesses as raw frame
+        # attachments must equal the single-device plan bitwise.
+        from repro.serve.cli import main
+
+        path = tmp_path / "rt.npz"
+        make_artifact("resnet_tiny").save(path)
+        code = main(["pipeline", str(path), "--stages", "2",
+                     "--requests", "8", "--batch", "4", "--process"])
+        out = capsys.readouterr().out
+        assert "IDENTICAL (np.array_equal)" in out
+        assert code == 0

@@ -31,9 +31,15 @@ import numpy as np
 import pytest
 
 from repro.api import Pipeline, PipelineConfig
-from repro.errors import FrameError, TransportClosed
-from repro.serve import ModelServer, array_from_wire, array_to_wire
+from repro.errors import FrameError, TransportClosed, WorkerError
+from repro.serve import (
+    ClusterRouter,
+    ModelServer,
+    array_from_wire,
+    array_to_wire,
+)
 from repro.serve.cli import serve_protocol
+from repro.serve.cluster import _WorkerBase
 from repro.serve.transport import (
     FRAME_ERROR_CODES,
     FRAME_HEADER,
@@ -203,7 +209,8 @@ class TestFraming:
         writer.close()
         items = list(frame_lines(reader))
         assert json.loads(items[0]) == {"id": 1}
-        assert isinstance(items[1], str)     # valid utf-8 text line
+        # the raw payload: serve_protocol, not the carrier, rejects it
+        assert items[1] == b"not json at all"
         assert json.loads(items[2]) == {"id": 2}
         reader.close()
 
@@ -254,6 +261,237 @@ class TestArrayWire:
         wire["input_b64"] = "!!! not base64 !!!"
         with pytest.raises(ValueError, match="base64"):
             array_from_wire(wire, "input")
+
+
+# ----------------------------------------------------------------------
+# Raw array attachments: <JSON header> 0x00 <array bytes>
+# ----------------------------------------------------------------------
+def attachment_frame(header, body):
+    """A hand-built attachment payload (no length prefix)."""
+    head = header if isinstance(header, bytes) else \
+        json.dumps(header).encode("utf-8")
+    return head + b"\0" + body
+
+
+def spec(dtype="<f4", shape=(4,), key="input"):
+    return {"key": key, "dtype": dtype, "shape": list(shape)}
+
+
+def round_trip(message, max_bytes=1 << 20):
+    framed = encode_message(message, max_bytes)
+    (length,) = FRAME_HEADER.unpack(framed[:FRAME_HEADER.size])
+    assert length == len(framed) - FRAME_HEADER.size
+    return framed[FRAME_HEADER.size:], decode_message(
+        framed[FRAME_HEADER.size:])
+
+
+class TestAttachmentCodec:
+    ARRAYS = {
+        "float32": np.array([[1.5, -0.0, np.inf], [np.nan, 1e-45, -3.25]],
+                            dtype=np.float32),
+        "float16": np.linspace(-2, 2, 7).astype(np.float16),
+        "int64": np.array([0, -1, 2 ** 62, -2 ** 63], dtype=np.int64),
+        "bool": np.array([[True, False], [False, True]]),
+        "0-d": np.asarray(np.float32(2.5)),
+        "non-contiguous": np.arange(48, dtype=np.float32)
+                            .reshape(6, 8)[::2, 1::3],
+        "big-endian-f4": np.arange(6, dtype=">f4").reshape(3, 2) / 7,
+        "big-endian-i8": np.array([1, -2, 2 ** 40], dtype=">i8"),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_round_trip_is_bitwise(self, name):
+        array = self.ARRAYS[name]
+        payload, back = round_trip({"id": 9, "model": "m", "input": array})
+        assert b"\0" in payload
+        assert set(back) == {"id", "model", "input"}
+        assert back["id"] == 9 and back["model"] == "m"
+        restored = back["input"]
+        assert isinstance(restored, np.ndarray)
+        assert restored.dtype == array.dtype        # byte order included
+        assert restored.shape == array.shape
+        assert restored.tobytes() == array.tobytes()    # NaN-safe bitwise
+
+    def test_frame_without_attachment_is_todays_frame(self):
+        corpus = [
+            {"id": 7, "model": "m", "input": [1.5, -2.0]},
+            {"op": "stats", "detail": True, "id": "s"},
+            {"text": "nul \x00 and control \x01 chars, unicode \u00e9"},
+            {"nested": {"attachment": {"key": "x"}}, "list": [[1], []]},
+            {},
+        ]
+        for message in corpus:
+            payload, back = round_trip(message)
+            assert payload == json.dumps(message).encode("utf-8")
+            assert b"\0" not in payload        # JSON escapes a NUL
+            assert back == message == json.loads(payload)
+
+    def test_decoded_array_owns_only_its_attachment(self):
+        array = np.arange(256, dtype=np.float32)
+        payload, _ = round_trip({"id": 1, "model": "m", "blob": "x" * 4096,
+                                 "input": array})
+        restored = decode_message(payload)["input"]
+        owner = restored
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner, bytes)
+        assert len(owner) == array.nbytes < len(payload)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([{"a": 1}, None], dtype=object),
+        np.zeros(3, dtype=[("a", "<f4"), ("b", "<i4")]),
+        np.array(["ab", "c"]),
+    ], ids=["object", "structured", "unicode"])
+    def test_encode_rejects_dtypes_that_cannot_travel(self, bad):
+        with pytest.raises(FrameError) as excinfo:
+            encode_message({"id": 1, "input": bad})
+        assert type(excinfo.value) is FrameError
+        assert excinfo.value.code == "bad-request"
+
+    def test_encode_rejects_two_attachments(self):
+        with pytest.raises(FrameError, match="one array attachment"):
+            encode_message({"input": np.zeros(2), "other": np.ones(2)})
+
+    def test_header_plus_attachment_over_cap_is_oversized(self):
+        array = np.zeros(16, dtype=np.float32)       # 64 bytes of body
+        payload, _ = round_trip({"id": 1, "input": array})
+        with pytest.raises(FrameError) as excinfo:
+            encode_message({"id": 1, "input": array},
+                           max_bytes=len(payload) - 1)
+        assert excinfo.value.code == "oversized"
+        # the receiving side classifies the same frame the same way
+        router_end, worker_end = FakeTransport.pair(
+            max_bytes=len(payload) - 1)
+        router_end.send_raw(payload)
+        with pytest.raises(FrameError) as excinfo:
+            worker_end.recv()
+        assert excinfo.value.code == "oversized"
+        router_end.close()
+
+    @pytest.mark.parametrize("payload,code,message_id", [
+        (attachment_frame({"id": 5, "attachment": spec()}, bytes(12)),
+         "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=(3, 4))},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=(-1, 2))},
+                          bytes(8)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=(2.0,))},
+                          bytes(8)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape="4")},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype="|O")},
+                          bytes(32)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype="|V4")},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype="no-such")},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype=None)},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype="<f3")},
+                          bytes(12)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(dtype="a1")},
+                          bytes(4)), "bad-request", 5),
+        (attachment_frame({"id": 5}, bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": {"dtype": "<f4"}},
+                          bytes(16)), "bad-request", 5),
+        (attachment_frame(b"{not json", bytes(16)), "bad-json", None),
+        (attachment_frame(b"[5]", bytes(16)), "not-object", None),
+        (attachment_frame(b"\xff\xfe{}", bytes(16)), "bad-utf8", None),
+    ], ids=["length-mismatch", "shape-disagrees", "negative-dim",
+            "float-dim", "shape-not-list", "object-dtype",
+            "structured-dtype", "unknown-dtype", "no-dtype",
+            "bad-itemsize", "deprecated-alias",
+            "no-spec", "spec-without-key", "header-not-json",
+            "header-not-object", "header-not-utf8"])
+    def test_malformed_attachment_fails_typed(self, payload, code,
+                                              message_id):
+        with pytest.raises(FrameError) as excinfo:
+            decode_message(payload)
+        # typed: never a bare numpy ValueError/TypeError
+        assert type(excinfo.value) is FrameError
+        assert excinfo.value.code == code
+        assert excinfo.value.message_id == message_id
+
+    def test_worker_answers_bad_attachment_with_recovered_id(self,
+                                                             deployed):
+        deployment, quantized = deployed
+        server = ModelServer(workers=0, max_batch=4)
+        server.add("mlp", deployment)
+        router_end, worker_end = FakeTransport.pair()
+        x = np.random.default_rng(4).normal(size=(12,)).astype(np.float32)
+        frames = [
+            attachment_frame({"id": 5, "model": "mlp",
+                              "attachment": spec(shape=(13,))}, x.tobytes()),
+            attachment_frame({"id": 6, "model": "mlp",
+                              "attachment": spec(shape=(12,))}, x.tobytes()),
+        ]
+        served = serve_protocol(server, frames, FrameWriter(worker_end))
+        server.close()
+        assert served == 1
+        bad, good = router_end.recv(), router_end.recv()
+        assert bad["id"] == 5 and bad["code"] == "bad-request"
+        assert bad["retryable"] is False
+        # an attachment request is answered with an attachment
+        assert good["id"] == 6 and isinstance(good["output"], np.ndarray)
+        assert np.array_equal(good["output"], quantized.predict(x[None])[0])
+        router_end.close()
+
+    def test_text_out_answers_attachment_requests_in_base64(self, deployed):
+        # A text stream cannot carry raw bytes: the answer falls back to
+        # the base64 form rather than failing.
+        deployment, quantized = deployed
+        server = ModelServer(workers=0, max_batch=4)
+        server.add("mlp", deployment)
+        x = np.random.default_rng(5).normal(size=(12,)).astype(np.float32)
+        payload, _ = round_trip({"id": 3, "model": "mlp", "input": x})
+        _, responses = run_protocol(server, [payload])
+        server.close()
+        output = array_from_wire(responses[0], "output")
+        assert np.array_equal(output, quantized.predict(x[None])[0])
+
+
+class TestRouterReader:
+    def test_reader_thread_fails_bad_attachment_and_keeps_serving(self):
+        # A self-driving worker over a socketpair: the router's reader
+        # thread gets a response whose attachment disagrees with its
+        # header, fails that request bad-response, and serves the next.
+        class SocketWorker(_WorkerBase):
+            drives_itself = True
+
+            def __init__(self, sock):
+                super().__init__("w0", {"m": None}, None)
+                self.transport = SocketTransport(sock)
+                self.alive = True
+
+            def stop(self):
+                self.transport.close()
+
+        router_sock, worker_sock = socket.socketpair()
+        peer = SocketTransport(worker_sock, send_direction="to_router")
+        router = ClusterRouter([SocketWorker(router_sock)])
+        try:
+            bad = router.submit("m", np.arange(3, dtype=np.float32))
+            request = peer.recv()
+            assert request["input"].tobytes() == \
+                np.arange(3, dtype=np.float32).tobytes()
+            peer.send_raw(json.dumps({
+                "id": request["id"], "attachment": {
+                    "key": "output", "dtype": "<f4", "shape": [4]}})
+                .encode() + b"\0" + bytes(12))
+            error = bad.exception(timeout=10.0)
+            assert isinstance(error, WorkerError)
+            assert error.code == "bad-response"
+            good = router.submit("m", np.ones(2, dtype=np.float32))
+            request = peer.recv()
+            peer.send({"id": request["id"], "output": request["input"] * 2})
+            assert good.result(timeout=10.0).tolist() == [2.0, 2.0]
+            stats = router.router_stats()
+            assert stats.protocol_errors == 1
+            assert stats.routed == stats.completed == 2
+        finally:
+            router.close(drain=False)
+            peer.close()
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +592,34 @@ class TestProtocolErrors:
         assert "output" not in responses[0]
         output = array_from_wire(responses[0], "output")
         assert np.array_equal(output, quantized.predict(x[None])[0])
+
+    @pytest.mark.parametrize("mangle", [
+        lambda wire, key: {**wire, f"{key}_b64": "not base64!"},
+        lambda wire, key: {**wire, "shape": [len(wire["shape"]) + 7]},
+    ], ids=["bad-base64", "size-mismatch"])
+    def test_malformed_b64_payload_fails_typed_and_loop_survives(
+            self, deployed, mangle):
+        # A base64 client: a mangled request is answered bad-request
+        # with its id and the next request is still served; a mangled
+        # answer fails the client's decode with a ValueError, never a
+        # wrong array.
+        deployment, quantized = deployed
+        server = ModelServer(workers=0, max_batch=4)
+        server.add("mlp", deployment)
+        x = np.random.default_rng(6).normal(size=(12,)).astype(np.float32)
+        lines = [json.dumps({"id": 0, "model": "mlp",
+                             **mangle(array_to_wire(x), "input")}),
+                 json.dumps({"id": 1, "model": "mlp", **array_to_wire(x)})]
+        served, responses = run_protocol(server, lines)
+        server.close()
+        assert served == 1
+        bad, good = responses
+        assert bad["id"] == 0 and bad["code"] == "bad-request"
+        assert bad["retryable"] is False
+        assert np.array_equal(array_from_wire(good, "output"),
+                              quantized.predict(x[None])[0])
+        with pytest.raises(ValueError):
+            array_from_wire(mangle(good, "output"), "output")
 
     def test_stats_detail_echoes_id_and_aliases(self, deployed):
         server = ModelServer(workers=0, max_batch=4)
