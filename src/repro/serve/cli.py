@@ -395,8 +395,7 @@ def serve_protocol(server: Server, lines, out,
             return array_from_wire(message, "input"), "b64"
         payload = message["input"]
         if isinstance(payload, np.ndarray):
-            # A text ``out`` cannot carry an attachment: answer base64.
-            return payload, "raw" if send is not None else "b64"
+            return payload, "raw"    # a framed request, so a FrameWriter
         return np.asarray(payload), "list"
 
     def response(request_id, model, future, form):

@@ -112,6 +112,13 @@ def error_from_wire(message: Dict) -> ServingError:
     return error
 
 
+def _not_an_array(what: str, error: Exception) -> ServingError:
+    """``bad-request``: ``np.asarray`` rejected a submitted payload."""
+    bad = ServingError(f"{what} is not an array: {error}")
+    bad.code = "bad-request"
+    return bad
+
+
 @dataclass
 class RoutedRequest:
     """Per-request record a cluster future resolves with (the cluster
@@ -570,12 +577,17 @@ class ClusterRouter(ServerMixin):
         death, oversized payload.
         """
         future = InferenceFuture(model=model)
+        try:
+            x = np.asarray(x)
+        except Exception as error:
+            future._fail(_not_an_array("payload", error))
+            return future
         request_key = None
         if self._cache_affinity:
             try:
                 # Same digest the workers' caches key payloads on, so
                 # repeats of one payload land where the cache is warm.
-                request_key = array_digest(np.asarray(x))
+                request_key = array_digest(x)
             except (TypeError, ValueError):
                 request_key = None     # undigestable: placement by model
         with self._lock:
@@ -594,13 +606,7 @@ class ClusterRouter(ServerMixin):
                         code="no-workers"))
                 future._fail(error)
                 return future
-        try:
-            message = {"model": model, "input": np.asarray(x)}
-        except Exception as error:
-            bad = ServingError(f"payload could not be encoded: {error}")
-            bad.code = "bad-request"
-            future._fail(bad)
-            return future
+        message = {"model": model, "input": x}
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
@@ -729,13 +735,12 @@ class ClusterRouter(ServerMixin):
                 code="session-lost"))
             return future
         try:
-            message = {"op": "stream_submit", "model": model,
-                       "session": session_id, "input": np.asarray(chunk)}
+            chunk = np.asarray(chunk)
         except Exception as error:
-            bad = ServingError(f"chunk could not be encoded: {error}")
-            bad.code = "bad-request"
-            future._fail(bad)
+            future._fail(_not_an_array("chunk", error))
             return future
+        message = {"op": "stream_submit", "model": model,
+                   "session": session_id, "input": chunk}
         with self._lock:
             request_id = self._next_id
             self._next_id += 1

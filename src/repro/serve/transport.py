@@ -34,7 +34,8 @@ Malformed frames decode to a typed :class:`~repro.errors.FrameError`
 :func:`repro.serve.cli.serve_protocol` answers for malformed stdin
 lines, so stdio and socket clients share one error vocabulary. A frame
 whose header parses but whose attachment is malformed (byte count not
-``itemsize × prod(shape)``, a bad shape, a dtype that cannot travel)
+``itemsize × prod(shape)``, a bad shape or more than
+:data:`MAX_ATTACHMENT_DIMS` dims, a dtype that cannot travel)
 fails ``bad-request`` with the header's ``id`` in ``message_id``, so
 the peer can still answer or attribute it.
 
@@ -101,6 +102,8 @@ FRAME_ERROR_CODES = frozenset(
 ATTACHMENT_KINDS = "biufc"
 #: The ``dtype.str`` of such a dtype, e.g. ``<f4``, ``|b1``, ``>i8``.
 _WIRE_DTYPE = re.compile(rf"[<>|=][{ATTACHMENT_KINDS}][0-9]{{1,2}}")
+#: Most dims an attachment may have (numpy 1.x's limit on any array).
+MAX_ATTACHMENT_DIMS = 32
 
 
 def _attachment_key(message: dict) -> Optional[str]:
@@ -137,6 +140,11 @@ def encode_message(message: dict, max_bytes: int = MAX_MESSAGE_BYTES
                 "bad-request",
                 f"dtype {array.dtype} of {key!r} cannot travel as an "
                 "array attachment (numeric and bool dtypes only)")
+        if array.ndim > MAX_ATTACHMENT_DIMS:
+            raise FrameError(
+                "bad-request",
+                f"{key!r} has {array.ndim} dims; at most "
+                f"{MAX_ATTACHMENT_DIMS} travel as an attachment")
         header = {name: value for name, value in message.items()
                   if name != key}
         header["attachment"] = {"key": key, "dtype": array.dtype.str,
@@ -216,13 +224,24 @@ def _read_attachment(spec, raw: bytes) -> Tuple[str, np.ndarray]:
             "bad-request",
             f"attachment shape must be a list of non-negative ints, "
             f"got {shape!r}")
+    if len(shape) > MAX_ATTACHMENT_DIMS:
+        raise FrameError(
+            "bad-request",
+            f"attachment has {len(shape)} dims; at most "
+            f"{MAX_ATTACHMENT_DIMS} travel")
     expected = dtype.itemsize * math.prod(shape)
     if len(raw) != expected:
         raise FrameError(
             "bad-request",
             f"attachment is {len(raw)} bytes but dtype {dtype.str} x "
             f"shape {tuple(shape)} needs {expected}")
-    return spec["key"], np.frombuffer(raw, dtype=dtype).reshape(shape)
+    try:
+        # A zero extent lets any other extent match the byte count;
+        # numpy still refuses one past its index range.
+        return spec["key"], np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except (ValueError, OverflowError) as error:
+        raise FrameError("bad-request",
+                         f"bad attachment shape: {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -470,10 +489,6 @@ class FakeTransport(_PlanMixin):
         payload = self.recv_bytes(block)
         return None if payload is None else decode_message(payload)
 
-    def recv_line(self, block: bool = False) -> Optional[str]:
-        payload = self.recv_bytes(block)
-        return None if payload is None else decode_text(payload)
-
 
 # ----------------------------------------------------------------------
 # Real sockets
@@ -593,10 +608,6 @@ class SocketTransport(_PlanMixin):
         payload = self.recv_bytes(block)
         return None if payload is None else decode_message(payload)
 
-    def recv_line(self, block: bool = True) -> Optional[str]:
-        payload = self.recv_bytes(block)
-        return None if payload is None else decode_text(payload)
-
 
 # ----------------------------------------------------------------------
 # Adapters: a transport as (lines, out) for serve_protocol
@@ -627,41 +638,24 @@ def frame_lines(transport):
 
 
 class FrameWriter:
-    """``out`` for serve_protocol over a transport: one message = one
-    frame.
+    """``out`` for serve_protocol over a transport: :meth:`send` takes
+    one whole message and sends it as one frame, so an array value
+    travels as the frame's raw attachment.
 
-    :meth:`send` takes whole messages, so an array value travels as the
-    frame's raw attachment; :meth:`write` takes text, one line = one
-    JSON frame.
-
-    A closed peer makes writes silent no-ops — the serving loop discovers
+    A closed peer makes sends silent no-ops — the serving loop discovers
     the death on its read side; losing a response to a dead client is the
     same outcome a closed pipe would give the stdio server.
 
     A response bigger than the transport's frame cap (a stats dump with
-    a huge latency window, a giant batched output) is replaced by a
-    typed ``oversized`` error frame carrying the original message's
-    ``id`` when one can be recovered — the peer gets an answer it can
-    correlate instead of a dropped connection or an unreadable frame.
-    A message that cannot be encoded at all answers its typed
-    ``FrameError`` the same way.
+    a huge latency window, a giant batched output), or one that cannot
+    be encoded at all, is replaced by a typed error frame (``oversized``
+    / ``bad-request``) carrying the original message's ``id`` — the peer
+    gets an answer it can correlate instead of a dropped connection or
+    an unreadable frame.
     """
 
     def __init__(self, transport):
         self._transport = transport
-        self._buffer = ""
-
-    def _oversized_answer(self, line: str, nbytes: int) -> bytes:
-        answer = {"error": f"response line is {nbytes} bytes; cap is "
-                           f"{self._transport.max_bytes}",
-                  "code": "oversized", "retryable": False}
-        try:
-            message = json.loads(line)
-            if isinstance(message, dict):
-                answer["id"] = message.get("id")
-        except ValueError:
-            pass
-        return json.dumps(answer).encode("utf-8")
 
     def send(self, message: dict) -> None:
         try:
@@ -673,19 +667,3 @@ class FrameWriter:
                     "retryable": False, "id": message.get("id")})
         except TransportClosed:
             pass
-
-    def write(self, text: str) -> int:
-        self._buffer += text
-        while "\n" in self._buffer:
-            line, self._buffer = self._buffer.split("\n", 1)
-            data = line.encode("utf-8")
-            if len(data) > self._transport.max_bytes:
-                data = self._oversized_answer(line, len(data))
-            try:
-                self._transport.send_raw(data)
-            except TransportClosed:
-                pass
-        return len(text)
-
-    def flush(self) -> None:
-        pass

@@ -250,6 +250,26 @@ class TestClusterServing:
         assert stats.in_flight == 0
         router.close()
 
+    def test_unsendable_payload_fails_typed_and_router_serves_on(
+            self, deployed):
+        # np.asarray rejects a ragged list; an object array converts but
+        # cannot travel as an attachment. Both fail their future only.
+        deployment, quantized = deployed
+        router, _, _ = make_cluster(deployment, workers=1)
+        ragged = router.submit("mlp", [[1.0], [2.0, 3.0]])
+        objects = router.submit("mlp", np.array([None, {}], dtype=object))
+        x = payloads(1)[0]
+        good = router.submit("mlp", x)
+        router.drain()
+        for future in (ragged, objects):
+            error = future.exception(timeout=0)
+            assert isinstance(error, ServingError)
+            assert error.code == "bad-request"
+        assert np.array_equal(good.result(timeout=0),
+                              quantized.predict(x[None])[0])
+        assert router.router_stats().in_flight == 0
+        router.close()
+
     def test_worker_validation(self, deployed):
         clock = ManualClock()
         workers = [LocalWorker("same", {"mlp": deployed[0]}, clock=clock),

@@ -43,10 +43,12 @@ from repro.serve.cluster import _WorkerBase
 from repro.serve.transport import (
     FRAME_ERROR_CODES,
     FRAME_HEADER,
+    MAX_ATTACHMENT_DIMS,
     FakeTransport,
     FrameWriter,
     SocketTransport,
     decode_message,
+    decode_text,
     encode_message,
     frame_lines,
 )
@@ -183,14 +185,15 @@ class TestFraming:
             # FakeTransport is non-blocking; adapt for frame_lines
             while True:
                 try:
-                    line = worker_end.recv_line()
+                    payload = worker_end.recv_bytes()
+                    if payload is None:
+                        return
+                    line = decode_text(payload)
                 except TransportClosed:
                     return
                 except FrameError as error:
                     yield error
                     continue
-                if line is None:
-                    return
                 yield line
 
         items = list(drain_available())
@@ -199,7 +202,7 @@ class TestFraming:
         assert json.loads(items[1]) == {"id": 1}
         router_end.close()
         with pytest.raises(TransportClosed):
-            worker_end.recv_line()
+            worker_end.recv_bytes()
 
     def test_frame_lines_over_socket(self):
         writer, reader = socket_pair()
@@ -349,6 +352,15 @@ class TestAttachmentCodec:
         assert type(excinfo.value) is FrameError
         assert excinfo.value.code == "bad-request"
 
+    def test_dims_cap_is_the_same_on_both_sides(self):
+        most = np.zeros([1] * MAX_ATTACHMENT_DIMS, dtype=np.float32)
+        _, back = round_trip({"id": 1, "input": most})
+        assert back["input"].shape == most.shape
+        with pytest.raises(FrameError) as excinfo:
+            encode_message({"id": 1, "input": most[..., None]})
+        assert type(excinfo.value) is FrameError
+        assert excinfo.value.code == "bad-request"
+
     def test_encode_rejects_two_attachments(self):
         with pytest.raises(FrameError, match="one array attachment"):
             encode_message({"input": np.zeros(2), "other": np.ones(2)})
@@ -380,6 +392,14 @@ class TestAttachmentCodec:
                           bytes(8)), "bad-request", 5),
         (attachment_frame({"id": 5, "attachment": spec(shape="4")},
                           bytes(16)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=[1] * 65)},
+                          bytes(4)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=[1] * 33)},
+                          bytes(4)), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=(0, 2 ** 64))},
+                          b""), "bad-request", 5),
+        (attachment_frame({"id": 5, "attachment": spec(shape=(0, 2 ** 62))},
+                          b""), "bad-request", 5),
         (attachment_frame({"id": 5, "attachment": spec(dtype="|O")},
                           bytes(32)), "bad-request", 5),
         (attachment_frame({"id": 5, "attachment": spec(dtype="|V4")},
@@ -399,7 +419,9 @@ class TestAttachmentCodec:
         (attachment_frame(b"[5]", bytes(16)), "not-object", None),
         (attachment_frame(b"\xff\xfe{}", bytes(16)), "bad-utf8", None),
     ], ids=["length-mismatch", "shape-disagrees", "negative-dim",
-            "float-dim", "shape-not-list", "object-dtype",
+            "float-dim", "shape-not-list", "too-many-dims",
+            "one-dim-too-many", "huge-zero-extent-dim",
+            "zero-extent-past-index-range", "object-dtype",
             "structured-dtype", "unknown-dtype", "no-dtype",
             "bad-itemsize", "deprecated-alias",
             "no-spec", "spec-without-key", "header-not-json",
@@ -437,22 +459,13 @@ class TestAttachmentCodec:
         assert np.array_equal(good["output"], quantized.predict(x[None])[0])
         router_end.close()
 
-    def test_text_out_answers_attachment_requests_in_base64(self, deployed):
-        # A text stream cannot carry raw bytes: the answer falls back to
-        # the base64 form rather than failing.
-        deployment, quantized = deployed
-        server = ModelServer(workers=0, max_batch=4)
-        server.add("mlp", deployment)
-        x = np.random.default_rng(5).normal(size=(12,)).astype(np.float32)
-        payload, _ = round_trip({"id": 3, "model": "mlp", "input": x})
-        _, responses = run_protocol(server, [payload])
-        server.close()
-        output = array_from_wire(responses[0], "output")
-        assert np.array_equal(output, quantized.predict(x[None])[0])
-
 
 class TestRouterReader:
-    def test_reader_thread_fails_bad_attachment_and_keeps_serving(self):
+    @pytest.mark.parametrize("shape,body", [
+        ([4], bytes(12)), ([1] * 65, bytes(4)), ([0, 2 ** 64], b""),
+    ], ids=["size-mismatch", "too-many-dims", "huge-zero-extent-dim"])
+    def test_reader_thread_fails_bad_attachment_and_keeps_serving(
+            self, shape, body):
         # A self-driving worker over a socketpair: the router's reader
         # thread gets a response whose attachment disagrees with its
         # header, fails that request bad-response, and serves the next.
@@ -477,8 +490,8 @@ class TestRouterReader:
                 np.arange(3, dtype=np.float32).tobytes()
             peer.send_raw(json.dumps({
                 "id": request["id"], "attachment": {
-                    "key": "output", "dtype": "<f4", "shape": [4]}})
-                .encode() + b"\0" + bytes(12))
+                    "key": "output", "dtype": "<f4", "shape": shape}})
+                .encode() + b"\0" + body)
             error = bad.exception(timeout=10.0)
             assert isinstance(error, WorkerError)
             assert error.code == "bad-response"
@@ -646,22 +659,14 @@ class TestFrameWriterOversized:
     def test_oversized_write_becomes_typed_error_frame(self):
         router_end, worker_end = FakeTransport.pair(max_bytes=128)
         writer = FrameWriter(worker_end)
-        writer.write(json.dumps({"id": 5, "blob": "x" * 4096}) + "\n")
-        writer.write(json.dumps({"id": 6, "ok": True}) + "\n")
+        writer.send({"id": 5, "blob": "x" * 4096})
+        writer.send({"id": 6, "ok": True})
         answer = router_end.recv()
         assert answer["code"] == "oversized"
         assert answer["retryable"] is False
         assert answer["id"] == 5
         # the stream stays in sync: the next frame parses normally
         assert router_end.recv() == {"id": 6, "ok": True}
-        router_end.close()
-
-    def test_oversized_unparseable_line_still_answered(self):
-        router_end, worker_end = FakeTransport.pair(max_bytes=128)
-        FrameWriter(worker_end).write("x" * 4096 + "\n")
-        answer = router_end.recv()
-        assert answer["code"] == "oversized"
-        assert "id" not in answer            # nothing to correlate with
         router_end.close()
 
     def test_raw_oversized_frame_is_typed_frame_error(self):
@@ -816,12 +821,12 @@ class TestInterleavedFIFO:
         collected = []
         while True:
             try:
-                line = worker_end.recv_line()
+                payload = worker_end.recv_bytes()
             except TransportClosed:
                 break
-            if line is None:
+            if payload is None:
                 break
-            collected.append(line)
+            collected.append(decode_text(payload))
         serve_protocol(server, collected, FrameWriter(worker_end))
         server.close()
         framed = []
