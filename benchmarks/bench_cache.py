@@ -71,7 +71,7 @@ def zipf_indices(count, population, s, seed=11):
 
 def batched_capacity(engine, payloads):
     """Requests/sec of burst batch-16 serving (the uncached ceiling)."""
-    server = ModelServer(workers=0, max_batch=BATCH, max_wait_ms=0.0)
+    server = ModelServer(workers=0, max_batch=BATCH)
     server.add_engine("m", engine, batch=BATCH)
     server.submit_many("m", payloads)
     started = time.perf_counter()
@@ -91,9 +91,8 @@ def run_scenario(engine, stream, offsets, cache_mb, population=None):
     reference) and the stream futures carry cached/coalesced
     provenance.
     """
-    server = ModelServer(workers=2, max_batch=BATCH, max_wait_ms=2.0,
-                         cache_mb=cache_mb)
-    server.add_engine("m", engine, batch=BATCH, max_wait_ms=2.0)
+    server = ModelServer(workers=2, max_batch=BATCH, cache_mb=cache_mb)
+    server.add_engine("m", engine, batch=BATCH)
     warm = []
     if cache_mb and population is not None:
         warm = [server.submit("m", payload) for payload in population]
@@ -143,8 +142,7 @@ def assert_rollover_never_stale(population, rolled_sample):
     re-warms to the new model's bits."""
     old, _ = build_deployment(seed=0)
     new, _ = build_deployment(seed=7)
-    server = ModelServer(workers=0, max_batch=BATCH, max_wait_ms=0.0,
-                         cache_mb=CACHE_MB)
+    server = ModelServer(workers=0, max_batch=BATCH, cache_mb=CACHE_MB)
     server.add("m@v1", old)
     server.alias("m", "m@v1")
     for payload in population:

@@ -62,8 +62,8 @@ def export_artifact(path):
 def run_cluster(path, payloads, offsets, workers):
     """Open-loop: submit on the Poisson schedule, wait for everything."""
     router = ClusterRouter.spawn({"m": str(path)}, workers=workers,
-                                 max_batch=BATCH, max_wait_ms=2.0,
-                                 backend=BACKEND, env=WORKER_ENV)
+                                 max_batch=BATCH, backend=BACKEND,
+                                 env=WORKER_ENV)
     try:
         # Warm every worker before the clock starts (compile + verify
         # on first batch), round-robin via the replicated policy order.

@@ -4,14 +4,15 @@ The claim gated here is the one the `ModelServer` redesign exists for:
 **dynamic batching wins under load**. An open-loop Poisson request stream
 (arrival rate ~2.5x the single-request service capacity, i.e. a saturated
 server) is driven at a live threaded `ModelServer` on the fused backend,
-and batch-16 serving with a tuned ``max_wait_ms`` must deliver at least
-**1.3x** the requests/sec of ``max_batch=1`` serving of the *same* stream
-— in practice the gap tracks the batch-16 kernel speedup (~3x+), so the
-gate is far from the noise floor.
+and work-conserving batch-16 serving (a free model takes what is queued,
+up to 16) must deliver at least **1.3x** the requests/sec of
+``max_batch=1`` serving of the *same* stream. Under overload the backlog
+that builds during one batch is the next batch, so the gap tracks the
+batch-16 kernel speedup and the gate is far from the noise floor.
 
-The sweep reports rps + p95 latency at several ``max_wait_ms`` points and
-writes ``BENCH_serve_server.json`` (uploaded by the CI `server` job) so
-the latency/throughput trade-off is tracked per PR. Each scenario runs
+Both scenarios' rps, p50/p95 latency and mean batch size go to
+``BENCH_serve_server.json`` (uploaded by the CI `server` job) so the
+latency/throughput trade-off is tracked per PR. Each scenario runs
 twice (per-batch-size bit-exactness verification compiles a throwaway
 oracle the first time a size is seen; the engine is shared so the second
 pass measures steady state) and the better pass is kept — the standard
@@ -32,7 +33,6 @@ MODEL = "resnet_tiny"
 BACKEND = "fused"
 BATCH = 16
 REQUESTS = 192
-WAIT_POINTS_MS = (0.0, 2.0, 5.0, 10.0)
 OVERLOAD = 2.5                  # arrival rate vs single-request capacity
 GATE = 1.3
 REPORT_PATH = os.environ.get("BENCH_SERVE_SERVER_OUT",
@@ -51,7 +51,7 @@ def build_deployment():
 
 def single_request_capacity(engine, payloads):
     """Requests/sec of back-to-back max_batch=1 serving (no waiting)."""
-    server = ModelServer(workers=0, max_batch=1, max_wait_ms=0.0)
+    server = ModelServer(workers=0, max_batch=1)
     server.add_engine("m", engine, batch=1)
     server.submit_many("m", payloads[:64])
     started = time.perf_counter()
@@ -61,12 +61,10 @@ def single_request_capacity(engine, payloads):
     return 64 / elapsed
 
 
-def run_scenario(engine, payloads, offsets, max_batch, max_wait_ms):
+def run_scenario(engine, payloads, offsets, max_batch):
     """Open-loop: submit on the Poisson schedule, wait for every future."""
-    server = ModelServer(workers=2, max_batch=max_batch,
-                         max_wait_ms=max_wait_ms)
-    server.add_engine("m", engine, batch=max_batch,
-                      max_wait_ms=max_wait_ms)
+    server = ModelServer(workers=2, max_batch=max_batch)
+    server.add_engine("m", engine, batch=max_batch)
     futures = []
     started = time.perf_counter()
     for offset, payload in zip(offsets, payloads):
@@ -82,7 +80,6 @@ def run_scenario(engine, payloads, offsets, max_batch, max_wait_ms):
     sizes = [future.request.batch_size for future in futures]
     return {
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "rps": len(payloads) / duration,
         "latency_ms_p50": latencies[len(latencies) // 2],
         "latency_ms_p95": latencies[int(len(latencies) * 0.95)],
@@ -100,20 +97,16 @@ def test_dynamic_batching_beats_single_request_serving(tmp_path):
     offsets = np.cumsum(
         np.random.default_rng(7).exponential(1.0 / rate, REQUESTS))
 
-    scenarios = [(1, 0.0)] + [(BATCH, wait) for wait in WAIT_POINTS_MS]
     results = {}
     for _ in range(2):          # better of two passes per scenario
-        for max_batch, wait in scenarios:
-            record = run_scenario(engine, payloads, offsets, max_batch,
-                                  wait)
-            key = (max_batch, wait)
-            if key not in results or record["rps"] > results[key]["rps"]:
-                results[key] = record
+        for max_batch in (1, BATCH):
+            record = run_scenario(engine, payloads, offsets, max_batch)
+            if max_batch not in results \
+                    or record["rps"] > results[max_batch]["rps"]:
+                results[max_batch] = record
 
-    baseline = results[(1, 0.0)]
-    batched = [results[(BATCH, wait)] for wait in WAIT_POINTS_MS]
-    best = max(batched, key=lambda record: record["rps"])
-    speedup = best["rps"] / baseline["rps"]
+    baseline, batched = results[1], results[BATCH]
+    speedup = batched["rps"] / baseline["rps"]
 
     report = {
         "model": MODEL, "backend": BACKEND, "requests": REQUESTS,
@@ -124,25 +117,23 @@ def test_dynamic_batching_beats_single_request_serving(tmp_path):
              "latency_ms_p50": round(record["latency_ms_p50"], 3),
              "latency_ms_p95": round(record["latency_ms_p95"], 3),
              "mean_batch_size": round(record["mean_batch_size"], 2)}
-            for record in [baseline] + batched],
-        "speedup_best": round(speedup, 2),
-        "best_max_wait_ms": best["max_wait_ms"],
+            for record in (baseline, batched)],
+        "speedup": round(speedup, 2),
     }
     with open(REPORT_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
 
     print(f"\narrival {rate:.0f} req/s ({OVERLOAD:.1f}x single capacity "
           f"{capacity:.0f} req/s)")
-    for record in [baseline] + batched:
-        print(f"  max_batch={record['max_batch']:2d} "
-              f"wait={record['max_wait_ms']:4.1f} ms: "
+    for record in (baseline, batched):
+        print(f"  max_batch={record['max_batch']:2d}: "
               f"{record['rps']:7.0f} req/s, "
+              f"p50 {record['latency_ms_p50']:7.2f} ms, "
               f"p95 {record['latency_ms_p95']:7.2f} ms, "
               f"mean batch {record['mean_batch_size']:.1f}")
-    print(f"best dynamic-batching speedup: {speedup:.2f}x "
-          f"(wait {best['max_wait_ms']} ms); wrote {REPORT_PATH}")
+    print(f"dynamic-batching speedup: {speedup:.2f}x; wrote {REPORT_PATH}")
 
     assert speedup >= GATE, (
-        f"dynamic batching (batch {BATCH}, tuned max_wait_ms) must be >= "
+        f"dynamic batching (batch {BATCH}, work-conserving) must be >= "
         f"{GATE}x max_batch=1 serving under the same Poisson stream, got "
         f"{speedup:.2f}x")

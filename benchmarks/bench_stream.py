@@ -88,7 +88,7 @@ def sequential_capacity(artifact, sequences):
 
 def run_scenario(artifact, sequences, offsets, max_batch):
     """Open-loop Poisson chunk stream through worker threads."""
-    server = ModelServer(workers=2, max_batch=max_batch, max_wait_ms=0.5)
+    server = ModelServer(workers=2, max_batch=max_batch)
     server.load("m", artifact, backend=BACKEND)
     plan = server.plan("m")
     sids = [server.open_session("m") for _ in range(SESSIONS)]

@@ -37,7 +37,7 @@ def quantize_and_deploy(name, seed, path):
     rng = np.random.default_rng(seed + 100)
     pipeline = Pipeline(PipelineConfig(batch=8), model=model)
     pipeline.calibrate([sample(rng, 8) for _ in range(2)])
-    deployment = pipeline.deploy(name=name, path=path, max_wait_ms=2.0)
+    deployment = pipeline.deploy(name=name, path=path)
     return deployment, pipeline.result, sample
 
 
@@ -74,7 +74,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     resnet_payloads = [resnet_sample(rng, 1)[0] for _ in range(48)]
     lm_payloads = [lm_sample(rng, 1)[0] for _ in range(48)]
-    with ModelServer(workers=2, max_batch=8, max_wait_ms=2.0) as server:
+    with ModelServer(workers=2, max_batch=8) as server:
         server.add("resnet", resnet, warmup=True)
         server.add("lm", lm, warmup=True)
 
@@ -121,7 +121,7 @@ def main() -> None:
     process = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "up",
          "--model", f"resnet={resnet_path}", "--batch", "4",
-         "--max-wait-ms", "2", "--workers", "2"],
+         "--workers", "2"],
         input="".join(json.dumps(r) + "\n" for r in requests),
         capture_output=True, text=True, check=True,
         env={**os.environ,

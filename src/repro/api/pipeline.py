@@ -113,7 +113,6 @@ class QuantizedModel:
                design: Optional[GemmDesign] = None,
                name: str = "model", path=None,
                backend: str = DEFAULT_BACKEND,
-               max_wait_ms: Optional[float] = None,
                devices: Optional[List] = None,
                cuts: Optional[List[int]] = None):
         """Export, compile and wrap this model into a :class:`Deployment`.
@@ -121,9 +120,6 @@ class QuantizedModel:
         ``backend`` selects the serving kernel set (see
         :func:`repro.serve.list_backends`); any optimized backend is
         verified bit-identical to the reference at compile time.
-        ``max_wait_ms`` sets the deployment's dynamic-batching deadline
-        (how long a partial batch may wait for co-riders when served
-        through ``serve()`` or a :class:`~repro.serve.server.ModelServer`).
 
         ``devices=[...]`` (>= 2 entries: device names, ``"auto:"`` specs
         or per-stage :class:`GemmDesign`\\ s) partitions the model across
@@ -137,11 +133,10 @@ class QuantizedModel:
         if devices is not None:
             return PipelineDeployment(artifact, devices,
                                       batch=resolved_batch, cuts=cuts,
-                                      backend=backend, name=name,
-                                      max_wait_ms=max_wait_ms)
+                                      backend=backend, name=name)
         return Deployment(artifact, batch=resolved_batch,
                           design=_resolve_design(self.config, design),
-                          backend=backend, max_wait_ms=max_wait_ms)
+                          backend=backend)
 
     def _sample(self, sample_input) -> np.ndarray:
         sample = sample_input if sample_input is not None else self.sample_input
@@ -161,19 +156,15 @@ class Deployment:
     verified that. ``serve()`` drains payloads through the dynamic
     batcher for full latency/throughput accounting, and ``server()``
     hosts this deployment in an async multi-model
-    :class:`~repro.serve.server.ModelServer` (futures, time-based
-    batching via ``max_wait_ms``, lifecycle).
+    :class:`~repro.serve.server.ModelServer` (futures, work-conserving
+    batching, lifecycle).
     """
 
     def __init__(self, artifact, batch: int = 16,
                  design=None,
-                 backend: str = DEFAULT_BACKEND,
-                 max_wait_ms: Optional[float] = None):
+                 backend: str = DEFAULT_BACKEND):
         if int(batch) < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        if max_wait_ms is not None and max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if isinstance(design, str):
             from repro.fpga.characterize import resolve_design
 
@@ -182,18 +173,16 @@ class Deployment:
         self.plan = ExecutionPlan(artifact, backend=backend)
         self.engine = InferenceEngine(self.plan, design=design)
         self.batch = int(batch)
-        self.max_wait_ms = max_wait_ms
 
     @classmethod
     def load(cls, path, batch: int = 16,
              design: Optional[GemmDesign] = None,
-             backend: str = DEFAULT_BACKEND,
-             max_wait_ms: Optional[float] = None) -> "Deployment":
+             backend: str = DEFAULT_BACKEND) -> "Deployment":
         """Reload a saved artifact into a servable deployment."""
         from repro.serve.artifact import ServeArtifact
 
         return cls(ServeArtifact.load(path), batch=batch, design=design,
-                   backend=backend, max_wait_ms=max_wait_ms)
+                   backend=backend)
 
     @property
     def backend(self) -> str:
@@ -210,23 +199,17 @@ class Deployment:
         return np.concatenate(chunks, axis=0)
 
     def serve(self, payloads: Iterable[np.ndarray],
-              max_wait_ms: Optional[float] = None,
               clock=None) -> ModelStats:
         """Drain single-request payloads through the dynamic batcher.
 
         A synchronous :class:`ModelServer` (``workers=0``) hosts this
-        deployment for the drain and its :class:`ModelStats` come back.
-        ``max_wait_ms`` overrides the deployment's batching deadline for
-        this drain (irrelevant when all payloads are pre-queued, but kept
-        symmetric with the server path); ``clock`` is injectable for
-        deterministic accounting in tests.
+        deployment for the drain and its :class:`ModelStats` come back;
+        ``clock`` is injectable for deterministic accounting in tests.
         """
         server = ModelServer(workers=0, max_batch=self.batch,
                              **({"clock": clock} if clock is not None
                                 else {}))
-        server.add("model", self,
-                   max_wait_ms=max_wait_ms if max_wait_ms is not None
-                   else self.max_wait_ms)
+        server.add("model", self)
         futures = []
         for payload in payloads:
             future = server.submit("model", payload)
@@ -245,17 +228,15 @@ class Deployment:
         return stats
 
     def server(self, name: str = "model", workers: int = 2,
-               max_wait_ms: Optional[float] = None,
                warmup: bool = False) -> ModelServer:
         """Wrap this deployment in a fresh async :class:`ModelServer`
         hosting it under ``name`` (load more models with ``server.load``)."""
         server = ModelServer(workers=workers, max_batch=self.batch)
-        server.add(name, self, max_wait_ms=max_wait_ms, warmup=warmup)
+        server.add(name, self, warmup=warmup)
         return server
 
     def cluster(self, name: str = "model", workers: int = 2,
                 placement: str = "least_loaded",
-                max_wait_ms: Optional[float] = None,
                 capacity: int = 64, clock=None, **worker_kwargs):
         """Serve this deployment from an in-process worker fleet.
 
@@ -274,9 +255,6 @@ class Deployment:
         clock_kwargs = {} if clock is None else {"clock": clock}
         fleet = [LocalWorker(f"w{index}", {name: self},
                              max_batch=self.batch,
-                             max_wait_ms=max_wait_ms
-                             if max_wait_ms is not None
-                             else self.max_wait_ms,
                              **clock_kwargs, **worker_kwargs)
                  for index in range(workers)]
         return ClusterRouter(fleet, placement, capacity=capacity,
@@ -340,7 +318,6 @@ class PipelineDeployment:
     def __init__(self, artifact, devices, *, batch: int = 16,
                  backend: str = DEFAULT_BACKEND,
                  cuts: Optional[List[int]] = None,
-                 max_wait_ms: Optional[float] = None,
                  workers: int = 1, name: Optional[str] = None):
         from repro.serve.partition import PipelineEngine
 
@@ -355,10 +332,9 @@ class PipelineDeployment:
         self.engine = PipelineEngine.from_artifact(
             artifact, stages=len(self.designs), cuts=cuts, name=name,
             backend=backend, designs=self.designs, max_batch=int(batch),
-            max_wait_ms=max_wait_ms, workers=workers)
+            workers=workers)
         self.partition = self.engine.partition
         self.batch = int(batch)
-        self.max_wait_ms = max_wait_ms
 
     @classmethod
     def load(cls, path, devices, **kwargs) -> "PipelineDeployment":
@@ -530,7 +506,6 @@ class Pipeline:
                design: Optional[GemmDesign] = None,
                name: str = "model", path=None,
                backend: Optional[str] = None,
-               max_wait_ms: Optional[float] = None,
                devices: Optional[List] = None,
                cuts: Optional[List[int]] = None):
         """Deploy the latest ``fit()``/``calibrate()`` result.
@@ -555,8 +530,8 @@ class Pipeline:
                 cuts = tuned_cuts
         return self.result.deploy(batch=batch, sample_input=sample_input,
                                   design=design, name=name, path=path,
-                                  backend=backend, max_wait_ms=max_wait_ms,
-                                  devices=devices, cuts=cuts)
+                                  backend=backend, devices=devices,
+                                  cuts=cuts)
 
     # ------------------------------------------------------------------
     def tune(self, device, objective: str = "latency",

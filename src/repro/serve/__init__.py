@@ -32,10 +32,11 @@ against the reference at compile time.
 Requests are served through :class:`~repro.serve.server.ModelServer`: an
 async multi-model front end — ``submit(model, x)`` returns an
 :class:`~repro.serve.futures.InferenceFuture`, per-model
-:class:`~repro.serve.batcher.DynamicBatcher`\\ s flush on ``max_batch`` or
-``max_wait_ms``, background workers execute one in-flight batch per model,
-and ``load``/``unload``/``alias``/``warmup`` manage the hosted set. With
-``cache_mb`` set, submits run cache → in-flight table → batcher
+:class:`~repro.serve.batcher.DynamicBatcher`\\ s queue requests, and a
+model that is not busy takes what is queued, up to ``max_batch`` (no
+batching deadline). Background workers execute one in-flight batch per
+model, and ``load``/``unload``/``alias``/``warmup`` manage the hosted
+set. With ``cache_mb`` set, submits run cache → in-flight table → batcher
 (:mod:`repro.serve.cache`): byte-identical repeat payloads are answered
 from a content-addressed LRU (sound because serving is bit-exact), and
 concurrent identical submits coalesce onto one batcher slot.

@@ -32,7 +32,8 @@ from repro.tensor.tensor import row_stable_matmul  # noqa: F401
 #: Run-input shapes whose scratch one :class:`ExecContext` keeps, least
 #: recently run evicted first. Above the 16 batch sizes plus 16 stream
 #: shapes a warmed server runs per model, so a steady mix never evicts;
-#: a stream of ragged chunk lengths cycles through it.
+#: a stream of ragged chunk lengths cycles through it. The same bound caps
+#: the stream shapes a :class:`CompiledModel` remembers as verified.
 SCRATCH_SHAPES = 36
 
 
@@ -201,7 +202,11 @@ class CompiledModel:
         # serving never holds two decoded copies of the weights.
         self.runtime_oracle_factory: Optional[Callable] = None
         self._verified_sizes: set = set()
-        self._verified_stream_shapes: set = set()
+        # Stream shapes are (batch, timesteps) pairs, unbounded under
+        # ragged chunking: keep the SCRATCH_SHAPES most recently run, so
+        # an evicted shape is verified again on its next use.
+        self._verified_stream_shapes: "OrderedDict[tuple, None]" = \
+            OrderedDict()
         # The shared ExecContext, stamped by compile_graph; run_stateful
         # threads recurrent state through it.
         self.ctx: Optional[ExecContext] = None
@@ -260,8 +265,10 @@ class CompiledModel:
             ctx.state_in = {}
             ctx.state_out = {}
         shape = batch.shape[:2]
-        if self.runtime_oracle_factory is not None \
-                and shape not in self._verified_stream_shapes:
+        verified = self._verified_stream_shapes
+        if shape in verified:
+            verified.move_to_end(shape)
+        elif self.runtime_oracle_factory is not None:
             # Same semantics as the stateless guardrail: outputs must be
             # bit-exact. Raw carried state is *not* compared — backends
             # legitimately differ in the last ULP of the hidden state
@@ -276,7 +283,9 @@ class CompiledModel:
                     f"backend {self.backend_name!r} deviates from the "
                     "reference backend under carried recurrent state; its "
                     "kernels are not bit-exact")
-            self._verified_stream_shapes.add(shape)
+            verified[shape] = None
+            if len(verified) > SCRATCH_SHAPES:
+                verified.popitem(last=False)
         return out, new_state
 
     def mark_verified(self, batch_size: int) -> None:

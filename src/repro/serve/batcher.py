@@ -1,22 +1,22 @@
 """Dynamic batch forming, separated from batch execution.
 
-``DynamicBatcher`` owns exactly one concern: turning a FIFO stream of
-single requests into micro-batches. A batch becomes ready when it fills
-(``max_batch`` requests queued) **or** when the oldest queued request's
-deadline expires (``max_wait_ms`` after it was enqueued) — the classic
-size-or-time policy that trades a bounded latency hit for GEMM lane fill.
-Execution lives elsewhere (:class:`~repro.serve.server.ModelServer`
+``DynamicBatcher`` owns exactly one concern: a FIFO of single requests
+that a free model drains into micro-batches. The rule is work-conserving:
+a model that is not busy takes what is queued, oldest first, up to
+``max_batch``. A lone request on an idle model runs at once, and batches
+form from the backlog that builds while the model is busy, never from a
+timer. Execution lives elsewhere (:class:`~repro.serve.server.ModelServer`
 and :class:`~repro.serve.partition.PipelineEngine`).
 
-The batcher is deliberately passive and deterministic: it never sleeps,
-never spawns threads, and only reads the injectable ``clock`` when a
-request is enqueued (to stamp ``enqueued_at`` and its deadline). Readiness
-checks take ``now`` from the caller, so tests drive time explicitly.
+The batcher is passive and deterministic: it never sleeps, never spawns
+threads, and reads the injectable ``clock`` only to stamp a request's
+``enqueued_at``.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional
@@ -38,7 +38,6 @@ class ServedRequest:
     batch_id: Optional[int] = None
     batch_size: Optional[int] = None
     fpga_ms: Optional[float] = None   # batch FPGA latency / batch size
-    deadline: Optional[float] = None  # enqueued_at + max_wait, None = no cap
     model: Optional[str] = None
     future: Optional[object] = field(default=None, repr=False)
     error: Optional[BaseException] = field(default=None, repr=False)
@@ -111,20 +110,29 @@ def coerce_chunk(plan, chunk) -> np.ndarray:
     return chunk
 
 
-class DynamicBatcher:
-    """FIFO micro-batch former with a size-or-deadline flush policy."""
+def ignore_max_wait_ms(where: str, max_wait_ms) -> None:
+    """Warn that ``where(max_wait_ms=...)`` no longer does anything.
 
-    def __init__(self, max_batch: int = 16,
-                 max_wait_ms: Optional[float] = None,
-                 clock=time.perf_counter):
+    An idle model serves what is queued, so no request waits for a
+    deadline. Three signatures (``ModelServer``, ``ModelServer.add`` and
+    ``ClusterRouter.spawn``) still accept the keyword for old callers.
+    """
+    if max_wait_ms is not None:
+        warnings.warn(
+            f"{where}(max_wait_ms=...) is ignored and will be removed in "
+            "the next release: an idle model serves what is queued, so "
+            "no request waits for a batching deadline",
+            DeprecationWarning, stacklevel=3)
+
+
+class DynamicBatcher:
+    """FIFO micro-batch former: a free model takes up to ``max_batch``."""
+
+    def __init__(self, max_batch: int = 16, clock=time.perf_counter):
         if max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms is not None and max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.max_batch = int(max_batch)
-        self.max_wait_ms = max_wait_ms
         self._clock = clock
         self._queue: Deque[ServedRequest] = deque()
         self._next_id = 0
@@ -133,11 +141,8 @@ class DynamicBatcher:
     def submit(self, payload: np.ndarray, future=None,
                model: Optional[str] = None) -> ServedRequest:
         """Enqueue one validated request (a single input, no batch dim)."""
-        now = self._clock()
         request = ServedRequest(
-            id=self._next_id, payload=payload, enqueued_at=now,
-            deadline=None if self.max_wait_ms is None
-            else now + self.max_wait_ms / 1e3,
+            id=self._next_id, payload=payload, enqueued_at=self._clock(),
             future=future, model=model)
         self._next_id += 1
         self._queue.append(request)
@@ -161,38 +166,8 @@ class DynamicBatcher:
     def oldest_enqueued_at(self) -> Optional[float]:
         return self._queue[0].enqueued_at if self._queue else None
 
-    def next_deadline(self) -> Optional[float]:
-        """Deadline of the oldest queued request (FIFO ⇒ the earliest),
-        or None when idle / when requests never expire."""
-        if not self._queue:
-            return None
-        return self._queue[0].deadline
-
-    # ------------------------------------------------------------------
-    def ready(self, now: Optional[float] = None) -> bool:
-        """Is a batch ready — full, or past the oldest request's deadline?"""
-        if not self._queue:
-            return False
-        if len(self._queue) >= self.max_batch:
-            return True
-        deadline = self._queue[0].deadline
-        if deadline is None:
-            return False
-        if now is None:
-            now = self._clock()
-        return now >= deadline
-
-    def take(self, now: Optional[float] = None,
-             force: bool = False) -> List[ServedRequest]:
-        """Pop the next micro-batch (up to ``max_batch`` requests, FIFO).
-
-        Returns ``[]`` unless the batch is ready or ``force`` is set.
-        ``force=True`` never consults the clock, so a forced drain under
-        a manual clock stays deterministic.
-        """
-        if not self._queue:
-            return []
-        if not force and not self.ready(now):
-            return []
+    def take(self) -> List[ServedRequest]:
+        """Pop the next micro-batch: up to ``max_batch`` requests, FIFO
+        (``[]`` when nothing is queued)."""
         return [self._queue.popleft()
                 for _ in range(min(self.max_batch, len(self._queue)))]

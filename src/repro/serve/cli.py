@@ -18,8 +18,9 @@ synthetic data, so the whole serving path can be exercised without training:
   ``{"model": "resnet", "input": [...], "id": 7}`` in,
   ``{"id": 7, "model": "resnet", "output": [...], "latency_ms": ...}``
   out; ``{"op": "stats"}`` emits a per-model statistics line. Responses
-  preserve per-model submission order; batches form dynamically from
-  whatever arrives within ``--max-wait-ms``.
+  preserve per-model submission order; a model that is not busy serves
+  whatever is queued for it (up to ``--batch``), so batches form from
+  the backlog that arrives while it is busy, never from a timer.
 """
 
 from __future__ import annotations
@@ -218,10 +219,44 @@ def cmd_run(args) -> int:
     return 0
 
 
+def replay_served_batches(stages, payloads, records):
+    """Each request's output when every stage re-runs exactly the
+    batches it served.
+
+    ``records[i]`` holds request ``i``'s per-stage records
+    (``RoutedRequest.stages``). A stage's batch is the requests that
+    share its ``batch_id``, stacked in submission order, which is the
+    FIFO order the stage worker received them in. Returns ``None`` when
+    a group's size disagrees with the ``batch_size`` the stage reported,
+    so the compositions cannot be reproduced.
+    """
+    rows = list(payloads)
+    for index, plan in enumerate(stages):
+        batches: Dict[int, list] = {}
+        for position, served in enumerate(records):
+            batches.setdefault(served[index].batch_id, []).append(position)
+        for members in batches.values():
+            if len(members) != records[members[0]][index].batch_size:
+                return None
+            outputs = plan.per_request_outputs(
+                plan.forward(np.stack([rows[p] for p in members])),
+                len(members))
+            for position, output in zip(members, outputs):
+                rows[position] = output
+    return rows
+
+
 def cmd_pipeline(args) -> int:
     """Partition an artifact, serve synthetic requests through the stage
-    pipeline, and verify the outputs are bit-identical to the
-    single-device plan (micro-batched the same way)."""
+    pipeline, and verify the outputs bitwise.
+
+    Output bits depend on batch composition, so the reference batches
+    exactly as the pipeline did. The in-process engine's stepped drain
+    serves FIFO chunks of ``--batch`` at every stage, which the
+    single-device plan reproduces. Subprocess stage workers serve
+    whatever is queued when they are free, so the composition is only
+    known afterwards: there the reference replays each stage's plan on
+    the batches that stage reported serving."""
     import os
     import tempfile
 
@@ -235,35 +270,20 @@ def cmd_pipeline(args) -> int:
     cuts = ([int(c) for c in args.cuts.split(",")] if args.cuts
             else list(auto_cuts(artifact, stages=args.stages)))
     name = str(artifact.manifest.get("model", "model")) or "model"
-
-    # Single-device reference, micro-batched exactly like the pipeline
-    # will batch (bit-exactness is per identical batch composition).
     reference = ExecutionPlan(artifact, backend=args.backend)
     payloads = synthetic_payloads(reference, args.requests, seed=args.seed)
-    expected = []
-    for start in range(0, len(payloads), args.batch):
-        chunk = np.stack(payloads[start:start + args.batch])
-        expected.extend(reference.per_request_outputs(
-            reference.forward(chunk), chunk.shape[0]))
 
     if args.process:
         partition = split_artifact(artifact, cuts)
         print(partition.describe())
         with tempfile.TemporaryDirectory() as tmp:
             paths = partition.save(os.path.join(tmp, "pipeline"))
-            # Bit-exactness is per identical batch composition, so drive
-            # the cluster in synchronized waves of exactly ``batch``
-            # requests (deadline long enough that a wave always fills).
             cluster = process_pipeline_cluster(paths, name=name,
                                                backend=args.backend,
-                                               max_batch=args.batch,
-                                               max_wait_ms=2000.0)
+                                               max_batch=args.batch)
             try:
-                futures = []
-                for start in range(0, len(payloads), args.batch):
-                    futures.extend(cluster.submit_many(
-                        name, payloads[start:start + args.batch]))
-                    cluster.drain()
+                futures = cluster.submit_many(name, payloads)
+                cluster.drain()
                 outputs = np.stack([future.result(timeout=60.0)
                                     for future in futures])
                 stats_text = cluster.format_stats()
@@ -271,6 +291,11 @@ def cmd_pipeline(args) -> int:
             finally:
                 cluster.close(drain=False)
         mode = f"{stages}-stage subprocess pipeline"
+        against = "stage plans on the batches each stage served"
+        expected = replay_served_batches(
+            [ExecutionPlan(stage, backend=args.backend)
+             for stage in partition.stages],
+            payloads, [future.request.stages for future in futures])
     else:
         engine = PipelineEngine.from_artifact(
             artifact, cuts=cuts, name=name, backend=args.backend,
@@ -285,11 +310,18 @@ def cmd_pipeline(args) -> int:
             mode = f"{engine.num_stages}-stage in-process pipeline"
         finally:
             engine.close(drain=False)
+        against = "single-device plan"
+        expected = []
+        for start in range(0, len(payloads), args.batch):
+            chunk = np.stack(payloads[start:start + args.batch])
+            expected.extend(reference.per_request_outputs(
+                reference.forward(chunk), chunk.shape[0]))
 
-    match = np.array_equal(outputs, np.stack(expected))
+    match = expected is not None \
+        and np.array_equal(outputs, np.stack(expected))
     print(f"served {len(payloads)} synthetic requests through a {mode} "
           f"(max_batch={args.batch})")
-    print("outputs vs single-device plan: "
+    print(f"outputs vs {against}: "
           + ("IDENTICAL (np.array_equal)" if match else "MISMATCH"))
     print(stats_text)
     return 0 if match else 1
@@ -647,7 +679,6 @@ def cmd_up(args) -> int:
     hosted = parse_model_specs(args.model)
     cache_mb, cache_ttl_s = _cache_args(args)
     server = ModelServer(workers=args.workers, max_batch=args.batch,
-                         max_wait_ms=args.max_wait_ms,
                          cache_mb=cache_mb, cache_ttl_s=cache_ttl_s)
     try:
         for name, path in hosted:
@@ -656,7 +687,7 @@ def cmd_up(args) -> int:
         print(f"serving {len(hosted)} model(s) "
               f"[{', '.join(name for name, _ in hosted)}] "
               f"(backend={args.backend}, batch={args.batch}, "
-              f"max_wait_ms={args.max_wait_ms}, workers={args.workers}, "
+              f"workers={args.workers}, "
               f"cache={f'{cache_mb} MB' if cache_mb else 'off'}); "
               "JSON-lines on stdin", file=sys.stderr)
         served = serve_protocol(server, sys.stdin, sys.stdout)
@@ -675,8 +706,7 @@ def cmd_cluster(args) -> int:
     cache_mb, cache_ttl_s = _cache_args(args)
     router = ClusterRouter.spawn(
         models, workers=args.workers, placement=args.placement,
-        max_batch=args.batch, max_wait_ms=args.max_wait_ms,
-        backend=args.backend, capacity=args.capacity,
+        max_batch=args.batch, backend=args.backend, capacity=args.capacity,
         worker_threads=args.worker_threads,
         cache_mb=cache_mb, cache_ttl_s=cache_ttl_s)
     try:
@@ -719,7 +749,6 @@ def cmd_cluster_worker(args) -> int:
     listener.close()
     transport = SocketTransport(conn, send_direction="to_router")
     server = ModelServer(workers=args.workers, max_batch=args.batch,
-                         max_wait_ms=args.max_wait_ms,
                          cache_mb=args.cache_mb or None,
                          cache_ttl_s=args.cache_ttl_s,
                          session_mb=args.session_mb,
@@ -746,7 +775,7 @@ def cmd_cache(args) -> int:
 
     hosted = parse_model_specs(args.model)
     server = ModelServer(workers=0, max_batch=args.batch,
-                         max_wait_ms=0.0, cache_mb=args.cache_mb,
+                         cache_mb=args.cache_mb,
                          cache_ttl_s=args.cache_ttl_s)
     try:
         for name, path in hosted:
@@ -783,7 +812,7 @@ def cmd_stream(args) -> int:
     every one is bit-identical to its offline full-sequence run."""
     from repro.serve.server import ModelServer
 
-    server = ModelServer(workers=0, max_batch=args.batch, max_wait_ms=0.0)
+    server = ModelServer(workers=0, max_batch=args.batch)
     try:
         server.load("model", args.artifact, backend=args.backend)
         plan = server.plan("model")
@@ -889,8 +918,9 @@ def main(argv=None) -> int:
     pipeline = sub.add_parser(
         "pipeline",
         help="partition an artifact across pipeline stages and serve "
-             "synthetic requests, verifying bit-exactness against the "
-             "single-device plan")
+             "synthetic requests, verifying the outputs bitwise against "
+             "the single-device plan (--process: the stage plans on the "
+             "batches each stage served)")
     pipeline.add_argument("artifact")
     pipeline.add_argument("--stages", type=int, default=2,
                           help="pipeline stages to MAC-balance "
@@ -918,8 +948,6 @@ def main(argv=None) -> int:
                     help="host an artifact under NAME (repeatable)")
     up.add_argument("--batch", type=int, default=16,
                     help="max dynamic batch size per model")
-    up.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="deadline a partial batch waits for co-riders")
     up.add_argument("--backend", default=DEFAULT_BACKEND,
                     choices=list_backends())
     up.add_argument("--workers", type=int, default=2,
@@ -944,7 +972,6 @@ def main(argv=None) -> int:
                          choices=sorted(list_placements()),
                          help="request placement policy")
     cluster.add_argument("--batch", type=int, default=16)
-    cluster.add_argument("--max-wait-ms", type=float, default=2.0)
     cluster.add_argument("--backend", default=DEFAULT_BACKEND,
                          choices=list_backends())
     cluster.add_argument("--capacity", type=int, default=64,
@@ -962,7 +989,6 @@ def main(argv=None) -> int:
     worker.add_argument("--model", action="append", required=True,
                         metavar="NAME=PATH")
     worker.add_argument("--batch", type=int, default=16)
-    worker.add_argument("--max-wait-ms", type=float, default=2.0)
     worker.add_argument("--backend", default=DEFAULT_BACKEND,
                         choices=list_backends())
     worker.add_argument("--workers", type=int, default=2,

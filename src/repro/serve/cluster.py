@@ -65,6 +65,7 @@ from repro.errors import (
     WorkerError,
 )
 from repro.serve.backends import DEFAULT_BACKEND
+from repro.serve.batcher import ignore_max_wait_ms
 from repro.serve.frontend import ServerMixin, unknown_model
 from repro.serve.futures import InferenceFuture
 from repro.serve.placement import (
@@ -133,6 +134,9 @@ class RoutedRequest:
     batch_size: Optional[int] = None
     cached: bool = False         # answered from the worker's cache
     coalesced: bool = False      # rode an identical in-flight request
+    # A pipelined request's record per stage, first stage first
+    # (PipelineCluster); the batches each stage actually served.
+    stages: Tuple["RoutedRequest", ...] = ()
 
 
 @dataclass
@@ -230,7 +234,6 @@ class LocalWorker(_WorkerBase):
 
     def __init__(self, name: str, models: Dict, *,
                  clock=time.monotonic, max_batch: int = 16,
-                 max_wait_ms: Optional[float] = 0.0,
                  backend: str = DEFAULT_BACKEND,
                  capacity: Optional[int] = None,
                  plan: Optional[FaultPlan] = None,
@@ -242,7 +245,6 @@ class LocalWorker(_WorkerBase):
         super().__init__(name, models, capacity)
         self._clock = clock
         self.max_batch = int(max_batch)
-        self.max_wait_ms = max_wait_ms
         self.backend = backend
         self.fault_plan = plan
         self.max_bytes = max_bytes
@@ -266,7 +268,6 @@ class LocalWorker(_WorkerBase):
         self.transport, self._endpoint = FakeTransport.pair(
             plan=plan, clock=self._clock, max_bytes=self.max_bytes)
         self._server = ModelServer(workers=0, max_batch=self.max_batch,
-                                   max_wait_ms=self.max_wait_ms,
                                    clock=self._clock,
                                    cache_mb=self.cache_mb,
                                    cache_ttl_s=self.cache_ttl_s,
@@ -368,7 +369,7 @@ class ProcessWorker(_WorkerBase):
     drives_itself = True
 
     def __init__(self, name: str, models: Dict[str, str], *,
-                 max_batch: int = 16, max_wait_ms: Optional[float] = 2.0,
+                 max_batch: int = 16,
                  backend: str = DEFAULT_BACKEND,
                  capacity: Optional[int] = None, worker_threads: int = 2,
                  env: Optional[Dict[str, str]] = None,
@@ -386,7 +387,6 @@ class ProcessWorker(_WorkerBase):
         super().__init__(name, {m: str(p) for m, p in models.items()},
                          capacity)
         self.max_batch = int(max_batch)
-        self.max_wait_ms = max_wait_ms
         self.backend = backend
         self.worker_threads = int(worker_threads)
         self.cache_mb = cache_mb
@@ -407,8 +407,6 @@ class ProcessWorker(_WorkerBase):
                 "--backend", self.backend,
                 "--workers", str(self.worker_threads),
                 "--generation", str(self.generation)]
-        if self.max_wait_ms is not None:
-            args += ["--max-wait-ms", str(self.max_wait_ms)]
         if self.cache_mb:
             args += ["--cache-mb", str(self.cache_mb)]
             if self.cache_ttl_s is not None:
@@ -540,7 +538,7 @@ class ClusterRouter(ServerMixin):
     @classmethod
     def spawn(cls, models: Dict[str, str], workers: int = 2,
               placement="least_loaded", *, max_batch: int = 16,
-              max_wait_ms: Optional[float] = 2.0,
+              max_wait_ms: Optional[float] = None,
               backend: str = DEFAULT_BACKEND, capacity: int = 64,
               worker_threads: int = 2,
               env: Optional[Dict[str, str]] = None,
@@ -552,10 +550,11 @@ class ClusterRouter(ServerMixin):
               ) -> "ClusterRouter":
         """Spawn ``workers`` subprocesses, each hosting every model in
         ``models`` (name -> artifact path), and route over them."""
+        ignore_max_wait_ms("ClusterRouter.spawn", max_wait_ms)
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         fleet = [ProcessWorker(f"w{index}", models, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms, backend=backend,
+                               backend=backend,
                                capacity=None, worker_threads=worker_threads,
                                env=env, cache_mb=cache_mb,
                                cache_ttl_s=cache_ttl_s,

@@ -27,6 +27,7 @@ Both report per-stage rows in a stage-dimensioned
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -79,18 +80,22 @@ class _StageBatch:
 class PipelineEngine(ServerMixin):
     """N compiled stages serving one model through bounded queues.
 
+    Stage 0 follows the server's work-conserving claim rule: when it is
+    free, it takes what is queued, FIFO, up to ``max_batch``, so a batch
+    is whatever backlog built while stage 0 was busy.
+
     ``workers=0`` (deterministic): nothing runs until ``poll()`` — each
     call advances every occupied stage by one micro-batch, last stage
     first, so a batch moves exactly one stage per poll and tests can
-    observe queue occupancy; ``drain()`` force-flushes and loops until
-    idle. ``workers>0``: one thread per stage, size-or-deadline flush,
+    observe queue occupancy; then, if stage 0's queue is empty, the
+    queued requests become its next batch. ``drain()`` polls until idle.
+    ``workers>0``: one thread per stage, woken only by notifications;
     bounded inter-stage queues (``queue_depth``) apply backpressure to
     the producing stage.
     """
 
     def __init__(self, stages: Sequence[InferenceEngine], *,
-                 name: str = "model", max_batch: int = 16,
-                 max_wait_ms: Optional[float] = None, workers: int = 1,
+                 name: str = "model", max_batch: int = 16, workers: int = 1,
                  queue_depth: int = 4, clock=time.perf_counter,
                  stats_window: int = 512,
                  partition: Optional[PartitionPlan] = None):
@@ -103,7 +108,7 @@ class PipelineEngine(ServerMixin):
         self.partition = partition
         self._engines = list(stages)
         self._clock = clock
-        self._batcher = DynamicBatcher(max_batch, max_wait_ms, clock=clock)
+        self._batcher = DynamicBatcher(max_batch, clock=clock)
         self._queue_depth = int(queue_depth)
         self._queues: List[deque] = [deque() for _ in self._engines]
         self._stage_latencies = [deque(maxlen=stats_window)
@@ -117,7 +122,6 @@ class PipelineEngine(ServerMixin):
         self._next_batch_id = 0
         self._work = threading.Condition()
         self._running = True
-        self._force = False
         self._threads: List[threading.Thread] = []
         if workers:
             for index in range(len(self._engines)):
@@ -188,8 +192,6 @@ class PipelineEngine(ServerMixin):
 
     def predict(self, model: str, x,
                 timeout: Optional[float] = 60.0) -> np.ndarray:
-        # Synchronous one-shot: force the partial batch through the
-        # stages instead of waiting for co-riders that never come.
         future = self.submit(model, x)
         self.drain()
         return future.result(timeout=timeout)
@@ -199,8 +201,9 @@ class PipelineEngine(ServerMixin):
     # ------------------------------------------------------------------
     def poll(self) -> int:
         """Advance each occupied stage by one micro-batch (last stage
-        first, so a batch moves one stage per poll), then flush the
-        batcher if a batch is ready. Returns requests completed."""
+        first, so a batch moves one stage per poll), then hand stage 0
+        its next batch if its queue is empty. Returns requests
+        completed."""
         completed = 0
         for index in reversed(range(len(self._engines))):
             batch = None
@@ -210,73 +213,59 @@ class PipelineEngine(ServerMixin):
             if batch is not None:
                 completed += self._run_stage(index, batch)
         with self._work:
-            self._flush_locked(force=False)
+            self._flush_locked()
         return completed
 
     def drain(self) -> None:
-        """Force-serve everything queued through all stages (threaded
+        """Serve everything queued through all stages (threaded
         pipelines block until idle)."""
         if self._threads:
             with self._work:
-                self._force = True
-                self._work.notify_all()
                 self._work.wait_for(self._idle_locked, timeout=60.0)
-                self._force = False
             return
         while True:
             with self._work:
-                self._flush_locked(force=True)
-                occupied = [i for i in range(len(self._engines))
-                            if self._queues[i]]
-            if not occupied:
-                with self._work:
-                    if not self._batcher.pending \
-                            and not any(self._queues):
-                        break
-                continue
-            for index in reversed(occupied):
-                with self._work:
-                    batch = self._queues[index].popleft() \
-                        if self._queues[index] else None
-                if batch is not None:
-                    self._run_stage(index, batch)
+                if self._idle_locked():
+                    return
+            self.poll()
 
     def _idle_locked(self) -> bool:
         return (not self._batcher.pending and not any(self._queues)
                 and not any(self._stage_busy))
 
-    def _flush_locked(self, force: bool) -> None:
-        while True:
-            requests = self._batcher.take(self._clock(), force=force)
-            if not requests:
-                return
-            batch = _StageBatch(self._next_batch_id, requests,
-                                np.stack([r.payload for r in requests]))
-            self._next_batch_id += 1
-            self._queues[0].append(batch)
-            self._work.notify_all()
+    def _flush_locked(self) -> None:
+        """Stage 0 is free: what is queued (FIFO, up to ``max_batch``)
+        becomes its next micro-batch."""
+        if self._queues[0] or not self._batcher.pending:
+            return
+        requests = self._batcher.take()
+        self._queues[0].append(_StageBatch(
+            self._next_batch_id, requests,
+            np.stack([r.payload for r in requests])))
+        self._next_batch_id += 1
 
     # ------------------------------------------------------------------
     # Stage execution
     # ------------------------------------------------------------------
     def _worker_loop(self, index: int) -> None:
+        last = index + 1 == len(self._queues)
         while True:
-            batch = None
             with self._work:
-                if not self._running:
-                    return
-                if index == 0:
-                    self._flush_locked(force=self._force
-                                       and self._batcher.pending > 0)
-                if self._queues[index] and (
-                        index + 1 >= len(self._queues)
-                        or len(self._queues[index + 1])
-                        < self._queue_depth):
-                    batch = self._queues[index].popleft()
-                    self._stage_busy[index] = True
-                else:
-                    self._work.wait(0.005 if index == 0 else 0.05)
-                    continue
+                while True:
+                    if not self._running:
+                        return
+                    # Backpressure: run only when the next stage has room.
+                    if last or len(self._queues[index + 1]) \
+                            < self._queue_depth:
+                        if index == 0:
+                            self._flush_locked()
+                        if self._queues[index]:
+                            break
+                    self._work.wait()
+                batch = self._queues[index].popleft()
+                self._stage_busy[index] = True
+                if index:
+                    self._work.notify_all()     # room for stage index-1
             self._run_stage(index, batch)
             with self._work:
                 self._stage_busy[index] = False
@@ -377,7 +366,9 @@ class PipelineEngine(ServerMixin):
             if not self._running:
                 return
             self._running = False
-            pending = [request for request in self._batcher.take(force=True)]
+            pending = []
+            while self._batcher.pending:
+                pending.extend(self._batcher.take())
             for queue in self._queues:
                 while queue:
                     pending.extend(queue.popleft().requests)
@@ -461,15 +452,17 @@ class PipelineCluster(ServerMixin):
             self._pending[id(outer)] = self._clock()
             self._futures[id(outer)] = outer
 
-        def hop(stage: int):
+        def hop(stage: int, served: tuple):
             def on_done(future: InferenceFuture) -> None:
                 error = future.exception()
                 if error is not None:
                     self._finish(outer, error=error)
                     return
+                records = served + (future.request,)
                 if stage + 1 == len(self._stage_names):
                     self._finish(outer, result=future.result(),
-                                 request=future.request)
+                                 request=dataclasses.replace(
+                                     future.request, stages=records))
                     return
                 try:
                     chained = self._router.submit(
@@ -477,7 +470,7 @@ class PipelineCluster(ServerMixin):
                 except Exception as chain_error:   # noqa: BLE001
                     self._finish(outer, error=chain_error)
                     return
-                chained.add_done_callback(hop(stage + 1))
+                chained.add_done_callback(hop(stage + 1, records))
             return on_done
 
         try:
@@ -487,7 +480,7 @@ class PipelineCluster(ServerMixin):
                 self._pending.pop(id(outer), None)
                 self._futures.pop(id(outer), None)
             raise
-        first.add_done_callback(hop(0))
+        first.add_done_callback(hop(0, ()))
         return outer
 
     def predict(self, model: str, x,
@@ -639,7 +632,6 @@ def process_pipeline_cluster(stage_paths: Sequence[str], *,
                              name: str,
                              backend: str = DEFAULT_BACKEND,
                              max_batch: int = 16,
-                             max_wait_ms: float = 2.0,
                              capacity: int = 64,
                              **worker_kwargs) -> PipelineCluster:
     """Subprocess pipeline cluster: one ``ProcessWorker`` per saved
@@ -648,7 +640,7 @@ def process_pipeline_cluster(stage_paths: Sequence[str], *,
                    for index in range(len(stage_paths))]
     workers = [ProcessWorker(f"stage{index}",
                              {stage_names[index]: path},
-                             max_batch=max_batch, max_wait_ms=max_wait_ms,
+                             max_batch=max_batch,
                              backend=backend, capacity=capacity,
                              **worker_kwargs)
                for index, path in enumerate(stage_paths)]

@@ -5,7 +5,7 @@ them concurrently — the serving surface the ROADMAP's "heavy traffic"
 north star asks for, replacing the one-artifact-per-process synchronous
 loop:
 
-    server = ModelServer(workers=2, max_batch=16, max_wait_ms=2.0)
+    server = ModelServer(workers=2, max_batch=16)
     server.load("resnet", "rt.npz", backend="fused", warmup=True)
     server.load("lm", "lm.npz")
     future = server.submit("resnet", x)        # returns immediately
@@ -16,12 +16,16 @@ loop:
 Request path: ``submit`` validates the payload against the model's plan
 (shape mismatch fails the returned future, it never poisons a batch) and
 enqueues it on the model's :class:`~repro.serve.batcher.DynamicBatcher`.
-A batch flushes when it fills (``max_batch``) or when the oldest request's
-deadline (``max_wait_ms``) expires. Background workers claim ready batches
-— at most **one in-flight batch per model**, because a compiled plan's
-pooled scratch is reused across its own batches, while distinct models
-compile to distinct kernels/scratch and run concurrently — execute
-them in one engine pass each, and resolve the futures.
+Batching is work-conserving, with one claim rule for requests and
+stream chunks alike: **a model that is not busy takes what is queued,
+FIFO, up to** ``max_batch``. A lone request on an idle model runs at
+once; batches form from the backlog that builds while the model is busy.
+A model is busy while its one in-flight batch runs, because a compiled
+plan's pooled scratch is reused across its own batches; distinct models
+compile to distinct kernels/scratch and run concurrently. Across models
+a worker claims the oldest queued work first, executes it in one engine
+pass, and resolves the futures. An idle worker sleeps on the condition
+until a submit or a finished batch notifies it; nothing polls a timer.
 
 Lifecycle: ``load``/``add`` host a model, ``unload`` retires one (its
 queue is drained first), ``alias`` re-points a public name for versioned
@@ -29,10 +33,9 @@ rollover (``resnet -> resnet@v2``), ``warmup`` binds scratch and runs the
 per-batch-size bit-exactness verification before the first real request.
 
 Determinism: with ``workers=0`` nothing runs in the background — callers
-drive execution with ``poll()`` (serve one *ready* batch, honoring
-deadlines against the injectable clock) or ``drain()`` (force-flush
-everything, never reading the clock outside the executor). Tests inject a
-manual clock and step time explicitly; no sleeps anywhere.
+drive execution with ``poll()`` (claim and serve one batch by the rule
+above) or ``drain()`` (claim until nothing is queued). Neither reads the
+clock to decide anything, so tests never need to advance it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from repro.serve.batcher import (
     ServedRequest,
     coerce_chunk,
     coerce_payload,
+    ignore_max_wait_ms,
 )
 from repro.serve.cache import InflightTable, ResponseCache
 from repro.serve.engine import InferenceEngine, ThroughputStats
@@ -282,11 +286,8 @@ def _fail_pending(entry: _HostedModel, error: ServingError) -> None:
     """Fail every request/chunk still queued on one model's batchers."""
     for chunk in entry.streamer.fail_all():
         chunk.future._fail(error)
-    while True:
-        batch = entry.batcher.take(force=True)
-        if not batch:
-            return
-        for request in batch:
+    while entry.batcher.pending:
+        for request in entry.batcher.take():
             request.settle(error=error)
 
 
@@ -294,13 +295,14 @@ class ModelServer(ServerMixin):
     """Host many named deployments; serve them asynchronously."""
 
     def __init__(self, workers: int = 2, max_batch: int = 16,
-                 max_wait_ms: Optional[float] = 2.0,
+                 max_wait_ms: Optional[float] = None,
                  stats_window: int = 65536,
                  clock=time.perf_counter,
                  cache_mb: Optional[float] = None,
                  cache_ttl_s: Optional[float] = None,
                  session_mb: Optional[float] = None,
                  session_ttl_s: Optional[float] = None):
+        ignore_max_wait_ms("ModelServer", max_wait_ms)
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         if max_batch < 1:
@@ -325,7 +327,6 @@ class ModelServer(ServerMixin):
                                   if session_mb is not None else None)
         self.session_ttl_s = session_ttl_s
         self.default_max_batch = int(max_batch)
-        self.default_max_wait_ms = max_wait_ms
         self.stats_window = int(stats_window)
         self._clock = clock
         # Response cache + in-flight dedup are opt-in (cache_mb); with
@@ -354,7 +355,6 @@ class ModelServer(ServerMixin):
     # Lifecycle
     # ------------------------------------------------------------------
     def load(self, name: str, source, *, batch: Optional[int] = None,
-             max_wait_ms: Optional[float] = None,
              backend: str = DEFAULT_BACKEND,
              design: Optional[GemmDesign] = None,
              warmup: bool = False) -> str:
@@ -374,48 +374,33 @@ class ModelServer(ServerMixin):
                     "backend=/design= apply when loading from an artifact "
                     "path; this deployment is already compiled "
                     f"(backend {source.engine.backend!r})")
-            return self.add(name, source, batch=batch,
-                            max_wait_ms=max_wait_ms, warmup=warmup)
+            return self.add(name, source, batch=batch, warmup=warmup)
         if isinstance(design, str):
             from repro.fpga.characterize import resolve_design
 
             design = resolve_design(design)
         engine = InferenceEngine.load(source, backend=backend,
                                       design=design)
-        return self._host(name, engine,
-                          batch if batch is not None
-                          else self.default_max_batch,
-                          max_wait_ms, warmup)
+        return self.add_engine(name, engine, batch=batch, warmup=warmup)
 
     def add(self, name: str, deployment, *,
             batch: Optional[int] = None,
             max_wait_ms: Optional[float] = None,
             warmup: bool = False) -> str:
         """Host an already-built deployment (shares its engine/counters)."""
+        ignore_max_wait_ms("ModelServer.add", max_wait_ms)
         if batch is None:
-            batch = getattr(deployment, "batch", self.default_max_batch)
-        if max_wait_ms is None:
-            max_wait_ms = getattr(deployment, "max_wait_ms", None)
-        return self._host(name, deployment.engine, batch, max_wait_ms,
-                          warmup)
+            batch = getattr(deployment, "batch", None)
+        return self.add_engine(name, deployment.engine, batch=batch,
+                               warmup=warmup)
 
     def add_engine(self, name: str, engine: InferenceEngine, *,
                    batch: Optional[int] = None,
-                   max_wait_ms: Optional[float] = None,
                    warmup: bool = False) -> str:
         """Host a bare :class:`InferenceEngine` (the lowest-level hook)."""
-        return self._host(name, engine,
-                          batch if batch is not None
-                          else self.default_max_batch,
-                          max_wait_ms, warmup)
-
-    def _host(self, name: str, engine: InferenceEngine, max_batch: int,
-              max_wait_ms: Optional[float], warmup: bool) -> str:
-        wait = max_wait_ms if max_wait_ms is not None \
-            else self.default_max_wait_ms
+        max_batch = batch if batch is not None else self.default_max_batch
         entry = _HostedModel(name, engine,
-                             DynamicBatcher(max_batch, max_wait_ms=wait,
-                                            clock=self._clock),
+                             DynamicBatcher(max_batch, clock=self._clock),
                              stats_window=self.stats_window,
                              streamer=StreamBatcher(max_batch,
                                                     clock=self._clock),
@@ -477,11 +462,9 @@ class ModelServer(ServerMixin):
                     self._run_stream_batch(entry, chunks,
                                            entry.batch_counter)
                     entry.batch_counter += 1
-                while True:
-                    batch = entry.batcher.take(force=True)
-                    if not batch:
-                        break
-                    self._run_batch(entry, batch, entry.batch_counter)
+                while entry.batcher.pending:
+                    self._run_batch(entry, entry.batcher.take(),
+                                    entry.batch_counter)
                     entry.batch_counter += 1
             else:
                 _fail_pending(entry, ServingError(
@@ -827,25 +810,24 @@ class ModelServer(ServerMixin):
     # Execution (workers, or the caller in workers=0 mode)
     # ------------------------------------------------------------------
     def poll(self) -> int:
-        """Serve at most one *ready* batch (size- or deadline-flush) on
-        the calling thread; returns the number of requests served."""
+        """Claim and serve one batch on the calling thread (the oldest
+        queued work of a model that is not busy); returns the number of
+        requests or chunks served."""
         with self._work:
-            claim = self._claim_locked(self._clock())
+            claim = self._claim_locked()
         if claim is None:
             return 0
         self._execute(claim)
         return len(claim[1])
 
     def drain(self) -> None:
-        """Force-serve everything queued, FIFO across models. A model
-        whose worker is mid-batch is waited for (its queue cannot be
-        claimed while busy), so no queued request is left behind;
-        in-flight batches resolve their own futures. Never reads the
-        clock outside the executor, so a drain under a manual clock is
-        deterministic."""
+        """Serve everything queued, FIFO across models. A model whose
+        worker is mid-batch is waited for (its queue cannot be claimed
+        while busy), so no queued request is left behind; in-flight
+        batches resolve their own futures."""
         while True:
             with self._work:
-                claim = self._claim_locked(None, force=True)
+                claim = self._claim_locked()
                 if claim is None:
                     if not any(entry.busy and (entry.batcher.pending
                                                or entry.streamer.pending)
@@ -860,29 +842,30 @@ class ModelServer(ServerMixin):
             with self._work:
                 claim = None
                 while self._running:
-                    now = self._clock()
-                    claim = self._claim_locked(now)
+                    claim = self._claim_locked()
                     if claim is not None:
                         break
-                    self._work.wait(self._wait_timeout_locked(now))
+                    self._work.wait()
                 if claim is None:
                     return          # server closed
             self._execute(claim)
 
-    def _claim_locked(self, now: Optional[float], force: bool = False
-                      ) -> Optional[Tuple[_HostedModel,
-                                          List[ServedRequest], int]]:
+    def _claim_locked(self) -> Optional[Tuple[_HostedModel,
+                                              List[ServedRequest], int]]:
+        """The one claim rule: a model that is not busy takes what is
+        queued, up to ``max_batch``. The coalescing window is whatever
+        queued up since the model's last claim, so batching never adds
+        latency to a lone request or session. Across models (and between
+        a model's requests and its stream chunks) the oldest work goes
+        first."""
         best = None
         for entry in self._models.values():
             if entry.busy:
                 continue
-            if entry.batcher.pending and (force or entry.batcher.ready(now)):
+            if entry.batcher.pending:
                 oldest = entry.batcher.oldest_enqueued_at()
                 if best is None or oldest < best[0]:
                     best = (oldest, entry, "infer")
-            # Stream chunks are always claimable: the coalescing window
-            # is whatever has queued up since the last claim, so batching
-            # never adds latency to a lone session.
             if entry.streamer.ready():
                 oldest = entry.streamer.oldest_enqueued_at()
                 if best is None or oldest < best[0]:
@@ -891,26 +874,11 @@ class ModelServer(ServerMixin):
             return None
         _, entry, kind = best
         batch = (entry.streamer.take() if kind == "stream"
-                 else entry.batcher.take(force=True))
+                 else entry.batcher.take())
         entry.busy = True
         batch_id = entry.batch_counter
         entry.batch_counter += 1
         return entry, batch, batch_id
-
-    def _wait_timeout_locked(self, now: float) -> Optional[float]:
-        """Seconds until the earliest pending deadline (None = sleep until
-        notified: nothing queued, or only size-flush batchers filling)."""
-        timeout = None
-        for entry in self._models.values():
-            if entry.busy or not entry.batcher.pending:
-                continue
-            deadline = entry.batcher.next_deadline()
-            if deadline is None:
-                continue
-            remaining = max(0.0, deadline - now)
-            timeout = remaining if timeout is None \
-                else min(timeout, remaining)
-        return timeout
 
     def _execute(self, claim: Tuple[_HostedModel, List[ServedRequest],
                                     int]) -> None:

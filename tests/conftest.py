@@ -6,11 +6,43 @@ scoped so the many tests that inspect them pay the training cost once.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.tensor import Tensor
+
+
+class BusyGate:
+    """Holds a model busy from another thread: the engine's first pass
+    blocks (``entered`` set) until ``release`` is set."""
+
+    def __init__(self, engine):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        infer = engine.infer
+
+        def gated(batch):
+            if not self.entered.is_set():
+                self.entered.set()
+                assert self.release.wait(60.0)
+            return infer(batch)
+
+        engine.infer = gated
+
+
+class RecordingCondition(threading.Condition):
+    """A Condition that records each ``wait`` timeout by thread name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.waits = []
+
+    def wait(self, timeout=None):
+        self.waits.append((threading.current_thread().name, timeout))
+        return super().wait(timeout)
 
 
 @pytest.fixture

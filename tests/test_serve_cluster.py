@@ -862,7 +862,7 @@ class TestProcessCluster:
         path = tmp_path / "mlp.npz"
         deployment.save(path)
         router = ClusterRouter.spawn({"mlp": str(path)}, workers=2,
-                                     max_batch=4, max_wait_ms=1.0)
+                                     max_batch=4)
         try:
             xs = payloads(16)
             futures = [router.submit("mlp", x) for x in xs]
@@ -888,7 +888,7 @@ class TestProcessCluster:
     def test_subprocess_workers_are_bit_exact(self, zoo):
         router = ClusterRouter.spawn(zoo[0], workers=2,
                                      placement="consistent_hash",
-                                     max_batch=4, max_wait_ms=1.0)
+                                     max_batch=4)
         try:
             assert_zoo_bit_exact(router, zoo)
         finally:
@@ -899,7 +899,7 @@ class TestProcessCluster:
         path = tmp_path / "mlp.npz"
         deployed[0].save(path)
         router = ClusterRouter.spawn({"mlp": str(path)}, workers=2,
-                                     max_batch=4, max_wait_ms=1.0)
+                                     max_batch=4)
         try:
             first = [worker._proc for worker in router._workers]
             router.rolling_restart(timeout=120.0)

@@ -393,7 +393,7 @@ def rnn_inputs(plan, count, steps=None, seed=0):
 class TestOneFuturePerRequest:
     def test_live_server_builds_one_future_per_accepted_request(
             self, gru_artifact, count_futures):
-        server = ModelServer(workers=1, max_wait_ms=1.0)
+        server = ModelServer(workers=1)
         try:
             server.load("m", gru_artifact)
             plan = server.plan("m")

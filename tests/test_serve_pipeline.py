@@ -9,6 +9,8 @@ single-device plan's output *for the same micro-batch composition*
 is always computed on the exact batches the pipeline formed).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.errors import (
     WorkerError,
 )
 from repro.serve import FaultPlan
-from repro.serve.cli import build_model
+from repro.serve.cli import build_model, replay_served_batches
 from repro.serve.export import build_artifact
 from repro.serve.ir import synthetic_batch
 from repro.serve.partition import (
@@ -32,7 +34,7 @@ from repro.serve.partition import (
 )
 from repro.serve.partition.pipeline import StageDeployment
 from repro.serve.plan import ExecutionPlan
-from tests.conftest import make_mlp
+from tests.conftest import BusyGate, RecordingCondition, make_mlp
 
 FAMILIES = ("resnet_tiny", "mobilenet_v2", "lstm_lm", "gru_speech",
             "yolo_lite")
@@ -167,6 +169,80 @@ class TestPipelineEngine:
             got = engine.predict("mlp", x, timeout=10.0)
         expected = staged_reference(mlp_artifact, [x[None]])[0]
         assert np.array_equal(got, expected)
+
+    def test_poll_serves_a_lone_request_on_an_idle_pipeline(
+            self, mlp_artifact):
+        engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,
+                                              workers=0, max_batch=16)
+        x = np.ones(12, dtype=np.float32)
+        future = engine.submit("mlp", x)
+        assert engine.poll() == 0       # stage 0 takes the lone request
+        assert engine.stats()["mlp/stage0"].queue_depth == 1
+        assert engine.poll() == 0
+        assert engine.poll() == 1
+        assert future.request.batch_size == 1
+        assert np.array_equal(future.result(timeout=0),
+                              staged_reference(mlp_artifact, [x[None]])[0])
+        engine.close()
+
+    def test_arrivals_while_stage0_is_busy_form_one_fifo_batch(
+            self, mlp_artifact):
+        # Six requests arrive while stage 0 holds a lone request's batch:
+        # they become FIFO batches of at most max_batch behind it.
+        engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,
+                                              workers=0, max_batch=4)
+        rng = np.random.default_rng(4)
+        xs = [rng.normal(size=(12,)).astype(np.float32)
+              for _ in range(7)]
+        futures = [engine.submit("mlp", xs[0])]
+        engine.poll()
+        futures += engine.submit_many("mlp", xs[1:])
+        engine.drain()
+        assert [f.request.batch_size for f in futures] == [1] + [4] * 4 \
+            + [2] * 2
+        assert [f.request.batch_id for f in futures] == [0] + [1] * 4 \
+            + [2] * 2
+        expected = staged_reference(mlp_artifact, [
+            np.stack(xs[:1]), np.stack(xs[1:5]), np.stack(xs[5:])])
+        for future, want in zip(futures, expected):
+            assert np.array_equal(future.result(timeout=0), want)
+        engine.close()
+
+    def test_threaded_arrivals_while_busy_form_one_fifo_batch(
+            self, mlp_artifact):
+        engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,
+                                              workers=1, max_batch=4)
+        gate = BusyGate(engine._engines[0])
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(size=(12,)).astype(np.float32)
+              for _ in range(7)]
+        with engine:
+            futures = [engine.submit("mlp", xs[0])]
+            assert gate.entered.wait(60.0)
+            futures += engine.submit_many("mlp", xs[1:])
+            assert engine.stats()["mlp"].queue_depth == 6
+            gate.release.set()
+            engine.drain()
+            got = [f.result(timeout=10.0) for f in futures]
+        assert [f.request.batch_size for f in futures] == [1] + [4] * 4 \
+            + [2] * 2
+        expected = staged_reference(mlp_artifact, [
+            np.stack(xs[:1]), np.stack(xs[1:5]), np.stack(xs[5:])])
+        for row, want in zip(got, expected):
+            assert np.array_equal(row, want)
+
+    def test_idle_stage_workers_wait_without_timeout(self, mlp_artifact,
+                                                     monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Condition", RecordingCondition)
+            engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,
+                                                  workers=1, max_batch=4)
+        x = np.ones(12, dtype=np.float32)
+        with engine:
+            engine.predict("mlp", x, timeout=10.0)
+        stage_waits = [timeout for name, timeout in engine._work.waits
+                       if name.startswith("pipeline-")]
+        assert stage_waits and set(stage_waits) == {None}
 
     def test_queue_depth_validation(self, mlp_artifact):
         with pytest.raises(ConfigurationError, match="queue_depth"):
@@ -317,15 +393,22 @@ class TestProcessPipeline:
         plan = split_artifact(mlp_artifact, auto_cuts(mlp_artifact))
         paths = plan.save(tmp_path / "mlp")
         cluster = process_pipeline_cluster(paths, name="mlp",
-                                           max_batch=4,
-                                           max_wait_ms=2000.0)
+                                           max_batch=4)
         try:
             rng = np.random.default_rng(8)
             xs = [rng.normal(size=(12,)).astype(np.float32)
                   for _ in range(4)]
             futures = cluster.submit_many("mlp", xs)
             cluster.drain(timeout=60.0)
-            expected = staged_reference(mlp_artifact, [np.stack(xs)])
+            # No hold forces a wave of four: each stage worker served
+            # whatever was queued when it was free, and every request
+            # carries the batches its stages actually served.
+            records = [future.request.stages for future in futures]
+            assert all(len(stages) == 2 for stages in records)
+            expected = replay_served_batches(
+                [ExecutionPlan(stage) for stage in plan.stages], xs,
+                records)
+            assert expected is not None
             for future, want in zip(futures, expected):
                 got = future.result(timeout=0)
                 # separate-process BLAS may order reductions differently

@@ -1,14 +1,17 @@
 """The async serving layer: dynamic batcher, futures, ModelServer, stats,
 wire protocol.
 
-Everything here is deterministic: batch-deadline behavior is driven by a
-manual injectable clock (no sleeps anywhere), and the one threaded test
-only ever blocks on futures with generous timeouts. The surface shared
+Everything here is deterministic: batching is work-conserving (a model
+that is not busy takes what is queued), so no test advances a clock to
+flush a batch; "busy" is staged by blocking or re-entering an engine
+pass, and threaded tests only ever block on events and futures with
+generous timeouts (no sleeps anywhere). The surface shared
 with the other front ends is pinned in ``tests/test_serve_conformance.py``.
 """
 
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from repro.api import Pipeline, PipelineConfig
 from repro.errors import ConfigurationError, ServingError
 from repro.serve import (
+    ClusterRouter,
     DynamicBatcher,
     EngineStats,
     ModelServer,
@@ -24,7 +28,7 @@ from repro.serve import (
 )
 from repro.serve.cli import serve_protocol
 from repro.serve.server import ModelStats
-from tests.conftest import make_mlp
+from tests.conftest import BusyGate, RecordingCondition, make_mlp
 
 
 class ManualClock:
@@ -41,12 +45,38 @@ class ManualClock:
         return self
 
 
-def make_deployment(seed=7, batch=4, max_wait_ms=None):
+class TickingClock:
+    """Advances 1 ms per read — nonzero latencies without sleeping."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 0.001
+        return self.now
+
+
+def make_deployment(seed=7, batch=4):
     """A small, fast MLP deployment (input shape (12,), 3 logits)."""
     rng = np.random.default_rng(seed + 1000)
     pipeline = Pipeline(PipelineConfig(batch=batch), model=make_mlp(seed))
     pipeline.calibrate([rng.normal(size=(8, 12)).astype(np.float32)])
-    return pipeline.deploy(max_wait_ms=max_wait_ms), pipeline.result
+    return pipeline.deploy(), pipeline.result
+
+
+def on_first_pass(engine, action):
+    """Run ``action()`` inside the engine's first pass — while the
+    model is busy — on the same thread (no threads needed)."""
+    infer = engine.infer
+    calls = []
+
+    def reentrant(batch):
+        if not calls:
+            calls.append(len(batch))
+            action()
+        return infer(batch)
+
+    engine.infer = reentrant
 
 
 def payload_stream(count, seed=0):
@@ -74,67 +104,53 @@ def assert_batchwise_bit_exact(futures, payloads, quantized):
 
 
 # ----------------------------------------------------------------------
-# DynamicBatcher: size-or-deadline flush, FIFO, determinism
+# DynamicBatcher: FIFO micro-batches of at most max_batch
 # ----------------------------------------------------------------------
 class TestDynamicBatcher:
-    def test_size_flush_fires_before_deadline(self):
-        clock = ManualClock()
-        batcher = DynamicBatcher(max_batch=3, max_wait_ms=50.0, clock=clock)
-        for index in range(3):
+    def test_take_caps_at_max_batch(self):
+        batcher = DynamicBatcher(max_batch=3, clock=ManualClock())
+        for index in range(5):
             batcher.submit(np.float32(index))
-        # Full batch is ready immediately — the deadline never enters.
-        assert batcher.ready(now=clock.now)
-        batch = batcher.take(now=clock.now)
-        assert [int(r.payload) for r in batch] == [0, 1, 2]
+        assert [int(r.payload) for r in batcher.take()] == [0, 1, 2]
+        assert [int(r.payload) for r in batcher.take()] == [3, 4]
 
-    def test_deadline_flush_fires_on_partial_batch(self):
-        clock = ManualClock()
-        batcher = DynamicBatcher(max_batch=8, max_wait_ms=5.0, clock=clock)
+    def test_partial_batch_is_taken_at_once(self):
+        # No deadline: two of eight slots filled is still a batch, with
+        # the clock never moved.
+        batcher = DynamicBatcher(max_batch=8, clock=ManualClock())
         batcher.submit(np.float32(0))
-        clock.advance(0.002)
         batcher.submit(np.float32(1))
-        assert not batcher.ready(now=clock.now)       # 2 < 8, 2ms < 5ms
-        assert batcher.take(now=clock.now) == []
-        clock.advance(0.0031)                          # oldest now past 5ms
-        assert batcher.next_deadline() == pytest.approx(0.005)
-        assert batcher.ready(now=clock.now)
-        batch = batcher.take(now=clock.now)
-        assert [int(r.payload) for r in batch] == [0, 1]
+        assert [int(r.payload) for r in batcher.take()] == [0, 1]
+        assert batcher.pending == 0
 
-    def test_deadline_is_the_oldest_requests(self):
-        # A newer request must not extend the oldest one's wait.
-        clock = ManualClock()
-        batcher = DynamicBatcher(max_batch=8, max_wait_ms=5.0, clock=clock)
+    def test_oldest_enqueued_at_is_the_head(self):
+        # Each submit stamps the clock; the head of the FIFO is oldest.
+        batcher = DynamicBatcher(max_batch=8,
+                                 clock=iter([1.0, 2.0]).__next__)
         batcher.submit(np.float32(0))
-        clock.advance(0.004)
-        batcher.submit(np.float32(1))                  # deadline 9ms
-        clock.advance(0.0015)                          # now 5.5ms
-        assert batcher.ready(now=clock.now)
-        assert len(batcher.take(now=clock.now)) == 2
+        batcher.submit(np.float32(1))
+        assert batcher.oldest_enqueued_at() == 1.0
+        batcher.take()
+        assert batcher.oldest_enqueued_at() is None
 
-    def test_no_deadline_means_size_or_force_only(self):
-        clock = ManualClock()
-        batcher = DynamicBatcher(max_batch=2, max_wait_ms=None, clock=clock)
+    def test_empty_take_returns_nothing(self):
+        batcher = DynamicBatcher(max_batch=2, clock=ManualClock())
+        assert batcher.take() == []
         batcher.submit(np.float32(0))
-        clock.advance(1e9)
-        assert not batcher.ready(now=clock.now)
-        assert batcher.next_deadline() is None
-        assert len(batcher.take(force=True)) == 1
+        assert len(batcher.take()) == 1
+        assert batcher.take() == []
 
     def test_fifo_across_takes(self):
-        batcher = DynamicBatcher(max_batch=2, max_wait_ms=0.0,
-                                 clock=ManualClock())
+        batcher = DynamicBatcher(max_batch=2, clock=ManualClock())
         ids = [batcher.submit(np.float32(i)).id for i in range(5)]
         taken = []
         while batcher.pending:
-            taken.extend(r.id for r in batcher.take(force=True))
+            taken.extend(r.id for r in batcher.take())
         assert taken == ids == [0, 1, 2, 3, 4]
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             DynamicBatcher(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            DynamicBatcher(max_batch=4, max_wait_ms=-1.0)
 
 
 class TestCoercePayload:
@@ -163,22 +179,79 @@ class TestCoercePayload:
 # ModelServer: deterministic single-thread mode (workers=0)
 # ----------------------------------------------------------------------
 class TestModelServerSync:
-    def test_deadline_flush_vs_size_flush_ordering(self):
-        clock = ManualClock()
+    def test_poll_serves_what_is_queued_up_to_max_batch(self):
+        # A partial batch is served at once, and a backlog larger than
+        # max_batch goes FIFO in max_batch pieces; the clock never moves.
         deployment, _ = make_deployment(batch=4)
-        server = ModelServer(workers=0, clock=clock)
-        server.add("mlp", deployment, max_wait_ms=5.0)
-        payloads = payload_stream(3)
-        futures = server.submit_many("mlp", payloads)
-        assert server.poll() == 0                 # 3 < 4 and deadline ahead
-        assert not any(f.done() for f in futures)
-        clock.advance(0.006)
-        assert server.poll() == 3                 # deadline flush, batch of 3
+        server = ModelServer(workers=0, clock=ManualClock())
+        server.add("mlp", deployment)
+        futures = server.submit_many("mlp", payload_stream(3))
+        assert server.poll() == 3
         assert [f.request.batch_size for f in futures] == [3, 3, 3]
-        # A full batch flushes with no clock movement at all.
-        futures = server.submit_many("mlp", payload_stream(4, seed=1))
-        assert server.poll() == 4                 # size flush
-        assert [f.request.batch_size for f in futures] == [4] * 4
+        futures = server.submit_many("mlp", payload_stream(5, seed=1))
+        assert server.poll() == 4
+        assert server.poll() == 1
+        assert server.poll() == 0
+        assert [f.request.batch_size for f in futures] == [4] * 4 + [1]
+        server.close()
+
+    def test_poll_serves_a_lone_request_on_an_idle_model(self):
+        deployment, quantized = make_deployment(batch=16)
+        server = ModelServer(workers=0, clock=ManualClock())
+        server.add("mlp", deployment)
+        payload = payload_stream(1)[0]
+        future = server.submit("mlp", payload)
+        assert server.poll() == 1
+        assert future.request.batch_size == 1
+        assert np.array_equal(future.result(timeout=0),
+                              quantized.predict(payload[None])[0])
+        server.close()
+
+    def test_arrivals_while_busy_form_one_fifo_batch(self):
+        # Six requests arrive while the model runs a lone request: the
+        # next claims take them FIFO, at most max_batch at a time.
+        deployment, _ = make_deployment(batch=4)
+        server = ModelServer(workers=0, clock=ManualClock())
+        server.add("mlp", deployment)
+        late = []
+        on_first_pass(deployment.engine, lambda: late.extend(
+            server.submit_many("mlp", payload_stream(6, seed=2))))
+        first = server.submit("mlp", payload_stream(1)[0])
+        assert server.poll() == 1
+        assert len(late) == 6 and not any(f.done() for f in late)
+        assert server.stats()["mlp"].queue_depth == 6
+        assert server.poll() == 4
+        assert server.poll() == 2
+        assert first.request.batch_size == 1
+        assert [f.request.batch_size for f in late] == [4] * 4 + [2] * 2
+        assert [f.request.batch_id for f in late] == [1] * 4 + [2] * 2
+        assert [f.request.id for f in late] == list(range(1, 7))
+        server.close()
+
+    def test_two_models_oldest_request_is_claimed_first(self):
+        # "b" is loaded second but its request is older, so it goes
+        # first; then "a", then "b"'s later request.
+        dep_a, _ = make_deployment(seed=3, batch=4)
+        dep_b, _ = make_deployment(seed=11, batch=4)
+        server = ModelServer(workers=0, clock=TickingClock())
+        server.add("a", dep_a)
+        server.add("b", dep_b)
+        payloads = payload_stream(3, seed=9)
+        order = []
+        for name, engine in (("a", dep_a.engine), ("b", dep_b.engine)):
+            infer = engine.infer
+            engine.infer = (lambda batch, name=name, infer=infer:
+                            order.append(name) or infer(batch))
+        b_first = server.submit("b", payloads[0])
+        a_second = server.submit("a", payloads[1])
+        # "b" is not busy, so a new arrival joins its queue behind the
+        # older request and both go in "b"'s next claim.
+        b_third = server.submit("b", payloads[2])
+        assert server.poll() == 2
+        assert server.poll() == 1
+        assert order == ["b", "a"]
+        assert b_first.request.batch_id == b_third.request.batch_id == 0
+        assert a_second.request.batch_id == 0
         server.close()
 
     def test_fifo_preserved_under_interleaved_multi_model_submits(self):
@@ -379,18 +452,41 @@ class TestLifecycle:
                    for f in futures)
 
     def test_drain_waits_for_in_flight_models(self):
-        # With a worker mid-batch on the model, drain() must not return
-        # while that model still has queued requests it cannot claim.
+        # A worker holds the model mid-batch while ten requests queue
+        # behind it: drain() must not return while that model still has
+        # queued requests it cannot claim.
         deployment, _ = make_deployment(batch=4)
-        with ModelServer(workers=1, max_wait_ms=3600_000.0) as server:
+        gate = BusyGate(deployment.engine)
+        with ModelServer(workers=1) as server:
             server.add("mlp", deployment)
-            futures = server.submit_many("mlp", payload_stream(11, seed=4))
-            server.drain()                      # races a busy worker
+            first = server.submit("mlp", payload_stream(1)[0])
+            assert gate.entered.wait(60.0)
+            futures = server.submit_many("mlp", payload_stream(10, seed=4))
+            assert server.stats()["mlp"].queue_depth == 10
+            assert server.stats()["mlp"].in_flight == 1
+            gate.release.set()
+            server.drain()                      # races the busy worker
             # Nothing is left *queued*; an in-flight batch resolves its
             # own futures, so block on them rather than polling done().
-            gather(futures, timeout=60.0)
+            gather([first] + futures, timeout=60.0)
             assert all(f.exception() is None for f in futures)
+            assert first.request.batch_size == 1
+            assert all(f.request.batch_size <= 4 for f in futures)
             assert server.stats()["mlp"].queue_depth == 0
+
+    def test_idle_worker_waits_without_timeout(self, monkeypatch):
+        # Workers sleep on the condition until notified; none polls a
+        # timer for a deadline.
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Condition", RecordingCondition)
+            server = ModelServer(workers=2)
+        deployment, _ = make_deployment(batch=4)
+        server.add("mlp", deployment)
+        gather(server.submit_many("mlp", payload_stream(6)), timeout=60.0)
+        server.close()
+        worker_waits = [timeout for name, timeout in server._work.waits
+                        if name.startswith("repro-serve-worker")]
+        assert worker_waits and set(worker_waits) == {None}
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +496,7 @@ class TestModelServerThreaded:
     def test_two_models_served_concurrently_bit_exact(self):
         dep_a, quant_a = make_deployment(seed=5, batch=4)
         dep_b, quant_b = make_deployment(seed=6, batch=4)
-        with ModelServer(workers=2, max_wait_ms=1.0) as server:
+        with ModelServer(workers=2) as server:
             server.add("a", dep_a)
             server.add("b", dep_b)
             payloads = payload_stream(16, seed=7)
@@ -413,29 +509,26 @@ class TestModelServerThreaded:
             assert stats["a"].requests == stats["b"].requests == 16
 
     def test_context_manager_close_serves_stragglers(self):
+        # Three requests queue behind a busy model; leaving the block
+        # releases it and close() must serve every straggler.
         deployment, quantized = make_deployment(batch=16)
-        # An effectively infinite deadline: only close() can flush.
-        with ModelServer(workers=1, max_wait_ms=3600_000.0) as server:
+        gate = BusyGate(deployment.engine)
+        payloads = payload_stream(4, seed=8)
+        with ModelServer(workers=1) as server:
             server.add("mlp", deployment)
-            payloads = payload_stream(3, seed=8)
-            futures = server.submit_many("mlp", payloads)
+            futures = [server.submit("mlp", payloads[0])]
+            assert gate.entered.wait(60.0)
+            futures += server.submit_many("mlp", payloads[1:])
+            assert not any(f.done() for f in futures)
+            gate.release.set()
+        assert all(f.done() for f in futures)
+        assert [f.request.batch_size for f in futures] == [1, 3, 3, 3]
         assert_batchwise_bit_exact(futures, payloads, quantized)
 
 
 # ----------------------------------------------------------------------
 # Stats: mixin, percentiles, merge
 # ----------------------------------------------------------------------
-class TickingClock:
-    """Advances 1 ms per read — nonzero latencies without sleeping."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        self.now += 0.001
-        return self.now
-
-
 class TestStats:
     def drained_stats(self, count=10, batch=4, clock=None):
         deployment, _ = make_deployment(batch=batch)
@@ -675,22 +768,38 @@ class TestStatsMergeEdgeCases:
 # Deployment integration + JSON-lines protocol
 # ----------------------------------------------------------------------
 class TestDeploymentIntegration:
-    def test_deploy_carries_max_wait_ms_into_server(self):
-        deployment, _ = make_deployment(batch=4, max_wait_ms=7.5)
-        assert deployment.max_wait_ms == 7.5
-        clock = ManualClock()
-        server = ModelServer(workers=0, clock=clock)
-        server.add("mlp", deployment)             # inherits 7.5 ms
+    def test_deploy_carries_batch_into_server(self):
+        # A deployment brings its batch size and nothing else: a lone
+        # request is served on the first poll, with no clock movement.
+        deployment, _ = make_deployment(batch=3)
+        server = ModelServer(workers=0, clock=ManualClock())
+        server.add("mlp", deployment)             # inherits batch 3
+        assert server.stats()["mlp"].max_batch == 3
         server.submit("mlp", payload_stream(1)[0])
-        clock.advance(0.0074)
-        assert server.poll() == 0
-        clock.advance(0.0002)
         assert server.poll() == 1
+        server.submit_many("mlp", payload_stream(5))
+        assert server.poll() == 3
         server.close()
+
+    def test_max_wait_ms_is_a_deprecated_no_op(self):
+        # The three signatures that still take the keyword warn and
+        # ignore it; the spawn call fails validation before any process.
+        deployment, _ = make_deployment(batch=4)
+        with pytest.warns(DeprecationWarning, match="will be removed"):
+            server = ModelServer(workers=0, clock=ManualClock(),
+                                 max_wait_ms=2.0)
+        with pytest.warns(DeprecationWarning, match="ModelServer.add"):
+            server.add("mlp", deployment, max_wait_ms=2.0)
+        server.submit("mlp", payload_stream(1)[0])
+        assert server.poll() == 1                 # no hold
+        server.close()
+        with pytest.warns(DeprecationWarning, match="ClusterRouter.spawn"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                ClusterRouter.spawn({}, workers=0, max_wait_ms=2.0)
 
     def test_deployment_server_helper_round_trips(self):
         deployment, quantized = make_deployment(batch=4)
-        with deployment.server("mlp", workers=1, max_wait_ms=1.0) as server:
+        with deployment.server("mlp", workers=1) as server:
             payload = payload_stream(1)[0]
             result = server.predict("mlp", payload, timeout=60.0)
         assert np.array_equal(result, quantized.predict(payload[None])[0])
@@ -723,9 +832,8 @@ class TestDeploymentIntegration:
 
 
 class TestServeProtocol:
-    def run_protocol(self, lines, models=None, max_wait_ms=0.0):
-        server = ModelServer(workers=0, max_wait_ms=max_wait_ms,
-                             clock=ManualClock())
+    def run_protocol(self, lines, models=None):
+        server = ModelServer(workers=0, clock=ManualClock())
         deployments = {}
         for name, seed in (models or {"mlp": 7}).items():
             deployment, quantized = make_deployment(seed=seed, batch=4)
@@ -808,10 +916,8 @@ class TestServeProtocol:
         # A strict request-then-response client: the protocol loop is
         # blocked reading the next line, so the response must be pushed
         # by the future's done-callback from the worker thread.
-        import threading
-
         deployment, quantized = make_deployment(batch=4)
-        server = ModelServer(workers=2, max_wait_ms=0.0)
+        server = ModelServer(workers=2)
         server.add("mlp", deployment)
         payload = payload_stream(1)[0]
         responded = threading.Event()

@@ -497,6 +497,45 @@ class TestChunkedBitExact:
             server.close()
 
 
+    def test_ragged_stream_verified_shapes_stay_bounded(self, artifacts):
+        """Chunk lengths 1..40 are 40 stream shapes: the runtime oracle's
+        verified set keeps at most SCRATCH_SHAPES of them, an evicted
+        shape is verified again on its next use, and the chunks still
+        equal the offline run bit for bit."""
+        _require("fused")
+        from repro.serve.backends.base import SCRATCH_SHAPES
+
+        sizes = list(range(1, 41)) + [1]
+        server = ModelServer(workers=0)
+        try:
+            server.load("offline", artifacts["gru_speech"])
+            server.load("m", artifacts["gru_speech"], backend="fused")
+            offline_plan, plan = server.plan("offline"), server.plan("m")
+            compiled = plan.compiled
+            checks = []
+            factory = compiled.runtime_oracle_factory
+            compiled.runtime_oracle_factory = \
+                lambda: checks.append(1) or factory()
+            rng = np.random.default_rng(4)
+            seq = rng.normal(size=(2, sum(sizes))
+                             + plan.input_shape[1:]).astype(np.float32)
+            expected, _ = offline_plan.forward_stream(seq, {})
+            state, outs, cursor = {}, [], 0
+            for size in sizes:
+                out, state = plan.forward_stream(
+                    seq[:, cursor:cursor + size], state)
+                outs.append(plan.stream_outputs(out, 2))
+                cursor += size
+                assert len(compiled._verified_stream_shapes) \
+                    <= SCRATCH_SHAPES
+            # 40 first uses, plus shape (2, 1) again after its eviction.
+            assert len(checks) == 41
+            assert np.array_equal(np.concatenate(outs, axis=1),
+                                  plan.stream_outputs(expected, 2))
+        finally:
+            server.close()
+
+
 # ----------------------------------------------------------------------
 # Server-level session lifecycle: eviction, expiry, typed errors
 # ----------------------------------------------------------------------
