@@ -77,13 +77,19 @@ KERNEL_LATENCY_ROWS = (("mobilenet_v2", 16), ("resnet_tiny", 8),
                        ("lstm_lm", 8), ("gru_speech", 8))
 
 
-def test_backend_kernel_latency_report(tmp_path):
+def test_backend_kernel_latency_report(tmp_path, monkeypatch):
     """Raw ``CompiledModel.run`` latency per backend (no batcher, no
     server): what the kernels themselves cost, one row per model.
     Written to ``BENCH_kernels.json``; the ``compiled`` column appears
     only when the machine has a C compiler, and then must not be slower
     than ``fused`` (deliberately no pytest-benchmark fixture, so the CI
-    codegen job can run this file standalone).
+    codegen job can run this file standalone). ``"compiler"`` names the
+    compiler and its whole optimization tier.
+
+    The codegen cache starts empty, so a model's first ``compiled`` row
+    also reports ``build_s``: compiling the graph and its first run,
+    i.e. render, C build and load, plus the bitwise check against the
+    reference backend. It is reported, not gated.
 
     The backends are timed in alternation: each round times every
     backend once (``calls`` runs each), so a slow spell of a shared host
@@ -96,10 +102,11 @@ def test_backend_kernel_latency_report(tmp_path):
     from repro.serve.codegen import compiler_probe
 
     rounds, calls = 9, 5
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen"))
     compiler, note = compiler_probe()
     backends = ["reference", "fused"] + (["compiled"] if compiler else [])
     report = {"compiler": note, "rows": []}
-    ratios = {}
+    ratios, built = {}, set()
     for model_name, batch in KERNEL_LATENCY_ROWS:
         model, sample = build_model(model_name, seed=0)
         rng = np.random.default_rng(1)
@@ -116,10 +123,14 @@ def test_backend_kernel_latency_report(tmp_path):
         output = graph.node(graph.output_id)
         out_rows = batch * (output.output_shape[0] if output.merged_time
                             else 1)
-        compiled = {}
+        compiled, build_s = {}, None
         for name in backends:
+            started = time.perf_counter()
             compiled[name] = compile_graph(artifact, backend=name)
             out = compiled[name].run(x)  # warm scratch, build, verify bits
+            if name == "compiled" and model_name not in built:
+                built.add(model_name)
+                build_s = time.perf_counter() - started
             assert out.shape[0] == out_rows
         samples = {name: [] for name in backends}
         for index in range(rounds):
@@ -143,11 +154,14 @@ def test_backend_kernel_latency_report(tmp_path):
         for name in backends:
             print(f"\n{model_name:<13} b{batch:<3} {name:<9} "
                   f"{timings[name]:8.3f} ms/batch")
-        report["rows"].append({
-            "model": model_name, "batch": batch,
-            "kernels_ms": {k: round(v, 3) for k, v in timings.items()},
-            "paired_ratio_median": {k: round(v, 3)
-                                    for k, v in row_ratios.items()}})
+        row = {"model": model_name, "batch": batch,
+               "kernels_ms": {k: round(v, 3) for k, v in timings.items()},
+               "paired_ratio_median": {k: round(v, 3)
+                                       for k, v in row_ratios.items()}}
+        if build_s is not None:
+            print(f"{model_name:<13} build {build_s:.2f} s")
+            row["build_s"] = round(build_s, 3)
+        report["rows"].append(row)
     out_path = os.environ.get("BENCH_KERNELS_OUT", "BENCH_kernels.json")
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -50,12 +50,14 @@ def build_deployment():
 
 
 def single_request_capacity(engine, payloads):
-    """Requests/sec of back-to-back max_batch=1 serving (no waiting)."""
-    server = ModelServer(workers=0, max_batch=1)
+    """Requests/sec of back-to-back max_batch=1 serving on the same
+    two-worker server the scenarios run: 64 requests queued at once,
+    timed until the last one resolves."""
+    server = ModelServer(workers=2, max_batch=1)
     server.add_engine("m", engine, batch=1)
-    server.submit_many("m", payloads[:64])
     started = time.perf_counter()
-    server.drain()
+    for future in server.submit_many("m", payloads[:64]):
+        future.result(timeout=120.0)
     elapsed = time.perf_counter() - started
     server.close()
     return 64 / elapsed

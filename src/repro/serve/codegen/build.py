@@ -22,6 +22,10 @@ Three jobs, all deliberately boring:
 Flags pin bit-exact float semantics: ``-ffp-contract=off`` forbids FMA
 contraction and ``-fno-fast-math`` keeps IEEE-754 ordering, so the
 generated elementwise kernels match numpy's float32 ufuncs bit for bit.
+The optimization tier on top of them (:data:`OPT_TIERS`) is
+``-O2 -march=native -ftree-vectorize -fvect-cost-model=dynamic``:
+vectorized, hence as fast as ``-O3``, for ~40% less compile time, and
+the same bits whichever tier the probe picks.
 """
 
 from __future__ import annotations
@@ -52,8 +56,17 @@ BASE_CFLAGS = ("-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 #: ufunc loops already use — auto-vectorizing our straight-line
 #: per-element float32 code never changes a result bit (contraction is
 #: off, there is no reassociation to do, and the only reduction — max —
-#: is order-independent).
-OPT_TIERS = (("-O3", "-march=native"), ("-O3",), ("-O2",))
+#: is order-independent). ``-O2`` with the loop vectorizer at the
+#: dynamic cost model runs the kernels as fast as ``-O3`` (gcc 12,
+#: resnet_tiny and mobilenet_v2 at batch 1-16) and compiles them in
+#: ~40% less CPU time: ``-O3``'s extra peeling, unrolling and versioning
+#: bought build time, not speed. Plain ``-O2`` is not enough
+#: (mobilenet_v2 at batch 8: 1.12 -> 1.65 ms). The second tier keeps
+#: ``-march=native`` on a compiler that rejects the cost-model flag.
+OPT_TIERS = (("-O2", "-march=native", "-ftree-vectorize",
+              "-fvect-cost-model=dynamic"),
+             ("-O2", "-march=native", "-ftree-vectorize"),
+             ("-O2",))
 
 #: Kept for introspection/tests: the flags of the probed toolchain.
 CFLAGS = OPT_TIERS[0] + BASE_CFLAGS
@@ -125,8 +138,8 @@ def _probe(refresh: bool = False) -> Tuple[Optional[str],
             found = _try_compiler(command)
             if found is not None:
                 resolved, flags = found
-                result = (resolved, flags,
-                          f"{command} -> {resolved} ({' '.join(flags[:2])})")
+                tier = ' '.join(flags[:-len(BASE_CFLAGS)])
+                result = (resolved, flags, f"{command} -> {resolved} ({tier})")
                 break
         else:
             source = "$REPRO_CC" if override else "probe order"

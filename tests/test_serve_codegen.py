@@ -12,6 +12,7 @@ the typed :class:`~repro.errors.BackendError` vocabulary, and the
 
 import ctypes
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -25,9 +26,10 @@ from repro import nn
 from repro.errors import BackendError, CompileError, ConfigurationError
 from repro.quant.ste import ActivationQuantizer
 from repro.serve import ExecutionPlan
-from repro.serve.backends import get_backend, resolve_backend
+from repro.serve.backends import compile_graph, get_backend, resolve_backend
 from repro.serve.cli import build_model
 from repro.serve.codegen import (
+    build,
     build_library,
     c_array,
     c_float,
@@ -40,11 +42,17 @@ from repro.serve.codegen import (
     render_module,
 )
 from repro.serve.codegen import runtime
-from repro.serve.codegen.build import _reset_probe_cache
+from repro.serve.codegen.build import (
+    BASE_CFLAGS,
+    OPT_TIERS,
+    _reset_probe_cache,
+)
 from repro.serve.codegen.renderer import (
     MODULE_PREAMBLE,
+    RNN_CFLAGS,
     ActQuantC,
     activation_functions,
+    rnn_module,
 )
 from repro.serve.export import build_artifact, eager_forward
 from repro.serve.ptq import post_training_quantize
@@ -325,6 +333,106 @@ class TestBuildCache:
     def test_rejected_source_raises_compile_error(self, fresh_cache):
         with pytest.raises(CompileError, match="compiler exited"):
             build_library("this is not C\n", tag="t")
+
+
+# ----------------------------------------------------------------------
+# Optimization tiers
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gcc(monkeypatch):
+    """Probe gcc alone, afresh, for one test."""
+    monkeypatch.setenv("REPRO_CC", "gcc")
+    _reset_probe_cache()
+    yield
+    _reset_probe_cache()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+class TestOptimizationTiers:
+    """gcc takes the vectorizing ``-O2`` tier, the recurrent library
+    builds at ``-O1`` after it, and the tier never changes a bit."""
+
+    OLD_TIER = ("-O3", "-march=native")
+
+    def test_gcc_takes_the_first_tier_and_reports_all_of_it(self, gcc):
+        compiler, note = compiler_probe()
+        assert compiler is not None
+        assert build._probe()[1] == OPT_TIERS[0] + BASE_CFLAGS
+        assert note.endswith(f"({' '.join(OPT_TIERS[0])})")
+
+    def test_recurrent_unit_command_line_ends_with_o1(self, gcc,
+                                                      fresh_cache,
+                                                      monkeypatch):
+        compiler_probe()
+        commands = []
+        popen = subprocess.Popen
+
+        def recording(command, *args, **kwargs):
+            commands.append(list(command))
+            return popen(command, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        build.build_libraries([(rnn_module(True), "rnn", RNN_CFLAGS)])
+        (command,) = commands
+        flags = command[1:command.index("-o")]
+        assert flags == [*OPT_TIERS[0], *BASE_CFLAGS, "-O1"]
+
+    def test_vectorizing_tier_never_changes_a_bit(self, gcc, tmp_path,
+                                                  monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = {}
+        for name in ("resnet_tiny", "gru_speech"):
+            model, sample = build_model(name, seed=0)
+            results = post_training_quantize(model, [sample(rng, 8)])
+            artifact = build_artifact(model, sample(rng, 4),
+                                      layer_results=results, name=name)
+            reference = compile_graph(artifact, "reference", verify=False)
+            batches = [sample(rng, n) for n in range(1, 9)]
+            cases[name] = (artifact, reference, batches,
+                           [reference.run(x) for x in batches])
+        # One gru_speech stream of 3 requests in chunks of 5, 1 and 6
+        # steps, each chunk starting from the state the last one left.
+        stream = cases["gru_speech"][2][2]
+        chunks = [stream[:, :5], stream[:, 5:6], stream[:, 6:]]
+
+        def run_stream(model):
+            state, outs = {}, []
+            for chunk in chunks:
+                out, state = model.run_stateful(chunk, state)
+                outs.append(out)
+            return outs
+
+        expected_stream = run_stream(cases["gru_speech"][1])
+        outputs, sources = {}, {}
+        for label, tier in (("O3", self.OLD_TIER),
+                            ("vectorized", OPT_TIERS[0])):
+            # gcc offered only this tier, building into a fresh cache.
+            monkeypatch.setattr(build, "OPT_TIERS", (tier,))
+            monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / label))
+            _reset_probe_cache()
+            assert build._probe()[1] == tier + BASE_CFLAGS
+            for name, (artifact, _, batches, expected) in cases.items():
+                compiled = compile_graph(artifact, "compiled", verify=False)
+                got = [compiled.run(x) for x in batches]
+                for n, (out, want) in enumerate(zip(got, expected), 1):
+                    assert np.array_equal(out, want, equal_nan=True), \
+                        (label, name, n)
+                if name == "gru_speech":
+                    got += run_stream(compiled)
+                    for out, want in zip(got[-len(chunks):],
+                                         expected_stream):
+                        assert np.array_equal(out, want), (label, "stream")
+                outputs[label, name] = got
+                library = compiled.ctx.codegen_program.library
+                assert library.parent == tmp_path / label
+                sources[label, name] = library.with_suffix(".c").read_text()
+        for name in cases:
+            # The same source, built at both tiers: identical bits.
+            assert sources["O3", name] == sources["vectorized", name]
+            for old, new in zip(outputs["O3", name],
+                                outputs["vectorized", name]):
+                assert old.dtype == new.dtype and old.shape == new.shape
+                assert old.tobytes() == new.tobytes(), name
 
 
 # ----------------------------------------------------------------------
