@@ -90,6 +90,10 @@ class ServeArtifact:
         if manifest.get("format") != FORMAT:
             raise ExportError(
                 f"unsupported artifact format {manifest.get('format')!r}")
+        if np.dtype(manifest["input_dtype"]).kind == "f":
+            # Floating input is served as float32; earlier exports could
+            # record the sample's float64.
+            manifest["input_dtype"] = "float32"
         return cls(manifest=manifest, arrays=arrays)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ Backends register themselves with :func:`register_backend`:
 - ``reference`` — op-for-op numpy, bit-identical to eager inference (the
   oracle every other backend is diffed against);
 - ``fused``     — epilogue fusion, pooled scratch buffers, direct BLAS
-  GEMMs and precomputed activation level tables;
+  GEMMs and in-place activation fake-quant;
 - ``compiled``  — the fused graph's glue ops rendered to C and built into
   one shared library per graph (:mod:`repro.serve.codegen`); requires a
   C compiler and resolves to ``fused`` (with a warning) without one.

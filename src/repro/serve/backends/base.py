@@ -310,26 +310,6 @@ def copy_state(state: Dict[int, dict]) -> Dict[int, dict]:
     return out
 
 
-def states_equal(left: Dict[int, dict], right: Dict[int, dict]) -> bool:
-    """Bitwise equality of two recurrent-state mappings."""
-    if set(left) != set(right):
-        return False
-    for node_id, entry in left.items():
-        other = right[node_id]
-        for key in ("h", "c"):
-            ours, theirs = entry.get(key), other.get(key)
-            if (ours is None) != (theirs is None):
-                return False
-            if ours is None:
-                continue
-            if len(ours) != len(theirs):
-                return False
-            if not all(np.array_equal(a, b)
-                       for a, b in zip(ours, theirs)):
-                return False
-    return True
-
-
 def verify_compiled(candidate: CompiledModel, reference: CompiledModel,
                     batches: Sequence[np.ndarray],
                     precomputed: Optional[np.ndarray] = None) -> None:

@@ -26,8 +26,12 @@ A run ends wherever an intermediate result is read outside it, so each
 run has one output. Its pointer table — run inputs, weights and every
 pooled buffer — is bound once per input shape and kept beside those
 buffers in the shape's scratch pool, so the two are evicted together; a
-call writes only the input addresses. Non-float32 inputs run
-the run's nodes on the fused kernels.
+call writes only the input addresses. The C code takes raw pointers,
+so a run checks what it is handed: an input that is not float32, a
+carried state of another shape or input rows of another shape than the
+rendered ones raise :class:`~repro.errors.ShapeError`. Through
+:class:`~repro.serve.plan.ExecutionPlan`, which checks serving input
+once, none of them occurs.
 
 Node kinds outside the renderer's coverage table (reductions with
 numpy-internal accumulation order like ``avgpool``, the ``take_last``
@@ -51,6 +55,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.serve.artifact import ServeArtifact
 from repro.serve.backends import register_backend
 from repro.serve.backends.base import ExecContext, Kernel, KernelBackend
@@ -195,8 +200,6 @@ class CodegenSegmentKernel(Kernel):
                           if renderer.temporal]
         program.register(self.renderer)
         self.program = program
-        self._graph, self._artifact = graph, artifact
-        self._fused = None
 
     def describe(self) -> str:
         """One compile-log line: the run's nodes and calls per batch."""
@@ -213,11 +216,12 @@ class CodegenSegmentKernel(Kernel):
     def _bind(self, inputs: Sequence[np.ndarray]):
         """The native function, ``(n, t)``, the pointer table (every slot
         but the inputs and initial states filled), the returned view and
-        each pooled buffer by slot, for this input shape; None when the
-        inputs' row shapes are not the ones the code was rendered for."""
+        each pooled buffer by slot, for this input shape."""
         skip = self._skip
-        if tuple(x.shape[skip:] for x in inputs) != self.input_rows:
-            return None
+        rows = tuple(x.shape[skip:] for x in inputs)
+        if rows != self.input_rows:
+            raise ShapeError(f"{self.renderer.symbol} was rendered for "
+                             f"input rows {self.input_rows}, got {rows}")
         n = inputs[0].shape[0]
         t = inputs[0].shape[1] if self.renderer.temporal else 1
         table = (ctypes.c_void_p * self.renderer.slot_count)()
@@ -239,22 +243,19 @@ class CodegenSegmentKernel(Kernel):
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         for x in inputs:
             if x.dtype is not _F32:
-                return self._run_fused(inputs)
+                raise ShapeError(f"{self.renderer.symbol} takes float32 "
+                                 f"input, got {x.dtype}")
         key = (self, inputs[0].shape)
         bound = self.ctx.bound.get(key)
         if bound is None:
-            bound = self.ctx.bound[key] = self._bind(inputs) or False
-        if bound is False:
-            return self._run_fused(inputs)
+            bound = self.ctx.bound[key] = self._bind(inputs)
         fn, n, t, table, result, pooled = bound
         if self.recurrent:
             held = self._seed_state(table, n)  # noqa: F841 (kept alive)
-            if held is None:
-                return self._run_fused(inputs)
         for slot, x in enumerate(inputs):
             if not x.flags.c_contiguous:
-                # A strided view (a ``take_last`` slice) from a fallback
-                # node: native code takes raw pointers.
+                # A strided view (a ``take_last`` slice) from a Python
+                # step: native code takes raw pointers.
                 x = self._contiguous(x, slot)
             table[slot] = x.ctypes.data
         fn(n, t, table)
@@ -271,8 +272,7 @@ class CodegenSegmentKernel(Kernel):
     def _seed_state(self, table, n: int):
         """Point each recurrent node's initial-state slots at the carried
         state, or NULL (zeros) outside ``run_stateful``. Returns the
-        arrays the table now points into, or None when a carried state
-        does not fit the batch."""
+        arrays the table now points into."""
         held = []
         for renderer, slot in self.recurrent:
             state = (self.ctx.state_in.get(renderer.node_id)
@@ -285,7 +285,8 @@ class CodegenSegmentKernel(Kernel):
                         array = np.ascontiguousarray(layers[index],
                                                      dtype=np.float32)
                         if array.shape != (n, renderer.hidden):
-                            return None
+                            raise ShapeError(f"carried {key} is {array.shape}"
+                                             f", not {(n, renderer.hidden)}")
                         held.append(array)
                         address = array.ctypes.data
                     table[slot[f"{key}_in{index}"]] = address
@@ -295,20 +296,6 @@ class CodegenSegmentKernel(Kernel):
         buffer = self.ctx.scratch(f"cg.in{self.node.id}.{slot}", x.shape)
         np.copyto(buffer, x)
         return buffer
-
-    def _run_fused(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        """The run's nodes on the fused kernels, bit-exact off the native
-        path (non-float32 inputs, a carried state of another shape)."""
-        if self._fused is None:
-            backend = FusedBackend()
-            self._fused = [backend.compile_node(node, self._graph,
-                                                self._artifact, self.ctx)
-                           for node in self.nodes]
-        values = dict(zip(self.sources, inputs))
-        for kernel in self._fused:
-            values[kernel.node.id] = kernel.run(
-                *(values[s] for s in kernel.node.inputs))
-        return values[self.node.id]
 
 
 @register_backend

@@ -16,9 +16,7 @@ per-request path is restructured for throughput:
   path performs no large allocations.
 - **Allocation-free activation fake-quant.** The exact reference ufunc
   chain, applied in place, with the final reconstruction multiply landing
-  directly in the consumer's buffer (a padded-conv interior), and the full
-  level grid (the SP2 shift-add reconstruction values) precomputed at
-  compile time.
+  directly in the consumer's buffer (a padded-conv interior).
 - **Hoisted RNN input GEMMs.** Layers are scheduled one at a time over the
   whole sequence, so each layer's input-side projection ``x_t @ W_ih.T``
   collapses from T small GEMMs into one batched GEMM over all timesteps
@@ -32,6 +30,10 @@ per-request path is restructured for throughput:
 View kernels (reshape, embedding gather) reuse the reference
 implementations — the win there is zero and reuse keeps the oracle in
 lockstep.
+
+The kernels take float32 activations only: serving input is checked and
+cast once, by :meth:`repro.serve.plan.ExecutionPlan.coerce`, before it
+reaches them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ExportError
 from repro.serve.artifact import ServeArtifact, decode_weight_record
 from repro.serve.backends import register_backend
 from repro.serve.backends.base import (
@@ -49,12 +52,9 @@ from repro.serve.backends.base import (
     row_stable_matmul,
 )
 from repro.serve.backends.reference import (
-    ActQuant,
     EmbeddingKernel,
     FlattenKernel,
     MergeTimeKernel,
-    ReferenceBackend,
-    RnnKernel,
     TakeLastKernel,
 )
 from repro.serve.ir import Graph, IRNode
@@ -70,29 +70,18 @@ class FusedActQuant:
 
     Exactly the reference ufunc sequence (clip → /alpha → *steps → round →
     /steps → *alpha, all float32), but every stage writes in place — the
-    reference path allocates a fresh array per stage. The precomputed
-    ``levels`` grid (every representable output, i.e. the SP2 shift-add
-    reconstruction values the FPGA datapath would produce) is exposed for
-    introspection and integer-code kernels.
+    reference path allocates a fresh array per stage.
     """
 
     def __init__(self, spec: dict, ctx: ExecContext):
         self.ctx = ctx
         self.alpha = float(spec["alpha"])
-        self.signed = spec["signed"]
+        signed = spec["signed"]
         bits = spec["bits"]
-        self.steps = (2 ** (bits - 1) - 1) if self.signed else (2 ** bits - 1)
-        self.low = -self.alpha if self.signed else 0.0
-        codes = np.arange(-self.steps if self.signed else 0, self.steps + 1,
-                          dtype=np.float32)
-        # Same per-element ufuncs the arithmetic below applies to round
-        # results, so levels[k] is bitwise the value code k reconstructs to.
-        self.levels = codes / self.steps * self.alpha
-        self._fallback = ActQuant(spec)
+        self.steps = (2 ** (bits - 1) - 1) if signed else (2 ** bits - 1)
+        self.low = -self.alpha if signed else 0.0
 
     def __call__(self, x: np.ndarray, out=None) -> np.ndarray:
-        if x.dtype != np.float32:
-            return self._fallback(x)  # off the fast path, stay bit-exact
         buf = self.ctx.scratch("actq", x.shape)
         np.clip(x, self.low, self.alpha, out=buf)
         np.divide(buf, self.alpha, out=buf)
@@ -198,9 +187,9 @@ class FusedConvKernel(Kernel):
                 self.bias = self.bias.reshape(self.oc, 1, 1, 1)
         self._groups_path = None  # cached einsum contraction path
 
-    def _bind(self, n: int, dtype) -> tuple:
+    def _bind(self, n: int) -> tuple:
         """Resolve (padded, interior, cols, out) for one batch size."""
-        key = (self, n, np.dtype(dtype).str)
+        key = (self, n)
         bound = self.ctx.bound.get(key)
         if bound is None:
             k, s, pad = self.kernel, self.stride, self.padding
@@ -214,7 +203,7 @@ class FusedConvKernel(Kernel):
                 # let one conv's interior dirty the other's border.
                 padded = self.ctx.scratch(
                     f"conv.padded.p{pad}", (n, cin, h + 2 * pad, w + 2 * pad),
-                    dtype=dtype, zeroed=True)
+                    zeroed=True)
                 interior = padded[:, :, pad:pad + h, pad:pad + w]
             else:
                 padded = interior = None
@@ -222,20 +211,17 @@ class FusedConvKernel(Kernel):
                 cols = None  # im2col is a plain reshape view
             else:
                 cols = self.ctx.scratch(
-                    "conv.cols", (n, cin * k * k, oh * ow), dtype=dtype)
+                    "conv.cols", (n, cin * k * k, oh * ow))
             out = None
-            if self.groups == 1 and np.dtype(dtype) == np.float32:
+            if self.groups == 1:
                 out = self.ctx.scratch(
-                    f"out{self.node.id}", (n, self.oc, oh * ow),
-                    dtype=np.float32)
-            elif self.depthwise and np.dtype(dtype) == np.float32:
+                    f"out{self.node.id}", (n, self.oc, oh * ow))
+            elif self.depthwise:
                 # Channel-major operand + output of the batched GEMV.
                 out = (self.ctx.scratch("conv.dwcols",
-                                        (self.cin, n * oh * ow, k * k),
-                                        dtype=np.float32),
+                                        (self.cin, n * oh * ow, k * k)),
                        self.ctx.scratch(f"out{self.node.id}",
-                                        (self.cin, n * oh * ow, 1),
-                                        dtype=np.float32))
+                                        (self.cin, n * oh * ow, 1)))
             bound = (padded, interior, cols, out)
             self.ctx.bound[key] = bound
         return bound
@@ -254,14 +240,12 @@ class FusedConvKernel(Kernel):
     def run(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         k, pad = self.kernel, self.padding
-        padded, interior, cols, out = self._bind(n, x.dtype)
+        padded, interior, cols, out = self._bind(n)
         if pad > 0:
             # Quantize (or copy) straight into the padded interior: the
             # separate "write the interior" pass disappears.
-            if self.act is not None and x.dtype == np.float32:
+            if self.act is not None:
                 self.act(x, out=interior)
-            elif self.act is not None:
-                interior[...] = self.act(x)
             else:
                 interior[...] = x
             src = padded
@@ -272,13 +256,10 @@ class FusedConvKernel(Kernel):
         else:
             self._gather(src, cols, n)
             gemm_in = cols
-        if self.depthwise and out is not None:
+        if self.depthwise:
             return self._run_depthwise(gemm_in, out, n)
         if self.groups == 1:
-            if out is None:
-                out = np.matmul(self.w_mat, gemm_in)
-            else:
-                np.matmul(self.w_mat, gemm_in, out=out)
+            np.matmul(self.w_mat, gemm_in, out=out)
         else:
             ocg = self.oc // self.groups
             cols_g = gemm_in.reshape(n, self.groups, self.cg * k * k,
@@ -341,15 +322,11 @@ class FusedLinearKernel(Kernel):
     def run(self, x: np.ndarray) -> np.ndarray:
         if self.act is not None:
             x = self.act(x)
-        if x.dtype != np.float32:
-            out = np.matmul(x, self.wT)
-        else:
-            out = self.ctx.scratch(
-                f"out{self.node.id}", (x.shape[0], self.weight.shape[0]),
-                dtype=np.float32)
-            # The same row-stable `x @ weight.T` the reference kernel
-            # runs, just with a preallocated output.
-            row_stable_matmul(x, self.wT, out=out)
+        out = self.ctx.scratch(
+            f"out{self.node.id}", (x.shape[0], self.weight.shape[0]))
+        # The same row-stable `x @ weight.T` the reference kernel runs,
+        # just with a preallocated output.
+        row_stable_matmul(x, self.wT, out=out)
         if self.bias is not None:
             np.add(out, self.bias, out=out)
         for stage in self.epilogues:
@@ -392,13 +369,8 @@ class FusedRnnKernel(Kernel):
         self.cell_kind = spec["cell"]
         self.cells = [FusedRnnCell(c, artifact, ctx) for c in spec["cells"]]
         self.hidden = spec["hidden_size"]
-        self._fallback = RnnKernel(node, ctx, artifact)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        if x.dtype != np.float32:
-            # The reference kernel shares our ctx, so carried state flows
-            # through the fallback path unchanged.
-            return self._fallback.run(x)
         state = (self.ctx.state_in.get(self.node.id)
                  if self.ctx.carry_state else None)
         final_h: list = []
@@ -612,7 +584,7 @@ _FUSED_KERNELS = {
 }
 
 _NEEDS_ARTIFACT = (FusedConvKernel, FusedLinearKernel, FusedBatchNormKernel,
-                   FusedRnnKernel, EmbeddingKernel, RnnKernel)
+                   FusedRnnKernel, EmbeddingKernel)
 
 
 @register_backend
@@ -630,8 +602,7 @@ class FusedBackend(KernelBackend):
         try:
             kernel_type = _FUSED_KERNELS[node.kind]
         except KeyError:
-            # Fall back to the oracle kernel for anything exotic.
-            return ReferenceBackend().compile_node(node, graph, artifact, ctx)
+            raise ExportError(f"unknown plan op kind {node.kind!r}")
         if issubclass(kernel_type, _NEEDS_ARTIFACT):
             return kernel_type(node, ctx, artifact)
         return kernel_type(node, ctx)

@@ -72,8 +72,10 @@ class ServedRequest:
 def coerce_payload(plan, payload) -> np.ndarray:
     """Validate one request against a plan and coerce it to serving form.
 
-    Shape mismatch is an immediate error (not a deferred batch failure).
-    The payload is only copied when it has to be: a request that already
+    A shape mismatch or an out-of-range token id is an immediate error
+    that fails only this request (not a deferred batch failure). The
+    payload is only copied when it has to be (:meth:`ExecutionPlan.coerce
+    <repro.serve.plan.ExecutionPlan.coerce>`): a request that already
     matches the plan's dtype and is C-contiguous is passed through as-is,
     so a well-behaved client costs zero copies on the submit path.
     """
@@ -83,10 +85,7 @@ def coerce_payload(plan, payload) -> np.ndarray:
         raise ConfigurationError(
             f"request shape {tuple(payload.shape)} != plan input "
             f"shape {expected}")
-    if payload.dtype != plan.input_dtype \
-            or not payload.flags["C_CONTIGUOUS"]:
-        payload = np.ascontiguousarray(payload, dtype=plan.input_dtype)
-    return payload
+    return plan.coerce(payload)
 
 
 def coerce_chunk(plan, chunk) -> np.ndarray:
@@ -104,10 +103,7 @@ def coerce_chunk(plan, chunk) -> np.ndarray:
         raise ConfigurationError(
             f"stream chunk shape {tuple(chunk.shape)} != (T,) + "
             f"{step_shape} with T >= 1 (plan input {plan.input_shape})")
-    if chunk.dtype != plan.input_dtype \
-            or not chunk.flags["C_CONTIGUOUS"]:
-        chunk = np.ascontiguousarray(chunk, dtype=plan.input_dtype)
-    return chunk
+    return plan.coerce(chunk)
 
 
 def ignore_max_wait_ms(where: str, max_wait_ms) -> None:

@@ -65,6 +65,10 @@ def build_artifact(model: Module, sample_input: np.ndarray,
     sample_input = np.asarray(sample_input)
     if sample_input.ndim < 1 or sample_input.shape[0] < 1:
         raise ExportError("sample_input must be a non-empty (N, ...) batch")
+    if np.issubdtype(sample_input.dtype, np.floating):
+        # Floating input is served as float32 (ExecutionPlan.coerce), so
+        # that cast is what the plan records and is checked on.
+        sample_input = sample_input.astype(np.float32, copy=False)
     model.eval()
     freeze_activation_quantizers(model)
 

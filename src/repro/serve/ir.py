@@ -173,11 +173,12 @@ class Graph:
                              sequential_columns=s["sequential"])
                 for s in specs]
 
-    def token_bound(self) -> int:
-        """Valid synthetic-token range: the smallest embedding table."""
+    def token_bound(self) -> Optional[int]:
+        """Token ids lie in ``[0, token_bound)``: the smallest embedding
+        table that reads the graph input (None when none does)."""
         bounds = [n.spec["table_size"] for n in self.nodes
-                  if n.kind == "embedding"]
-        return min(bounds) if bounds else 16
+                  if n.kind == "embedding" and n.inputs == [self.input_id]]
+        return min(bounds) if bounds else None
 
     def describe(self) -> str:
         return "\n".join(node.describe() for node in self.nodes)

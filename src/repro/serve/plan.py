@@ -28,12 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.errors import ExportError, ShapeError
+from repro.errors import ConfigurationError, ExportError, ShapeError
 from repro.fpga.accelerator import NetworkPerformance, simulate_network
 from repro.fpga.gemm import GemmWorkload
 from repro.fpga.resources import GemmDesign, reference_designs
 from repro.serve.artifact import ServeArtifact
 from repro.serve.backends import DEFAULT_BACKEND, compile_graph
+from repro.serve.streaming.state import check_state, rnn_state_spec
 
 
 class ExecutionPlan:
@@ -48,6 +49,8 @@ class ExecutionPlan:
         self.graph = self.compiled.source_graph
         self.input_shape = tuple(artifact.manifest["input_shape"])
         self.input_dtype = np.dtype(artifact.manifest["input_dtype"])
+        self.token_bound = self.graph.token_bound()
+        self.state_spec = rnn_state_spec(self.graph)
 
     @classmethod
     def load(cls, path, backend: str = DEFAULT_BACKEND,
@@ -59,6 +62,22 @@ class ExecutionPlan:
         return self.compiled.backend_name
 
     # ------------------------------------------------------------------
+    def coerce(self, x) -> np.ndarray:
+        """``x`` in serving form: the plan's input dtype, C-contiguous
+        (copied only when it is not already), and every token id inside
+        the embedding tables it indexes. Floating input is served as
+        float32, the dtype ``build_artifact`` records, so the kernels
+        behind the plan see one input format."""
+        x = np.asarray(x)
+        if x.dtype != self.input_dtype or not x.flags["C_CONTIGUOUS"]:
+            x = np.ascontiguousarray(x, dtype=self.input_dtype)
+        if self.token_bound is not None and x.size \
+                and (x.min() < 0 or x.max() >= self.token_bound):
+            raise ConfigurationError(
+                f"token ids must lie in [0, {self.token_bound}), got "
+                f"{x.min()}..{x.max()}")
+        return x
+
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Run a (N, ...) request batch through the compiled kernels."""
         x = np.asarray(batch)
@@ -66,7 +85,7 @@ class ExecutionPlan:
             raise ShapeError(
                 f"plan expects per-request shape {self.input_shape}, got "
                 f"{tuple(x.shape[1:])}")
-        return self.compiled.run(x)
+        return self.compiled.run(self.coerce(x))
 
     __call__ = forward
 
@@ -91,7 +110,7 @@ class ExecutionPlan:
     @property
     def streamable(self) -> bool:
         """True when the plan has recurrent layers to carry state for."""
-        return bool(self.graph.rnn_nodes())
+        return bool(self.state_spec)
 
     def forward_stream(self, batch: np.ndarray, state: dict):
         """Run one (N, T, ...) chunk batch from carried recurrent state.
@@ -100,7 +119,11 @@ class ExecutionPlan:
         sequence length — the trailing per-step dims must match. Returns
         ``(outputs, new_state)``; feeding a sequence chunk by chunk,
         threading the state through, is bit-identical to one
-        full-sequence :meth:`forward` call on every backend.
+        full-sequence :meth:`forward` call on every backend. ``state``
+        must fit the plan's recurrent geometry ``state_spec``
+        (:func:`~repro.serve.streaming.state.check_state`, one
+        ``(N, hidden)`` row block per layer); a ``ShapeError`` says why
+        it does not.
         """
         if not self.streamable:
             raise ExportError(
@@ -113,7 +136,9 @@ class ExecutionPlan:
             raise ShapeError(
                 f"stream chunk expects per-request shape (T,)"
                 f" + {step_shape} with T >= 1, got {tuple(x.shape[1:])}")
-        return self.compiled.run_stateful(x, state)
+        return self.compiled.run_stateful(
+            self.coerce(x), check_state(self.state_spec, state,
+                                        rows=x.shape[0]))
 
     @property
     def per_step_output(self) -> bool:

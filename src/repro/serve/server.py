@@ -71,6 +71,7 @@ from repro.serve.frontend import ServerMixin, unknown_model
 from repro.serve.futures import InferenceFuture
 from repro.serve.streaming.batcher import StreamBatcher, StreamChunk
 from repro.serve.streaming.state import (
+    check_state,
     fresh_state,
     stack_states,
     state_from_wire,
@@ -765,11 +766,17 @@ class ModelServer(ServerMixin):
 
     def import_session(self, model: str, session_id: str, state: dict,
                        chunks: int = 0) -> str:
-        """Re-create a session from an exported snapshot (migration)."""
+        """Re-create a session from an exported snapshot (migration).
+
+        The state must fit the model's recurrent geometry
+        (:func:`~repro.serve.streaming.state.check_state`); one that does
+        not raises :class:`~repro.errors.ShapeError` and opens nothing.
+        """
         with self._work:
             entry = self._streamable_locked(model)
-            evicted = entry.sessions.open(session_id, entry.name,
-                                          state_from_wire(state))
+            evicted = entry.sessions.open(
+                session_id, entry.name,
+                check_state(entry.plan.state_spec, state_from_wire(state)))
             imported = entry.sessions.get(session_id)
             imported.chunks = chunks
             victims = self._evicted_chunks_locked(entry, evicted)
@@ -953,9 +960,9 @@ class ModelServer(ServerMixin):
             chunk.future._fail(error)
         if not live:
             return
-        payloads = np.stack([chunk.payload for chunk, _ in live])
-        state = stack_states([session.state for _, session in live])
         try:
+            payloads = np.stack([chunk.payload for chunk, _ in live])
+            state = stack_states([session.state for _, session in live])
             outputs, new_state = entry.engine.infer_stream(payloads, state)
         except Exception as exc:          # noqa: BLE001 — fail the futures
             entry.errors += 1

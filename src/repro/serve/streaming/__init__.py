@@ -33,6 +33,7 @@ across rolling restarts.
 
 from repro.serve.streaming.batcher import StreamBatcher, StreamChunk
 from repro.serve.streaming.state import (
+    check_state,
     fresh_state,
     rnn_state_spec,
     stack_states,
@@ -48,6 +49,7 @@ __all__ = [
     "SessionStore",
     "StreamBatcher",
     "StreamChunk",
+    "check_state",
     "fresh_state",
     "rnn_state_spec",
     "stack_states",

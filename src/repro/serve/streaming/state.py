@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.serve.ir import Graph
 
 SessionStateDict = Dict[int, dict]
@@ -36,19 +37,53 @@ def rnn_state_spec(graph: Graph) -> List[dict]:
             for node in graph.rnn_nodes()]
 
 
+def check_state(spec: List[dict], state: SessionStateDict,
+                rows: Optional[int] = None) -> SessionStateDict:
+    """``state`` checked against the recurrent geometry ``spec``
+    (:func:`rnn_state_spec`) and completed: an entry for every RNN node,
+    rows as C-contiguous float32 (no copy when they already are).
+
+    ``rows=None`` checks the per-session form (``(hidden,)`` rows) and
+    ``rows=n`` the batched ``(n, hidden)`` form. Each entry must name an
+    RNN node of ``spec``, hold one floating row block per layer, and
+    carry ``c`` only for an LSTM; a node, ``h`` or ``c`` left out starts
+    from zeros. Anything else raises :class:`~repro.errors.ShapeError`.
+    """
+    checked: SessionStateDict = {}
+    for node in spec:
+        node_id, lstm = node["node"], node["cell"] == "lstm"
+        entry = state.get(node_id, {})
+        if entry.get("c") is not None and not lstm:
+            raise ShapeError(f"state of GRU node {node_id} carries 'c'; "
+                             "only an LSTM has a cell state")
+        width = (node["hidden"],) if rows is None else (rows, node["hidden"])
+        out = checked[node_id] = {"h": None, "c": None}
+        for key in ("h", "c") if lstm else ("h",):
+            layers = entry.get(key)
+            if layers is None:
+                layers = [np.zeros(width, np.float32)
+                          for _ in range(node["layers"])]
+            if len(layers) != node["layers"]:
+                raise ShapeError(f"state {key} of node {node_id} has "
+                                 f"{len(layers)} layers, not {node['layers']}")
+            out[key] = []
+            for layer in layers:
+                layer = np.asarray(layer)
+                if layer.shape != width or layer.dtype.kind != "f":
+                    raise ShapeError(
+                        f"state {key} of node {node_id}: rows must be "
+                        f"floating {width}, got {layer.dtype} {layer.shape}")
+                out[key].append(np.ascontiguousarray(layer, dtype=np.float32))
+    unknown = state.keys() - checked.keys()
+    if unknown:
+        raise ShapeError(f"state names nodes {sorted(unknown, key=repr)}; "
+                         f"the plan's recurrent nodes are {list(checked)}")
+    return checked
+
+
 def fresh_state(graph: Graph) -> SessionStateDict:
     """A zero per-session state for every RNN node of ``graph``."""
-    state: SessionStateDict = {}
-    for spec in rnn_state_spec(graph):
-        zeros = [np.zeros(spec["hidden"], dtype=np.float32)
-                 for _ in range(spec["layers"])]
-        state[spec["node"]] = {
-            "h": zeros,
-            "c": ([np.zeros(spec["hidden"], dtype=np.float32)
-                   for _ in range(spec["layers"])]
-                  if spec["cell"] == "lstm" else None),
-        }
-    return state
+    return check_state(rnn_state_spec(graph), {})
 
 
 def state_nbytes(state: SessionStateDict) -> int:
