@@ -12,8 +12,8 @@ trajectory per PR:
    it, which the compile pipeline verifies on every compile and once per
    served batch size.
 2. **Native codegen wins again.** The ``compiled`` backend (the fused
-   graph's glue ops rendered to C and built into one shared library
-   per graph — :mod:`repro.serve.codegen`) must deliver >= 1.3x the
+   graph run on the one shared C kernel library of the codegen cache —
+   :mod:`repro.serve.codegen`) must deliver >= 1.3x the
    ``fused`` backend's throughput on the same workload, under the same
    bit-exactness guarantee. Skipped (not failed) when the machine has no
    C compiler — the backend itself degrades to ``fused`` there.

@@ -60,16 +60,17 @@ class BackendError(ConfigurationError, ExportError):
 
 class CompileError(ReproError):
     """Native kernel compilation failed (no C compiler, or the compiler
-    rejected the generated source). The message carries the compiler
+    rejected the source). The message carries the compiler
     command and the tail of its stderr."""
 
 
 class RendererError(CompileError):
-    """The C renderer was asked to emit an op it has no template for.
+    """A node was handed to the native kernel library, which has no
+    template for it.
 
     Internal-consistency error: the coverage table
     (:func:`repro.serve.codegen.renderer.supports`) should have routed
-    the node to a fallback kernel before rendering started.
+    the node to a fallback kernel before its descriptor was built.
     """
 
 

@@ -13,9 +13,10 @@ Backends register themselves with :func:`register_backend`:
   oracle every other backend is diffed against);
 - ``fused``     — epilogue fusion, pooled scratch buffers, direct BLAS
   GEMMs and in-place activation fake-quant;
-- ``compiled``  — the fused graph's glue ops rendered to C and built into
-  one shared library per graph (:mod:`repro.serve.codegen`); requires a
-  C compiler and resolves to ``fused`` (with a warning) without one.
+- ``compiled``  — the fused graph run on one shared C kernel library,
+  built once per codegen cache and driven by per-run descriptor tables
+  (:mod:`repro.serve.codegen`); requires a C compiler and resolves to
+  ``fused`` (with a warning) without one.
 
 Writing a new backend is three steps: subclass
 :class:`~repro.serve.backends.base.KernelBackend`, pick the graph passes it

@@ -4,12 +4,14 @@ native run.
 The fused backend's per-request cost is numpy dispatch: a conv is ~10
 ufunc invocations (6-pass activation fake-quant, strided window gather,
 the GEMM, bias add, 4-pass batch-norm, ReLU), each a trip through
-Python. This backend renders every native node to C (see
-:mod:`repro.serve.codegen`) — stage/gather, the GEMM, the epilogue — and
-folds each maximal run of consecutive native nodes into one generated
-function. A run is one step of the slot program and one ctypes call per
-batch, whatever it holds: compiled resnet_tiny and mobilenet_v2 are
-three Python steps per batch (the run, ``globalavgpool``, ``linear``),
+Python. This backend runs every native node on one shared C kernel
+library (see :mod:`repro.serve.codegen`) — stage/gather, the GEMM, the
+epilogue — and turns each maximal run of consecutive native nodes into a
+descriptor table (one step per node, built here in Python) that the
+library's entry point walks. No C is compiled per graph. A run is one
+step of the slot program and one ctypes call per batch, whatever it
+holds: compiled resnet_tiny and mobilenet_v2 are three Python steps per
+batch (the run, ``globalavgpool``, ``linear``),
 gru_speech is one (the recurrence, the time merge and the head) and
 lstm_lm two (the ``embedding`` gather, then that run). A recurrent
 node runs its whole time loop in C from the carried state, so
@@ -23,17 +25,17 @@ what lets this backend pass the same bit-exactness chain as every other
 backend.
 
 A run ends wherever an intermediate result is read outside it, so each
-run has one output. Its pointer table — run inputs, weights and every
-pooled buffer — is bound once per input shape and kept beside those
-buffers in the shape's scratch pool, so the two are evicted together; a
-call writes only the input addresses. The C code takes raw pointers,
-so a run checks what it is handed: an input that is not float32, a
-carried state of another shape or input rows of another shape than the
-rendered ones raise :class:`~repro.errors.ShapeError`. Through
+run has one output. Its pointer table — run inputs, weights, epilogue
+tables and every pooled buffer — is bound once per input shape and kept
+beside those buffers in the shape's scratch pool, so the two are evicted
+together; a call writes only the input addresses. The C code takes raw
+pointers, so a run checks what it is handed: an input that is not
+float32, a carried state of another shape or input rows of another shape
+than the compiled ones raise :class:`~repro.errors.ShapeError`. Through
 :class:`~repro.serve.plan.ExecutionPlan`, which checks serving input
 once, none of them occurs.
 
-Node kinds outside the renderer's coverage table (reductions with
+Node kinds outside the library's coverage table (reductions with
 numpy-internal accumulation order like ``avgpool``, the ``take_last``
 and ``flatten`` views, integer gathers) run on the fused backend's
 kernels inside the same plan — the ``annotate_codegen`` pass records
@@ -50,7 +52,6 @@ breaks on a bare machine.
 from __future__ import annotations
 
 import ctypes
-import re
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -62,17 +63,17 @@ from repro.serve.backends.base import ExecContext, Kernel, KernelBackend
 from repro.serve.backends.fused import FusedBackend
 from repro.serve.codegen.build import compiler_probe
 from repro.serve.codegen.renderer import (
-    AddRenderer,
-    ConvRenderer,
-    EltwiseRenderer,
-    LinearRenderer,
-    MaxPoolRenderer,
-    MergeTimeRenderer,
-    NodeRenderer,
-    RnnRenderer,
-    SegmentRenderer,
+    AddOp,
+    ConvOp,
+    EltwiseOp,
+    LinearOp,
+    MaxPoolOp,
+    MergeTimeOp,
+    NativeOp,
+    RnnOp,
+    Segment,
 )
-from repro.serve.codegen.runtime import GraphProgram, blas_probe
+from repro.serve.codegen.runtime import blas_probe, kernel_library
 from repro.serve.ir import Graph, IRNode
 
 _F32 = np.dtype(np.float32)
@@ -80,13 +81,8 @@ _F32 = np.dtype(np.float32)
 #: Kinds whose output rows keep their input's row shape.
 _ROW_PRESERVING = ("add", "batchnorm2d", "batchnorm1d", "relu", "relu6")
 
-#: Native kinds that render no code (see ``NodeRenderer.view``).
+#: Native kinds that run no step (see ``NativeOp.view``).
 _VIEWS = ("merge_time",)
-
-
-def _graph_tag(artifact: ServeArtifact) -> str:
-    model = str(artifact.manifest.get("model", "model")) or "model"
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", model)
 
 
 def row_shapes(graph: Graph) -> Dict[int, Tuple[int, ...]]:
@@ -146,26 +142,49 @@ def native_runs(graph: Graph) -> List[List[IRNode]]:
             if any(node.kind not in _VIEWS for node in run)]
 
 
-def _renderer(node: IRNode, graph: Graph, artifact: ServeArtifact,
-              rows: Dict[int, Tuple[int, ...]]) -> NodeRenderer:
-    kind, row = node.kind, rows[node.inputs[0]]
+def _native_op(node: IRNode, artifact: ServeArtifact,
+               rows: Dict[int, Tuple[int, ...]], strip: int,
+               steps: bool) -> NativeOp:
+    """The node's descriptor builder; ``strip`` leading dims (a
+    time-shaped row's time axis) are dropped from its row shapes."""
+    kind, row = node.kind, rows[node.inputs[0]][strip:]
     if kind == "conv":
-        return ConvRenderer(node, row, artifact)
+        return ConvOp(node, row, artifact)
     if kind == "linear":
-        return LinearRenderer(node, artifact, rows[node.id])
+        return LinearOp(node, artifact, row, rows[node.id][strip:], steps)
     if kind == "add":
-        return AddRenderer(node, row)
+        return AddOp(node, row)
     if kind == "maxpool":
-        return MaxPoolRenderer(node, row)
+        return MaxPoolOp(node, row)
     if kind == "rnn":
-        return RnnRenderer(node, artifact)
+        return RnnOp(node, artifact)
     if kind == "merge_time":
-        return MergeTimeRenderer(node, rows[node.id])
-    return EltwiseRenderer(node, artifact, row)
+        return MergeTimeOp(node, rows[node.id])
+    return EltwiseOp(node, artifact, row)
+
+
+def _segment_ops(nodes: Sequence[IRNode], artifact: ServeArtifact,
+                 rows: Dict[int, Tuple[int, ...]]):
+    """``(op, inputs, merged)`` per node of a run. In a run over the time
+    axis, the rows ahead of the time merge are time-shaped: ``(t, ...)``
+    per request. A linear over ``(t, f)`` rows runs a GEMM per request
+    over its ``t`` steps, as numpy's stacked ``matmul`` does; every other
+    node counts them as ``n * t`` rows."""
+    temporal = any(node.kind in ("rnn",) + _VIEWS for node in nodes)
+    out, merged = [], False
+    for node in nodes:
+        time_shaped = temporal and not merged and node.kind != "rnn"
+        steps = (time_shaped and node.kind == "linear"
+                 and len(rows[node.inputs[0]]) == 2)
+        op = _native_op(node, artifact, rows, int(time_shaped), steps)
+        merged = merged or node.kind in _VIEWS
+        out.append((op, node.inputs, merged or (time_shaped and not steps)))
+    return out
 
 
 class CodegenSegmentKernel(Kernel):
-    """One run of native nodes: one native call per batch.
+    """One run of native nodes: one call into the kernel library per
+    batch.
 
     ``node`` is the run's last (output) node and ``sources`` the values
     it reads from outside, in pointer-table order. A recurrent node in
@@ -174,9 +193,8 @@ class CodegenSegmentKernel(Kernel):
     fused kernel does.
     """
 
-    def __init__(self, nodes: Sequence[IRNode], graph: Graph,
-                 artifact: ServeArtifact, ctx: ExecContext,
-                 program: GraphProgram, rows: Dict[int, Tuple[int, ...]]):
+    def __init__(self, nodes: Sequence[IRNode], artifact: ServeArtifact,
+                 ctx: ExecContext, rows: Dict[int, Tuple[int, ...]]):
         super().__init__(nodes[-1], ctx)
         self.nodes = tuple(nodes)
         inside = {node.id for node in nodes}
@@ -185,71 +203,76 @@ class CodegenSegmentKernel(Kernel):
             sources.extend(s for s in node.inputs
                            if s not in inside and s not in sources)
         self.sources = tuple(sources)
-        self.renderer = SegmentRenderer(
-            self.node.id,
-            [(_renderer(node, graph, artifact, rows), node.inputs)
-             for node in nodes],
-            sources)
+        self.segment = Segment(self.node.id,
+                               _segment_ops(nodes, artifact, rows), sources)
         # A run over the time axis checks only the per-step shape: its
         # time extent is a run-time argument.
-        skip = 2 if self.renderer.temporal else 1
+        skip = 2 if self.segment.temporal else 1
         self.input_rows = tuple(rows[s][skip - 1:] for s in sources)
         self._skip = skip
-        self.recurrent = [(renderer, slot)
-                          for renderer, _, slot, _ in self.renderer.layout
-                          if renderer.temporal]
-        program.register(self.renderer)
-        self.program = program
+        self.recurrent = [(op, slot)
+                          for op, _, slot, _ in self.segment.layout
+                          if op.temporal]
+        #: The library's entry point, bound on the first run (building
+        #: the library if the cache has none).
+        self._entry = None
 
     def describe(self) -> str:
         """One compile-log line: the run's nodes and calls per batch."""
         per_n, per_t, fixed = (sum(calls) for calls in zip(
-            *(r.blas_calls for r, _, _, _ in self.renderer.layout)))
+            *(op.blas_calls for op, _, _, _ in self.segment.layout)))
         nodes = " ".join(f"{node.kind}#{node.id}" for node in self.nodes)
         steps = f"{per_t}t + " if per_t else ""
-        dims = ("n, t = leading dim, time steps" if self.renderer.temporal
+        dims = ("n, t = leading dim, time steps" if self.segment.temporal
                 else "n = leading dim")
-        return (f"codegen run {self.renderer.symbol}: [{nodes}] -> "
+        return (f"codegen run {self.segment.symbol}: [{nodes}] -> "
                 f"1 native call per batch "
                 f"({per_n}n + {steps}{fixed} BLAS calls, {dims})")
 
     def _bind(self, inputs: Sequence[np.ndarray]):
-        """The native function, ``(n, t)``, the pointer table (every slot
-        but the inputs and initial states filled), the returned view and
-        each pooled buffer by slot, for this input shape."""
+        """The library's entry point and its arguments, ``n``, the pointer
+        table (every slot but the inputs and initial states filled), the
+        returned view and each pooled buffer by slot, for this input
+        shape. The arguments are ctypes objects, built once: the entry
+        point declares no argument types, so a call converts nothing."""
         skip = self._skip
         rows = tuple(x.shape[skip:] for x in inputs)
         if rows != self.input_rows:
-            raise ShapeError(f"{self.renderer.symbol} was rendered for "
+            raise ShapeError(f"{self.segment.symbol} was built for "
                              f"input rows {self.input_rows}, got {rows}")
         n = inputs[0].shape[0]
-        t = inputs[0].shape[1] if self.renderer.temporal else 1
-        table = (ctypes.c_void_p * self.renderer.slot_count)()
+        t = inputs[0].shape[1] if self.segment.temporal else 1
+        table = (ctypes.c_void_p * self.segment.slot_count)()
         pooled: Dict[int, np.ndarray] = {}
-        for renderer, _, slot, merged in self.renderer.layout:
-            for name, array in renderer.constants().items():
+        for op, _, slot, merged in self.segment.layout:
+            for name, array in op.tables.items():
                 table[slot[name]] = array.ctypes.data
-            for buffer in renderer.buffers(n * t if merged else n, t):
+            for buffer in op.buffers(n * t if merged else n, t):
                 array = self.ctx.scratch(buffer.tag, buffer.shape,
                                          zeroed=buffer.zeroed)
                 table[slot[buffer.name]] = array.ctypes.data
                 pooled[slot[buffer.name]] = array
-        shape = self.renderer.output_shape(n, t)
-        result = pooled[self.renderer.output_slot].reshape(-1)[
+        shape = self.segment.output_shape(n, t)
+        result = pooled[self.segment.output_slot].reshape(-1)[
             :int(np.prod(shape))].reshape(shape)
-        return (self.program.table()[self.renderer.segment_id], n, t, table,
-                result, pooled)
+        if self._entry is None:
+            self._entry = kernel_library().run
+        steps = self.segment.steps
+        args = (ctypes.c_void_p(ctypes.addressof(steps)),
+                ctypes.c_long(len(steps)), ctypes.c_long(n), ctypes.c_long(t),
+                table)
+        return self._entry, args, n, table, result, pooled
 
     def run(self, *inputs: np.ndarray) -> np.ndarray:
         for x in inputs:
             if x.dtype is not _F32:
-                raise ShapeError(f"{self.renderer.symbol} takes float32 "
+                raise ShapeError(f"{self.segment.symbol} takes float32 "
                                  f"input, got {x.dtype}")
         key = (self, inputs[0].shape)
         bound = self.ctx.bound.get(key)
         if bound is None:
             bound = self.ctx.bound[key] = self._bind(inputs)
-        fn, n, t, table, result, pooled = bound
+        fn, args, n, table, result, pooled = bound
         if self.recurrent:
             held = self._seed_state(table, n)  # noqa: F841 (kept alive)
         for slot, x in enumerate(inputs):
@@ -258,15 +281,15 @@ class CodegenSegmentKernel(Kernel):
                 # step: native code takes raw pointers.
                 x = self._contiguous(x, slot)
             table[slot] = x.ctypes.data
-        fn(n, t, table)
+        fn(*args)
         if self.recurrent and self.ctx.carry_state:
-            for renderer, slot in self.recurrent:
+            for op, slot in self.recurrent:
                 # h/c live in pooled scratch; hand out copies.
                 final = {"c": None}
-                for key in renderer.state_keys:
+                for key in op.state_keys:
                     final[key] = [pooled[slot[f"{key}{index}"]].copy()
-                                  for index in range(len(renderer.layers))]
-                self.ctx.state_out[renderer.node_id] = final
+                                  for index in range(len(op.layers))]
+                self.ctx.state_out[op.node_id] = final
         return result
 
     def _seed_state(self, table, n: int):
@@ -274,19 +297,19 @@ class CodegenSegmentKernel(Kernel):
         state, or NULL (zeros) outside ``run_stateful``. Returns the
         arrays the table now points into."""
         held = []
-        for renderer, slot in self.recurrent:
-            state = (self.ctx.state_in.get(renderer.node_id)
+        for op, slot in self.recurrent:
+            state = (self.ctx.state_in.get(op.node_id)
                      if self.ctx.carry_state else None)
-            for key in renderer.state_keys:
+            for key in op.state_keys:
                 layers = state.get(key) if state is not None else None
-                for index in range(len(renderer.layers)):
+                for index in range(len(op.layers)):
                     address = None
                     if layers is not None:
                         array = np.ascontiguousarray(layers[index],
                                                      dtype=np.float32)
-                        if array.shape != (n, renderer.hidden):
+                        if array.shape != (n, op.hidden):
                             raise ShapeError(f"carried {key} is {array.shape}"
-                                             f", not {(n, renderer.hidden)}")
+                                             f", not {(n, op.hidden)}")
                         held.append(array)
                         address = array.ctypes.data
                     table[slot[f"{key}_in{index}"]] = address
@@ -327,14 +350,11 @@ class CompiledBackend(KernelBackend):
 
     def compile_kernels(self, graph: Graph, artifact: ServeArtifact,
                         ctx: ExecContext, log: List[str]) -> Dict[int, Kernel]:
-        program = GraphProgram(tag=_graph_tag(artifact))
-        ctx.codegen_program = program
         rows = row_shapes(graph)
         kernels: Dict[int, Kernel] = {}
         covered = {graph.input_id}
         for run in native_runs(graph):
-            kernel = CodegenSegmentKernel(run, graph, artifact, ctx,
-                                          program, rows)
+            kernel = CodegenSegmentKernel(run, artifact, ctx, rows)
             kernels[kernel.node.id] = kernel
             covered.update(node.id for node in run)
             log.append(kernel.describe())

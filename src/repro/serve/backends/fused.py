@@ -323,7 +323,7 @@ class FusedLinearKernel(Kernel):
         if self.act is not None:
             x = self.act(x)
         out = self.ctx.scratch(
-            f"out{self.node.id}", (x.shape[0], self.weight.shape[0]))
+            f"out{self.node.id}", x.shape[:-1] + (self.weight.shape[0],))
         # The same row-stable `x @ weight.T` the reference kernel runs,
         # just with a preallocated output.
         row_stable_matmul(x, self.wT, out=out)

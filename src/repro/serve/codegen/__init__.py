@@ -1,18 +1,16 @@
-"""Native code generation for the serving compiler.
+"""Native code for the serving compiler: one shared kernel library.
 
-``repro.serve.codegen`` turns each compiled IR graph into one C library
-with one entry point per run of native nodes, the batch size a run-time
-argument: :mod:`renderer` emits the source (quantizer clips and epilogue
-constants baked in as literals, GEMMs as the calls numpy's ``matmul``
-makes, an RNN's time loop as a call into the one recurrent library
-every graph shares), :mod:`build` probes for a C compiler once and
-maintains a content-hash-keyed ``.so`` cache with atomic publication,
-and
-:mod:`runtime` resolves numpy's own BLAS routines, hands them to the
-built library once at load and binds its entry points through
-``ctypes``. The ``compiled`` backend
-(:mod:`repro.serve.backends.compiled`) is the consumer; everything here
-is policy-free mechanism.
+``repro.serve.codegen`` runs compiled IR graphs on one C library
+(``kernels.h`` and its units) whose templates take every shape and
+constant as a run-time argument, so a graph compiles no C. :mod:`renderer` turns each
+run of native nodes into a descriptor table (one step per node, the
+batch size a run-time argument; GEMMs as the calls numpy's ``matmul``
+makes), :mod:`build` probes for a C compiler once and maintains a
+content-hash-keyed ``.so`` cache with atomic publication, and
+:mod:`runtime` resolves numpy's own BLAS routines, builds (once per
+cache) and loads the library, and hands it those routines. The
+``compiled`` backend (:mod:`repro.serve.backends.compiled`) is the
+consumer; everything here is policy-free mechanism.
 """
 
 from repro.serve.codegen.build import (
@@ -26,35 +24,35 @@ from repro.serve.codegen.build import (
 )
 from repro.serve.codegen.renderer import (
     NATIVE_KINDS,
-    SegmentRenderer,
-    c_array,
+    Segment,
     c_float,
-    render_module,
+    library_units,
     supports,
 )
 from repro.serve.codegen.runtime import (
-    GraphProgram,
+    KernelLibrary,
     NumpyBlas,
     blas_probe,
+    kernel_library,
     load_library,
 )
 
 __all__ = [
     "CFLAGS",
-    "GraphProgram",
+    "KernelLibrary",
     "NATIVE_KINDS",
     "NumpyBlas",
-    "SegmentRenderer",
+    "Segment",
     "blas_probe",
     "build_library",
-    "c_array",
     "c_float",
     "cache_dir",
     "cached_libraries",
     "clear_cache",
     "compiler_probe",
     "have_compiler",
+    "kernel_library",
+    "library_units",
     "load_library",
-    "render_module",
     "supports",
 ]

@@ -7,21 +7,24 @@ Three jobs, all deliberately boring:
   ``gcc`` — each candidate must actually compile a trivial shared object,
   not merely exist on ``$PATH``. The result (path or failure reason) is
   cached so backend availability checks are free afterwards.
-- **Build** rendered C source into a shared library
-  (:func:`build_library`) under a content-hash-keyed cache directory.
-  The key hashes the source *and* the compiler + flags, so upgrading the
-  toolchain or editing the renderer never serves a stale binary. Builds
-  are concurrency-safe twice over: an in-process lock serializes threads
-  (ModelServer workers share one process), and the artifact lands via
-  write-to-unique-temp + ``os.replace`` so concurrent *processes* racing
-  on the same cache entry each publish an identical file atomically —
-  last writer wins, every reader sees a complete ``.so``.
+- **Build** C translation units into one shared library
+  (:func:`build_library`: compiled side by side, linked into one
+  ``.so``) under a content-hash-keyed cache directory; the kernel
+  library is built once per cache. The key hashes the source
+  *and* the compiler + flags, so upgrading the toolchain or editing the
+  library never serves a stale binary. Builds are concurrency-safe
+  twice over: an in-process lock serializes threads (ModelServer
+  workers share one process), and everything is built in a private
+  temporary directory and published via ``os.replace``, so concurrent
+  *processes* racing on the same cache entry each publish an identical
+  file atomically — last writer wins, every reader sees a complete
+  ``.so``.
 - **Administer** the cache (:func:`cached_libraries`,
   :func:`clear_cache`) for the ``repro serve backends`` CLI.
 
 Flags pin bit-exact float semantics: ``-ffp-contract=off`` forbids FMA
 contraction and ``-fno-fast-math`` keeps IEEE-754 ordering, so the
-generated elementwise kernels match numpy's float32 ufuncs bit for bit.
+library's elementwise kernels match numpy's float32 ufuncs bit for bit.
 The optimization tier on top of them (:data:`OPT_TIERS`) is
 ``-O2 -march=native -ftree-vectorize -fvect-cost-model=dynamic``:
 vectorized, hence as fast as ``-O3``, for ~40% less compile time, and
@@ -203,78 +206,79 @@ def source_digest(source: str, compiler: str,
     return stable_digest(payload, length=24)
 
 
-def build_library(source: str, tag: str = "graph") -> Path:
-    """Compile ``source`` to a shared library, reusing the cache when the
-    identical source was built before. Raises :class:`CompileError` when
-    no compiler is available or the compiler rejects the source."""
-    return build_libraries([(source, tag, ())])[0]
+#: A translation unit: ``(name, source, extra flags)``. Extra flags
+#: follow the probed ones and join the cache key.
+Unit = Tuple[str, str, Tuple[str, ...]]
 
 
-def build_libraries(units: Sequence[Tuple[str, str, Tuple[str, ...]]]
-                    ) -> List[Path]:
-    """:func:`build_library` for several ``(source, tag, extra flags)``
-    units at once: the compilers of the units not cached yet run side by
-    side. Extra flags follow the probed ones and join the cache key."""
+def build_library(units: Sequence[Unit], tag: str) -> Path:
+    """Compile ``units`` side by side and link them into one shared
+    library, reusing the cache when the identical units were built
+    before. The unit sources are kept next to the library
+    (``<tag>-<hash>.<name>.c``) for debuggability. Raises
+    :class:`CompileError` when no compiler is available or the compiler
+    rejects a unit."""
     compiler, flags, note = _probe()
     if compiler is None:
         raise CompileError(f"cannot build native kernels: {note}")
+    payload = "\0".join("\0".join((name, text, " ".join(extra)))
+                        for name, text, extra in units)
     directory = cache_dir()
-    libraries = [directory / f"{tag}-"
-                 f"{source_digest(source, compiler, flags + tuple(extra))}.so"
-                 for source, tag, extra in units]
-    if all(library.exists() for library in libraries):
-        return libraries
+    library = directory / f"{tag}-{source_digest(payload, compiler, flags)}.so"
+    if library.exists():
+        return library
     with _build_lock:
-        jobs = []
-        for (source, tag, extra), library in zip(units, libraries):
-            if library.exists() or any(library == job[0] for job in jobs):
-                continue
-            c_file = library.with_suffix(".c")
-            c_file.write_text(source)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{library.stem}-", suffix=".so.tmp",
-                dir=str(directory))
-            os.close(handle)
-            command = [compiler, *flags, *extra, "-o", tmp_name,
-                       str(c_file), "-lm"]
-            try:
-                proc = subprocess.Popen(command, stdout=subprocess.PIPE,
-                                        stderr=subprocess.PIPE)
-            except OSError as error:
-                os.unlink(tmp_name)
-                _reap(jobs)
-                raise CompileError(
-                    f"compiler invocation failed: {' '.join(command)}: "
-                    f"{error}") from error
-            jobs.append((library, tmp_name, command, proc))
-        failure = None
-        for library, tmp_name, command, proc in jobs:
-            try:
-                _, stderr = proc.communicate(timeout=300)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                _, stderr = proc.communicate()
-            if proc.returncode != 0:
-                os.unlink(tmp_name)
-                text = stderr.decode("utf-8", "replace").strip()
-                tail = "\n".join(text.splitlines()[-12:])
-                failure = failure or CompileError(
-                    f"compiler exited {proc.returncode}: "
-                    f"{' '.join(command)}\n{tail}")
-                continue
-            os.replace(tmp_name, library)  # atomic publish
-        if failure is not None:
-            raise failure
-    return libraries
+        if library.exists():
+            return library
+        # Everything is built in a private directory and published by
+        # os.replace, so processes racing on one entry never see a
+        # partial file.
+        with tempfile.TemporaryDirectory(prefix=f".{library.stem}-",
+                                         dir=str(directory)) as tmp:
+            work = Path(tmp)
+            sources = [f"{library.stem}.{name}.c" for name, _, _ in units]
+            for c_name, (_, text, _) in zip(sources, units):
+                (work / c_name).write_text(text)
+            _run_side_by_side([
+                [compiler, *flags, *extra, "-c", "-o", str(work / f"{name}.o"),
+                 str(work / c_name)]
+                for c_name, (name, _, extra) in zip(sources, units)])
+            _run_side_by_side([[compiler, *flags, "-o", str(work / "lib.so"),
+                                *(str(work / f"{name}.o")
+                                  for name, _, _ in units), "-lm"]])
+            for c_name in sources:
+                os.replace(work / c_name, directory / c_name)
+            os.replace(work / "lib.so", library)
+    return library
 
 
-def _reap(jobs) -> None:
-    """Stop and clean up compilers already started (a later start
-    failed)."""
-    for _, tmp_name, _, proc in jobs:
-        proc.kill()
-        proc.communicate()
-        os.unlink(tmp_name)
+def _run_side_by_side(commands: Sequence[List[str]]) -> None:
+    """Run the compiler commands at once; raise the first failure."""
+    procs = []
+    try:
+        for command in commands:
+            procs.append((command, subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.PIPE)))
+    except OSError as error:
+        for _, proc in procs:
+            proc.kill()
+            proc.communicate()
+        raise CompileError(f"compiler invocation failed: "
+                           f"{' '.join(command)}: {error}") from error
+    failure = None
+    for command, proc in procs:
+        try:
+            _, stderr = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _, stderr = proc.communicate()
+        if proc.returncode != 0 and failure is None:
+            text = stderr.decode("utf-8", "replace").strip()
+            tail = "\n".join(text.splitlines()[-12:])
+            failure = CompileError(f"compiler exited {proc.returncode}: "
+                                   f"{' '.join(command)}\n{tail}")
+    if failure is not None:
+        raise failure
 
 
 def cached_libraries() -> List[Path]:
@@ -291,9 +295,11 @@ def clear_cache() -> int:
     for path in directory.iterdir():
         if path.suffix == ".so":
             removed += 1
-        if path.suffix in (".so", ".c") or ".so.tmp" in path.name:
+        if path.suffix in (".so", ".c"):
             try:
                 path.unlink()
             except OSError:
                 pass
+        elif path.is_dir() and path.name.startswith("."):
+            shutil.rmtree(path, ignore_errors=True)  # an interrupted build
     return removed

@@ -13,22 +13,16 @@ Two jobs:
   once scipy is imported that is scipy's LP64 build, which lacks these
   symbols. Every bound routine must then reproduce ``np.matmul``
   bitwise on a fixed probe, or the backend reports itself unavailable.
-- **Load one library per graph** (:class:`GraphProgram`), plus the
-  recurrent library (:func:`~repro.serve.codegen.renderer.rnn_module`)
-  its recurrent nodes call, built alongside it. Each
-  :class:`~repro.serve.codegen.renderer.SegmentRenderer` registered at
-  kernel-compile time contributes one
-  ``seg<id>(long n, long t, void *const *b)`` entry point: one call per
-  native run, with ``n`` the run input's leading dimension, ``t`` its
-  time extent (1 for a run without a time axis) and ``b`` the run's
-  pointer table. The first request
-  renders the translation unit, builds (or reuses) the cached ``.so``,
-  hands it the BLAS function pointers once, and binds the entry points.
-
-Libraries are ``dlopen``ed once per process and memoized: two models
-compiled from the same artifact share one mapped library, and every
-recurrent graph shares the one recurrent library (its source does not
-depend on the model).
+- **Load the kernel library** (:func:`kernel_library`): one ``.so``
+  per codegen cache, built from ``kernels.h`` and its units (compiled
+  side by side, linked into one ``.so``) the first time any graph
+  runs natively (or found in the cache), ``dlopen``ed once per process,
+  handed the BLAS function pointers once, and shared by every compiled
+  graph. Its one entry point ``repro_run(steps, count, n, t, b)`` runs
+  a :class:`~repro.serve.codegen.renderer.Segment`'s descriptor table
+  for one batch: one call per native run, with ``n`` the run input's
+  leading dimension, ``t`` its time extent (1 for a run without a time
+  axis) and ``b`` the run's pointer table. No C is compiled per graph.
 """
 
 from __future__ import annotations
@@ -37,22 +31,19 @@ import ctypes
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CompileError
-from repro.serve.codegen.build import build_libraries
+from repro.serve.codegen.build import build_library
 from repro.serve.codegen.renderer import (
     BLAS_ROUTINES,
     CBLAS_COL_MAJOR,
     CBLAS_NO_TRANS,
     CBLAS_ROW_MAJOR,
     CBLAS_TRANS,
-    RNN_BINDING,
-    RNN_CFLAGS,
-    render_module,
-    rnn_module,
+    library_units,
 )
 
 _dlopen_lock = threading.Lock()
@@ -213,72 +204,44 @@ def _reset_blas_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# One library per graph
+# The kernel library
 # ----------------------------------------------------------------------
-def _load_bound(path: Path, blas: NumpyBlas) -> ctypes.CDLL:
-    """Load a built module and hand it numpy's BLAS routines."""
-    library = load_library(path)
-    bind = library.repro_bind_blas
-    bind.restype = None
-    bind.argtypes = [ctypes.c_void_p] * len(blas.addresses)
-    bind(*blas.addresses)
-    return library
+@dataclass(frozen=True)
+class KernelLibrary:
+    """The built kernel library: its ``.so`` ``path``, the BLAS routines
+    bound into it and its entry point ``run`` (``repro_run``)."""
+
+    path: Path
+    blas: NumpyBlas
+    run: Callable
 
 
-class GraphProgram:
-    """Lazily-built native code for one compiled graph.
+_library_lock = threading.Lock()
+_libraries: Dict[Path, KernelLibrary] = {}
 
-    Segment kernels :meth:`register` their renderers while the backend
-    compiles the graph; :meth:`table` returns ``{segment id: function}``,
-    rendering + building + binding BLAS on first use. Thread safe:
-    concurrent first requests build once (the build layer additionally
-    guards cross-process races). ``library`` is the built ``.so`` and
-    ``blas`` the routines bound into it, once built.
-    """
 
-    def __init__(self, tag: str = "graph"):
-        self.tag = tag
-        self.library: Optional[Path] = None
-        self.blas: Optional[NumpyBlas] = None
-        self._renderers: List[object] = []
-        self._table: Optional[Dict[int, Callable]] = None
-        self._lock = threading.Lock()
-
-    def register(self, renderer) -> None:
-        self._renderers.append(renderer)
-
-    def table(self) -> Dict[int, Callable]:
-        with self._lock:
-            if self._table is None:
-                self._table = self._build()
-            return self._table
-
-    def _build(self) -> Dict[int, Callable]:
-        blas, note = blas_probe()
-        if blas is None:
-            raise CompileError(f"cannot bind native kernels: {note}")
-        recurrent = any(r.recurrent for r in self._renderers)
-        segments = [r.render() for r in self._renderers]
-        units = [(render_module(([RNN_BINDING] if recurrent else [])
-                                + segments, title=self.tag,
-                                ilp64=blas.ilp64), self.tag, ())]
-        if recurrent:
-            units.append((rnn_module(blas.ilp64), "rnn", RNN_CFLAGS))
-        paths = build_libraries(units)
-        self.library = paths[0]
-        library = _load_bound(paths[0], blas)
-        if recurrent:
-            layer = _load_bound(paths[1], blas).repro_rnn_layer
-            bind = library.repro_bind_rnn
+def kernel_library() -> KernelLibrary:
+    """The kernel library of the current codegen cache, built on first
+    use (or found there, built by any earlier process), loaded once per
+    process and handed numpy's BLAS routines. Thread safe: concurrent
+    first calls build once (the build layer additionally guards
+    cross-process races)."""
+    blas, note = blas_probe()
+    if blas is None:
+        raise CompileError(f"cannot bind native kernels: {note}")
+    with _library_lock:
+        path = build_library(library_units(blas.ilp64), tag="kernels")
+        library = _libraries.get(path)
+        if library is None:
+            handle = load_library(path)
+            bind = handle.repro_bind_blas
             bind.restype = None
-            bind.argtypes = [ctypes.c_void_p]
-            bind(ctypes.cast(layer, ctypes.c_void_p).value)
-        self.blas = blas
-        table: Dict[int, Callable] = {}
-        for renderer in self._renderers:
-            fn = getattr(library, renderer.symbol)
-            fn.restype = None
-            fn.argtypes = [ctypes.c_long, ctypes.c_long,
-                           ctypes.POINTER(ctypes.c_void_p)]
-            table[renderer.segment_id] = fn
-        return table
+            bind.argtypes = [ctypes.c_void_p] * len(blas.addresses)
+            bind(*blas.addresses)
+            # No argtypes: callers pass ctypes objects built once (steps
+            # address, step count, n, t as c_long, the pointer table).
+            run = handle.repro_run
+            run.restype = None
+            library = _libraries[path] = KernelLibrary(path, blas, run)
+        return library
+

@@ -59,8 +59,8 @@ class IRNode:
     # coordinate system for legal cut points. None on the input node
     # and on graphs lowered before partitioning existed.
     op_index: Optional[int] = None
-    # Renderer hook, stamped by the ``annotate_codegen`` pass: "native"
-    # (the codegen renderer covers this node) or "fallback" (served by
+    # Codegen hook, stamped by the ``annotate_codegen`` pass: "native"
+    # (the kernel library covers this node) or "fallback" (served by
     # the fused kernels inside a compiled plan). Empty until annotated.
     codegen: str = ""
 

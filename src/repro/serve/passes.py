@@ -24,9 +24,10 @@ Pass inventory (run in registry order):
 - ``plan_scratch``        — annotates conv nodes with the per-request
   padded-input / im2col-column / GEMM-output scratch shapes so backends can
   preallocate and share buffers across same-shaped layers.
-- ``annotate_codegen``    — stamps each node with the C renderer's coverage
-  verdict (``native`` vs ``fallback``) so the ``compiled`` backend's kernel
-  split is decided in one place and visible in the compile log.
+- ``annotate_codegen``    — stamps each node with the kernel library's
+  coverage verdict (``native`` vs ``fallback``) so the ``compiled``
+  backend's kernel split is decided in one place and visible in the
+  compile log.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def plan_scratch(graph: Graph) -> str:
 def annotate_codegen(graph: Graph) -> str:
     """Stamp each node with the native-code coverage verdict.
 
-    ``node.codegen`` becomes ``"native"`` when the C renderer has a
+    ``node.codegen`` becomes ``"native"`` when the kernel library has a
     bit-exact template for the node (see
     :func:`repro.serve.codegen.renderer.supports`) and ``"fallback"``
     otherwise — the ``compiled`` backend serves fallback nodes on the

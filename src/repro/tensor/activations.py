@@ -9,8 +9,8 @@ function below is a fixed sequence of IEEE-754 float32 operations
 (compare/select, add, subtract, multiply, divide, round to integer and
 power-of-two scaling), each correctly rounded. Any implementation that
 performs the same sequence gets the same bits: here numpy ufuncs, in the
-``compiled`` backend the C that
-:mod:`repro.serve.codegen.renderer` emits from the constants below.
+``compiled`` backend the C kernel library (:mod:`repro.serve.codegen`),
+built with the constants below.
 
 - ``exp(a)`` for ``a <= 0`` (the only arguments sigmoid and tanh need):
   clamp at :data:`EXP_FLOOR` (``exp`` of anything below rounds to 0);

@@ -1,13 +1,16 @@
-"""The ``compiled`` backend's codegen stack: renderer literals, the
-build cache, fallback semantics, the CLI, and edge-shape parity.
+"""The ``compiled`` backend's codegen stack: the kernel library's
+constants and numerics, the build cache, fallback semantics, the CLI,
+and edge-shape parity.
 
 The heavyweight bit-exactness contract (every model family, every batch
-size) lives in ``tests/test_serve_backends.py``; this file covers the
-pieces underneath it — exact C literals, the round-half-even magic
-constant against the reference quantizer, content-hash cache behaviour,
-the typed :class:`~repro.errors.BackendError` vocabulary, and the
-``compiled -> fused`` degradation on machines with no C compiler
-(including a real PATH-stripped subprocess).
+size) lives in ``tests/test_serve_backends.py`` and the seeded
+``tests/test_codegen_differential.py``; this file covers the pieces
+underneath it — exact C literals, the library's round-half-even
+quantizer chain against the reference quantizer, content-hash cache
+behaviour (one library per cache), the typed
+:class:`~repro.errors.BackendError` vocabulary, and the ``compiled ->
+fused`` degradation on machines with no C compiler (including a real
+PATH-stripped subprocess).
 """
 
 import ctypes
@@ -31,15 +34,15 @@ from repro.serve.cli import build_model
 from repro.serve.codegen import (
     build,
     build_library,
-    c_array,
     c_float,
     cache_dir,
     cached_libraries,
     clear_cache,
     compiler_probe,
     have_compiler,
+    kernel_library,
+    library_units,
     load_library,
-    render_module,
 )
 from repro.serve.codegen import runtime
 from repro.serve.codegen.build import (
@@ -47,13 +50,7 @@ from repro.serve.codegen.build import (
     OPT_TIERS,
     _reset_probe_cache,
 )
-from repro.serve.codegen.renderer import (
-    MODULE_PREAMBLE,
-    RNN_CFLAGS,
-    ActQuantC,
-    activation_functions,
-    rnn_module,
-)
+from repro.serve.codegen.renderer import LIBRARY_UNITS, ActQuant
 from repro.serve.export import build_artifact, eager_forward
 from repro.serve.ptq import post_training_quantize
 from repro.tensor import stable_sigmoid, stable_tanh
@@ -111,23 +108,36 @@ class TestLiterals:
         assert c_float(np.float32(0.0)) == "0.0f"
         assert c_float(np.float32(-0.0)) == "-0.0f"
 
-    def test_c_array_emits_every_entry(self):
-        values = np.linspace(-1, 1, 37, dtype=np.float32)
-        text = c_array("grid", values)
-        assert "static const float grid[37]" in text
-        assert text.count(",") == 37  # one trailing comma per entry
+    def test_activation_constants_reach_every_unit(self):
+        """The library's units get the constants of
+        :mod:`repro.tensor.activations` as exact literals."""
+        from repro.tensor import activations as act
+
+        for _, source, _ in library_units(True):
+            assert "typedef long long blasint;" in source
+            assert f"#define ACT_LOG2E ({c_float(act.LOG2E)})" in source
+            for i, value in enumerate(act.EXP_POLY):
+                assert f"#define ACT_EXP_POLY{i} ({c_float(value)})" in source
+
+
+def _library_fn(name, *argtypes):
+    """An exported function of the kernel library of the current cache."""
+    fn = getattr(load_library(kernel_library().path), name)
+    fn.restype = None
+    fn.argtypes = list(argtypes)
+    return fn
 
 
 # ----------------------------------------------------------------------
 # Activation fake-quant rendering
 # ----------------------------------------------------------------------
-class TestActQuantC:
+class TestActQuant:
     @pytest.mark.parametrize("signed", [False, True])
     def test_level_grid_matches_reference_quantizer(self, signed):
         quantizer = ActivationQuantizer(4, signed=signed, alpha=0.83)
         quantizer.calibrating = False
-        chain = ActQuantC({"alpha": quantizer.alpha, "signed": signed,
-                           "bits": 4})
+        chain = ActQuant({"alpha": quantizer.alpha, "signed": signed,
+                          "bits": 4})
         rng = np.random.default_rng(3)
         x = (rng.normal(scale=1.5, size=8192)).astype(np.float32)
         expected = np.asarray(quantizer.quantize_array(x),
@@ -141,11 +151,11 @@ class TestActQuantC:
 
     @needs_cc
     @pytest.mark.parametrize("signed", [False, True])
-    def test_emitted_chain_is_bitwise_exact(self, signed, fresh_cache):
+    def test_library_chain_is_bitwise_exact(self, signed, fresh_cache):
         quantizer = ActivationQuantizer(4, signed=signed, alpha=1.37)
         quantizer.calibrating = False
-        chain = ActQuantC({"alpha": quantizer.alpha, "signed": signed,
-                           "bits": 4})
+        chain = ActQuant({"alpha": quantizer.alpha, "signed": signed,
+                          "bits": 4})
         alpha = np.float32(quantizer.alpha)
         steps = np.float32(chain.steps)
         rng = np.random.default_rng(7)
@@ -161,16 +171,13 @@ class TestActQuantC:
                       1e-42, -1e-42, np.inf, -np.inf, np.nan],
                      dtype=np.float32),
         ]).astype(np.float32)
-        n = x.size
-        source = (MODULE_PREAMBLE + chain.emit("qfn") + "\n"
-                  + "void quant_buf(const float *x, float *r) {\n"
-                  + f"  for (int i = 0; i < {n}; ++i) r[i] = qfn(x[i]);\n"
-                  + "}\n")
-        fn = load_library(build_library(source, tag="test-quant")).quant_buf
-        fn.restype = None
-        fn.argtypes = [c_void_p, c_void_p]
+        # The descriptor's constants, through the library's chain.
+        q = ActQuant.descriptor(chain)
+        fn = _library_fn("repro_fake_quant", ctypes.c_long, c_void_p,
+                         c_void_p, ctypes.c_float, ctypes.c_float,
+                         ctypes.c_float)
         got = np.empty_like(x)
-        fn(x.ctypes.data, got.ctypes.data)
+        fn(x.size, x.ctypes.data, got.ctypes.data, q.low, q.alpha, q.steps)
         expected = np.asarray(quantizer.quantize_array(x),
                               dtype=np.float32)
         # The serving contract: value-exact under np.array_equal (the
@@ -178,18 +185,19 @@ class TestActQuantC:
         valued = ~np.isnan(expected)
         assert np.array_equal(got[valued], expected[valued])
         assert np.isnan(got[~valued]).all()
-        # Strictly bitwise on every nonzero output — proves the hex
-        # literals and the magic-constant rounding reproduce the numpy
-        # ufunc chain exactly. (Zero outputs are excluded: np.clip's
-        # signed-zero choice for inputs that round to 0 is a numpy SIMD
-        # implementation detail, and -0.0 == 0.0 under the contract.)
+        # Strictly bitwise on every nonzero output — proves the float32
+        # descriptor constants and the magic-constant rounding reproduce
+        # the numpy ufunc chain exactly. (Zero outputs are excluded:
+        # np.clip's signed-zero choice for inputs that round to 0 is a
+        # numpy SIMD implementation detail, and -0.0 == 0.0 under the
+        # contract.)
         nonzero = valued & (expected != 0.0)
         assert np.array_equal(got[nonzero].view(np.int32),
                               expected[nonzero].view(np.int32))
 
 
 # ----------------------------------------------------------------------
-# The owned gate activations, rendered
+# The owned gate activations, in the library
 # ----------------------------------------------------------------------
 def _float32_sweep():
     """Specials plus every 4099th float32 bit pattern (all exponents,
@@ -211,18 +219,10 @@ def _float32_sweep():
     ])
 
 
-def _activation_library():
-    source = (MODULE_PREAMBLE + "#define NOINLINE\n"
-              + activation_functions("t") + "\n"
-              + "void t_apply(long n, int which, const float *x, "
-                "float *r) {\n"
-              + "  for (long i = 0; i < n; ++i) r[i] = x[i];\n"
-              + "  if (which) t_tanh_v(n, r); else t_sigmoid_v(n, r);\n"
-              + "}\n")
-    fn = load_library(build_library(source, tag="test-act")).t_apply
-    fn.restype = None
-    fn.argtypes = [ctypes.c_long, ctypes.c_int, c_void_p, c_void_p]
-    return source, fn
+def _activation(which):
+    """The library's in-place ``repro_sigmoid``/``repro_tanh``."""
+    return _library_fn("repro_tanh" if which else "repro_sigmoid",
+                       ctypes.c_long, c_void_p)
 
 
 class TestOwnedActivations:
@@ -242,12 +242,11 @@ class TestOwnedActivations:
     @needs_cc
     @pytest.mark.parametrize("which", [0, 1], ids=["sigmoid", "tanh"])
     def test_rendered_c_is_bitwise_numpy(self, which, fresh_cache):
-        """The generated C performs the numpy sequence op for op: equal
-        bits on every non-NaN output, NaN exactly where numpy has one."""
-        _, fn = _activation_library()
+        """The library performs the numpy sequence op for op: equal bits
+        on every non-NaN output, NaN exactly where numpy has one."""
         x = _float32_sweep()
-        got = np.empty_like(x)
-        fn(x.size, which, x.ctypes.data, got.ctypes.data)
+        got = x.copy()
+        _activation(which)(got.size, got.ctypes.data)
         expected = (stable_tanh if which else stable_sigmoid)(x)
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
@@ -256,28 +255,38 @@ class TestOwnedActivations:
 
     @needs_cc
     def test_no_undefined_float_to_int_conversion(self, tmp_path):
-        """Run the rendered functions on NaN, infinities and the whole
+        """Run the library's activations on NaN, infinities and the whole
         exponent range under UBSan's float-cast-overflow check: the
         exponent is clamped before it is converted. UBSan does not see
         a vector conversion, so this build converts lane by lane."""
-        source, _ = _activation_library()
+        blas, note = runtime.blas_probe()
+        if blas is None:
+            pytest.skip(note)
+        units = {name: source for name, source, _ in
+                 library_units(blas.ilp64)}
         conversion = "__builtin_convertvector(kc, vi)"
-        assert source.count(conversion) == 1
+        assert units["rnn"].count(conversion) == 1
         lanes = ("static inline vi lanes_to_int(vf v) {\n  vi r;\n"
                  "  for (int i = 0; i < (int)(sizeof r / sizeof r[0]); ++i)"
                  "\n    r[i] = (int)v[i];\n  return r;\n}\n")
-        source = source.replace(conversion, "lanes_to_int(kc)").replace(
-            "static inline vf t_exp", lanes + "static inline vf t_exp")
+        units["rnn"] = units["rnn"].replace(
+            conversion, "lanes_to_int(kc)").replace(
+            "INLINE vf exp_nonpositive", lanes + "INLINE vf exp_nonpositive")
         x = _float32_sweep()
-        program = tmp_path / "act.c"
+        sources = []
+        for name, source in units.items():
+            sources.append(tmp_path / f"{name}.c")
+            sources[-1].write_text(source)
+        program = tmp_path / "main.c"
         program.write_text(
-            source.replace("#include <math.h>",
-                           "#include <math.h>\n#include <stdio.h>")
-            + "int main(void) {\n  float x, r; double sum = 0.0;\n"
-              "  while (fread(&x, sizeof x, 1, stdin) == 1) {\n"
-              "    t_apply(1, 0, &x, &r); sum += r == r;\n"
-              "    t_apply(1, 1, &x, &r); sum += r == r;\n  }\n"
-              "  printf(\"%.0f\\n\", sum);\n  return 0;\n}\n")
+            "#include <stdio.h>\n"
+            "void repro_sigmoid(long m, float *v);\n"
+            "void repro_tanh(long m, float *v);\n"
+            "int main(void) {\n  float x, r; double sum = 0.0;\n"
+            "  while (fread(&x, sizeof x, 1, stdin) == 1) {\n"
+            "    r = x; repro_sigmoid(1, &r); sum += r == r;\n"
+            "    r = x; repro_tanh(1, &r); sum += r == r;\n  }\n"
+            "  printf(\"%.0f\\n\", sum);\n  return 0;\n}\n")
         binary = tmp_path / "act"
         compiler = compiler_probe()[0]
         flags = ["-O1", "-fsanitize=float-cast-overflow",
@@ -289,8 +298,8 @@ class TestOwnedActivations:
                           capture_output=True).returncode != 0:
             pytest.skip("the compiler has no UBSan runtime")
         built = subprocess.run(
-            [compiler, *flags, str(program), "-o", str(binary), "-lm"],
-            capture_output=True, text=True)
+            [compiler, *flags, str(program), *map(str, sources), "-o",
+             str(binary), "-lm"], capture_output=True, text=True)
         assert built.returncode == 0, built.stderr[:500]
         run = subprocess.run([str(binary)], input=x.tobytes(),
                              capture_output=True)
@@ -305,34 +314,39 @@ class TestOwnedActivations:
 class TestBuildCache:
     SOURCE = "float repro_test_fn(float v) { return v + 1.0f; }\n"
 
+    @staticmethod
+    def build(source):
+        return build_library([("fn", source, ())], tag="t")
+
     def test_identical_source_reuses_cache_entry(self, fresh_cache):
-        first = build_library(self.SOURCE, tag="t")
+        first = self.build(self.SOURCE)
         stamp = first.stat().st_mtime_ns
-        second = build_library(self.SOURCE, tag="t")
+        second = self.build(self.SOURCE)
         assert second == first
         assert second.stat().st_mtime_ns == stamp  # no rebuild
         assert first.parent == fresh_cache
 
     def test_different_source_gets_different_entry(self, fresh_cache):
-        a = build_library(self.SOURCE, tag="t")
-        b = build_library(self.SOURCE.replace("1.0f", "2.0f"), tag="t")
+        a = self.build(self.SOURCE)
+        b = self.build(self.SOURCE.replace("1.0f", "2.0f"))
         assert a != b
         assert len(cached_libraries()) == 2
 
     def test_source_kept_next_to_library(self, fresh_cache):
-        library = build_library(self.SOURCE, tag="t")
-        assert library.with_suffix(".c").read_text() == self.SOURCE
+        library = self.build(self.SOURCE)
+        source = library.parent / f"{library.stem}.fn.c"
+        assert source.read_text() == self.SOURCE
 
     def test_clear_cache_counts_and_empties(self, fresh_cache):
-        build_library(self.SOURCE, tag="t")
-        build_library(self.SOURCE.replace("v +", "v -"), tag="t")
+        self.build(self.SOURCE)
+        self.build(self.SOURCE.replace("v +", "v -"))
         assert cache_dir() == fresh_cache
         assert clear_cache() == 2
         assert cached_libraries() == []
 
     def test_rejected_source_raises_compile_error(self, fresh_cache):
         with pytest.raises(CompileError, match="compiler exited"):
-            build_library("this is not C\n", tag="t")
+            self.build("this is not C\n")
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +363,9 @@ def gcc(monkeypatch):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 class TestOptimizationTiers:
-    """gcc takes the vectorizing ``-O2`` tier, the recurrent library
-    builds at ``-O1`` after it, and the tier never changes a bit."""
+    """gcc takes the vectorizing ``-O2`` tier, the library's conv and
+    recurrent units build at ``-O1`` after it, and the tier never changes
+    a bit."""
 
     OLD_TIER = ("-O3", "-march=native")
 
@@ -360,22 +375,38 @@ class TestOptimizationTiers:
         assert build._probe()[1] == OPT_TIERS[0] + BASE_CFLAGS
         assert note.endswith(f"({' '.join(OPT_TIERS[0])})")
 
-    def test_recurrent_unit_command_line_ends_with_o1(self, gcc,
+    def test_units_build_side_by_side_recurrent_at_o1(self, gcc,
                                                       fresh_cache,
                                                       monkeypatch):
+        """Every unit compiles with the probed flags (the conv and
+        recurrent ones then ``-O1``), all compilers start before any is
+        awaited, and one link makes the one library."""
         compiler_probe()
-        commands = []
+        commands, waited = [], []
         popen = subprocess.Popen
 
-        def recording(command, *args, **kwargs):
-            commands.append(list(command))
-            return popen(command, *args, **kwargs)
+        class Recording(popen):
+            def __init__(self, command, *args, **kwargs):
+                commands.append((list(command), len(waited)))
+                super().__init__(command, *args, **kwargs)
 
-        monkeypatch.setattr(subprocess, "Popen", recording)
-        build.build_libraries([(rnn_module(True), "rnn", RNN_CFLAGS)])
-        (command,) = commands
-        flags = command[1:command.index("-o")]
-        assert flags == [*OPT_TIERS[0], *BASE_CFLAGS, "-O1"]
+            def communicate(self, *args, **kwargs):
+                waited.append(self.args)
+                return super().communicate(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        library = build_library(library_units(True), tag="kernels")
+        *compiles, (link, _) = commands
+        assert len(compiles) == len(LIBRARY_UNITS)
+        assert all(started == 0 for _, started in compiles)
+        for (command, _), (name, extra) in zip(compiles, LIBRARY_UNITS):
+            flags = command[1:command.index("-c")]
+            assert flags == [*OPT_TIERS[0], *BASE_CFLAGS, *extra]
+            assert command[-1].endswith(f"{library.stem}.{name}.c")
+        assert dict(LIBRARY_UNITS) == {"dense": (), "conv": ("-O1",),
+                                       "rnn": ("-O1",)}
+        assert sum(part.endswith(".o") for part in link) == len(compiles)
+        assert cached_libraries() == [library]
 
     def test_vectorizing_tier_never_changes_a_bit(self, gcc, tmp_path,
                                                   monkeypatch):
@@ -423,9 +454,11 @@ class TestOptimizationTiers:
                                          expected_stream):
                         assert np.array_equal(out, want), (label, "stream")
                 outputs[label, name] = got
-                library = compiled.ctx.codegen_program.library
+                library = kernel_library().path
                 assert library.parent == tmp_path / label
-                sources[label, name] = library.with_suffix(".c").read_text()
+                sources[label, name] = [
+                    path.read_text() for path in
+                    sorted(library.parent.glob(f"{library.stem}.*.c"))]
         for name in cases:
             # The same source, built at both tiers: identical bits.
             assert sources["O3", name] == sources["vectorized", name]
@@ -534,8 +567,8 @@ class TestBackendsCLI:
         from repro.serve.cli import main
 
         if have_compiler():
-            build_library("float repro_cli_fn(void){return 3.0f;}\n",
-                          tag="cli")
+            build_library([("fn", "float repro_cli_fn(void){return 3.0f;}\n",
+                            ())], tag="cli")
         assert main(["backends", "--clear-cache"]) == 0
         assert "cleared" in capsys.readouterr().out
         assert cached_libraries() == []
@@ -687,12 +720,32 @@ class TestEdgeShapeParity:
 
 
 # ----------------------------------------------------------------------
-# One native library per compiled graph
+# One native library per codegen cache
 # ----------------------------------------------------------------------
+ZOO = ("resnet_tiny", "mobilenet_v2", "lstm_lm", "gru_speech")
+
+
+@pytest.fixture(scope="module")
+def zoo_artifacts(tmp_path_factory):
+    """``{model: (artifact path, sampler)}`` for four zoo models."""
+    root = tmp_path_factory.mktemp("zoo")
+    built = {}
+    for name in ZOO:
+        model, sample = build_model(name, seed=0)
+        rng = np.random.default_rng(29)
+        results = post_training_quantize(model, [sample(rng, 8)])
+        path = root / f"{name}.npz"
+        build_artifact(model, sample(rng, 4), layer_results=results,
+                       name=name).save(path)
+        built[name] = (path, sample)
+    return built
+
+
 @needs_cc
-class TestOneLibraryPerGraph:
-    """The batch size is a runtime argument of the generated C, so a
-    graph builds one library whatever sizes it serves."""
+class TestOneLibraryPerCache:
+    """No C is compiled per graph: every compiled graph runs on the one
+    kernel library of its codegen cache, whatever it is and whatever
+    batch sizes it serves."""
 
     def test_one_library_serves_every_batch_size(self, fresh_cache,
                                                  edge_artifacts):
@@ -725,15 +778,90 @@ class TestOneLibraryPerGraph:
             assert np.array_equal(plan.forward(x), eager_forward(model, x))
         finally:
             server.close()
-        first = deployment.plan.compiled.ctx.codegen_program.library
-        second = plan.compiled.ctx.codegen_program.library
-        assert first is not None and first == second
-        assert cached_libraries() == [first]
+        assert cached_libraries() == [kernel_library().path]
+
+    def test_zoo_shares_one_library(self, fresh_cache, zoo_artifacts):
+        rng = np.random.default_rng(37)
+        for name, (path, sample) in zoo_artifacts.items():
+            plan = ExecutionPlan.load(path, backend="compiled")
+            assert plan.backend == "compiled"
+            plan.forward(sample(rng, 3))
+        assert cached_libraries() == [kernel_library().path]
+
+    @pytest.mark.subprocess
+    def test_second_process_builds_nothing(self, fresh_cache,
+                                           zoo_artifacts):
+        """A process using a warm cache serves every zoo model natively
+        without starting a compiler build."""
+        rng = np.random.default_rng(41)
+        for path, sample in zoo_artifacts.values():
+            ExecutionPlan.load(path, backend="compiled").forward(
+                sample(rng, 2))
+        (library,) = cached_libraries()
+        stamp = library.stat().st_mtime_ns
+        code = textwrap.dedent("""\
+            import sys
+            import numpy as np
+            from repro.errors import CompileError
+            from repro.serve import ExecutionPlan
+            from repro.serve.codegen import build, cached_libraries
+
+            def refuse(commands):
+                raise CompileError(f"unexpected build: {commands}")
+
+            build._run_side_by_side = refuse
+            for path in sys.argv[1:]:
+                plan = ExecutionPlan.load(path, backend="compiled")
+                assert plan.backend == "compiled", plan.backend
+                shape = (2,) + plan.input_shape
+                if plan.input_dtype.kind == "f":
+                    plan.forward(np.zeros(shape, np.float32))
+                else:
+                    plan.forward(np.zeros(shape, plan.input_dtype))
+            print(len(cached_libraries()))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             *(str(path) for path, _ in zoo_artifacts.values())],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["1"]
+        assert cached_libraries() == [library]
+        assert library.stat().st_mtime_ns == stamp
 
 
 # ----------------------------------------------------------------------
 # numpy's BLAS, called from C
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def matmul_library(tmp_path_factory):
+    """``t_matmul``: the kernel library's (internal) ``matmul``, exported
+    by a wrapper built into a private copy of the library."""
+    blas, note = runtime.blas_probe()
+    if blas is None:
+        pytest.skip(note)
+    wrapper = ("\nvoid t_matmul(long m, long k, long p, const float *a, "
+               "const float *b, int bt, float *c) {\n"
+               "  matmul(m, k, p, a, b, bt, c);\n}\n")
+    units = [(name, source + wrapper if name == "dense" else source, extra)
+             for name, source, extra in library_units(blas.ilp64)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CODEGEN_CACHE",
+                     str(tmp_path_factory.mktemp("matmul")))
+        library = load_library(build_library(units, tag="test-matmul"))
+    bind = library.repro_bind_blas
+    bind.restype = None
+    bind.argtypes = [c_void_p] * len(blas.addresses)
+    bind(*blas.addresses)
+    fn = library.t_matmul
+    fn.restype = None
+    fn.argtypes = [ctypes.c_long] * 3 + [c_void_p, c_void_p, ctypes.c_int,
+                                         c_void_p]
+    return fn
+
+
 @needs_cc
 class TestNumpyBlas:
     def test_resolution_ignores_scipy_openblas(self, fresh_cache,
@@ -754,7 +882,7 @@ class TestNumpyBlas:
         for n in (1, 6):
             x = sample(rng, n)
             assert np.array_equal(plan.forward(x), eager_forward(model, x))
-        blas = plan.compiled.ctx.codegen_program.blas
+        blas = kernel_library().blas
         package = Path(np.__file__).resolve().parent
         assert Path(blas.path).parent in (package.parent / "numpy.libs",
                                           package / ".dylibs")
@@ -768,28 +896,13 @@ class TestNumpyBlas:
         (6, 37, 29, 0), (6, 37, 29, 1),    # sgemm NoTrans / Trans
         (2, 24, 96, 1), (17, 24, 72, 1),   # recurrent GEMMs of the zoo
     ])
-    def test_generated_matmul_is_np_matmul(self, m, k, p, bt, fresh_cache):
-        """The generated ``matmul`` takes numpy's route for every shape:
+    def test_library_matmul_is_np_matmul(self, m, k, p, bt,
+                                         matmul_library):
+        """The library's ``matmul`` takes numpy's route for every shape:
         on random floats (whose sums depend on accumulation order, unlike
         the zoo's quantized operands) each route's bits equal
         ``np.matmul``'s, ``b`` either C order or a transposed view."""
-        blas, note = runtime.blas_probe()
-        if blas is None:
-            pytest.skip(note)
-        source = render_module(
-            ["void t_matmul(long m, long k, long p, const float *a, "
-             "const float *b, int bt, float *c) {\n"
-             "  matmul(m, k, p, a, b, bt, c);\n}"],
-            title="test-matmul", ilp64=blas.ilp64)
-        library = load_library(build_library(source, tag="test-matmul"))
-        bind = library.repro_bind_blas
-        bind.restype = None
-        bind.argtypes = [c_void_p] * len(blas.addresses)
-        bind(*blas.addresses)
-        fn = library.t_matmul
-        fn.restype = None
-        fn.argtypes = [ctypes.c_long] * 3 + [c_void_p, c_void_p,
-                                             ctypes.c_int, c_void_p]
+        fn = matmul_library
         rng = np.random.default_rng(m * 1000 + k * 10 + p + bt)
         for _ in range(16):
             a = rng.normal(size=(m, k)).astype(np.float32)
