@@ -70,22 +70,25 @@ class ServedRequest:
 
 
 def coerce_payload(plan, payload) -> np.ndarray:
-    """Validate one request against a plan and coerce it to serving form.
+    """Check one request's shape against a plan; cast it if it needs it.
 
-    A shape mismatch or an out-of-range token id is an immediate error
-    that fails only this request (not a deferred batch failure). The
-    payload is only copied when it has to be (:meth:`ExecutionPlan.coerce
-    <repro.serve.plan.ExecutionPlan.coerce>`): a request that already
-    matches the plan's dtype and is C-contiguous is passed through as-is,
-    so a well-behaved client costs zero copies on the submit path.
+    A shape mismatch is an immediate error that fails only this request
+    (not a deferred batch failure). A payload already in the plan's dtype
+    and C-contiguous passes through as-is, unscanned: its token ids are
+    checked once with its batch (:meth:`ExecutionPlan.forward
+    <repro.serve.plan.ExecutionPlan.forward>`), and the server re-checks
+    a batch that fails that check row by row, so a bad id still fails
+    only its own request. A payload that needs a cast is cast and
+    checked here (:meth:`ExecutionPlan.coerce
+    <repro.serve.plan.ExecutionPlan.coerce>`), so every queued payload
+    is in serving form and a batch is one copy (``np.array``).
     """
     payload = np.asarray(payload)
-    expected = plan.input_shape
-    if tuple(payload.shape) != expected:
+    if payload.shape != plan.input_shape:
         raise ConfigurationError(
-            f"request shape {tuple(payload.shape)} != plan input "
-            f"shape {expected}")
-    return plan.coerce(payload)
+            f"request shape {payload.shape} != plan input "
+            f"shape {plan.input_shape}")
+    return _cast(plan, payload)
 
 
 def coerce_chunk(plan, chunk) -> np.ndarray:
@@ -93,17 +96,26 @@ def coerce_chunk(plan, chunk) -> np.ndarray:
 
     A chunk is a ``(T,) + step_shape`` slice of a session's input stream:
     the leading timestep count is free (``T >= 1``), only the per-step
-    trailing dims must match the plan. Same copy discipline as the
-    request path.
+    trailing dims must match the plan. Same cast and check discipline as
+    the request path: its token ids are checked with its batch
+    (:meth:`ExecutionPlan.forward_stream
+    <repro.serve.plan.ExecutionPlan.forward_stream>`).
     """
     chunk = np.asarray(chunk)
     step_shape = plan.input_shape[1:]
     if chunk.ndim != len(plan.input_shape) \
-            or tuple(chunk.shape[1:]) != step_shape or chunk.shape[0] < 1:
+            or chunk.shape[1:] != step_shape or chunk.shape[0] < 1:
         raise ConfigurationError(
-            f"stream chunk shape {tuple(chunk.shape)} != (T,) + "
+            f"stream chunk shape {chunk.shape} != (T,) + "
             f"{step_shape} with T >= 1 (plan input {plan.input_shape})")
-    return plan.coerce(chunk)
+    return _cast(plan, chunk)
+
+
+def _cast(plan, payload: np.ndarray) -> np.ndarray:
+    if payload.dtype != plan.input_dtype \
+            or not payload.flags["C_CONTIGUOUS"]:
+        return plan.coerce(payload)
+    return payload
 
 
 def ignore_max_wait_ms(where: str, max_wait_ms) -> None:
@@ -154,9 +166,6 @@ class DynamicBatcher:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
-
-    def __len__(self) -> int:
         return len(self._queue)
 
     def oldest_enqueued_at(self) -> Optional[float]:

@@ -125,19 +125,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def infer(self, batch: np.ndarray) -> np.ndarray:
         """Run one (N, ...) micro-batch; updates counters."""
-        batch = np.asarray(batch)
-        started = self._clock()
-        outputs = self.plan.forward(batch)
-        elapsed = self._clock() - started
-        self.stats.requests += batch.shape[0]
-        self.stats.batches += 1
-        self.stats.wall_seconds += elapsed
-        self.stats.fpga_ms_total += self.fpga_latency_ms(batch.shape[0])
-        return outputs
-
-    def infer_one(self, request: np.ndarray) -> np.ndarray:
-        """Single-request convenience path (adds and strips the batch dim)."""
-        return self.infer(np.asarray(request)[None])[0]
+        return self._counted(self.plan.forward, batch)
 
     def infer_stream(self, batch: np.ndarray, state: dict):
         """Run one (N, T, ...) chunk micro-batch from carried state.
@@ -147,15 +135,18 @@ class InferenceEngine:
         each session's chunk as one request under the same counters as
         :meth:`infer`.
         """
+        return self._counted(self.plan.forward_stream, batch, state)
+
+    def _counted(self, run, batch, *args):
         batch = np.asarray(batch)
         started = self._clock()
-        outputs, new_state = self.plan.forward_stream(batch, state)
+        result = run(batch, *args)
         elapsed = self._clock() - started
         self.stats.requests += batch.shape[0]
         self.stats.batches += 1
         self.stats.wall_seconds += elapsed
         self.stats.fpga_ms_total += self.fpga_latency_ms(batch.shape[0])
-        return outputs, new_state
+        return result
 
     # ------------------------------------------------------------------
     def fpga_latency_ms(self, batch_size: int) -> float:

@@ -180,8 +180,10 @@ class PipelineEngine(ServerMixin):
             if not self._running:
                 raise ServingError("pipeline is closed")
             try:
-                payload = coerce_payload(self._engines[0].plan,
-                                         np.asarray(x))
+                # Checked whole per request: a stage batch that failed
+                # its input check would fail every request in it.
+                plan = self._engines[0].plan
+                payload = plan.coerce(coerce_payload(plan, x))
             except ReproError as error:
                 future._fail(error)
                 return future
@@ -241,7 +243,7 @@ class PipelineEngine(ServerMixin):
         requests = self._batcher.take()
         self._queues[0].append(_StageBatch(
             self._next_batch_id, requests,
-            np.stack([r.payload for r in requests])))
+            np.array([r.payload for r in requests])))
         self._next_batch_id += 1
 
     # ------------------------------------------------------------------

@@ -67,9 +67,23 @@ class ExecutionPlan:
         (copied only when it is not already), and every token id inside
         the embedding tables it indexes. Floating input is served as
         float32, the dtype ``build_artifact`` records, so the kernels
-        behind the plan see one input format."""
+        behind the plan see one input format.
+
+        :meth:`forward` and :meth:`forward_stream` run this once per
+        batch. The server checks shapes per request, runs this on a
+        request only when it needs a cast, and re-checks a failed batch
+        row by row, so a bad id fails only its own request. Floating
+        values cast to an integer input must be whole and finite: a
+        fractional or NaN id raises
+        :class:`~repro.errors.ConfigurationError` instead of being
+        truncated into another token."""
         x = np.asarray(x)
         if x.dtype != self.input_dtype or not x.flags["C_CONTIGUOUS"]:
+            if x.dtype.kind == "f" and self.input_dtype.kind in "iu" \
+                    and not (np.isfinite(x) & (np.trunc(x) == x)).all():
+                raise ConfigurationError(
+                    f"{self.input_dtype} input must hold whole finite "
+                    "numbers, got a fractional, infinite or NaN value")
             x = np.ascontiguousarray(x, dtype=self.input_dtype)
         if self.token_bound is not None and x.size \
                 and (x.min() < 0 or x.max() >= self.token_bound):
@@ -79,7 +93,8 @@ class ExecutionPlan:
         return x
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run a (N, ...) request batch through the compiled kernels."""
+        """Run a (N, ...) request batch through the compiled kernels
+        (checked once, as a batch: :meth:`coerce`)."""
         x = np.asarray(batch)
         if tuple(x.shape[1:]) != self.input_shape:
             raise ShapeError(

@@ -13,9 +13,12 @@ loop:
     print(server.stats()["resnet"].format())
     server.close()
 
-Request path: ``submit`` validates the payload against the model's plan
-(shape mismatch fails the returned future, it never poisons a batch) and
-enqueues it on the model's :class:`~repro.serve.batcher.DynamicBatcher`.
+Request path: ``submit`` checks the payload's shape against the model's
+plan (a mismatch fails the returned future, it never poisons a batch)
+and enqueues it on the model's :class:`~repro.serve.batcher.DynamicBatcher`,
+taking the work lock once. Token ids are checked once per batch; a batch
+that fails the check is re-checked row by row, so a bad id fails only its
+own request.
 Batching is work-conserving, with one claim rule for requests and
 stream chunks alike: **a model that is not busy takes what is queued,
 FIFO, up to** ``max_batch``. A lone request on an idle model runs at
@@ -76,7 +79,7 @@ from repro.serve.streaming.state import (
     stack_states,
     state_from_wire,
     state_to_wire,
-    unstack_state,
+    store_rows,
 )
 from repro.serve.streaming.store import SessionStore
 from repro.util.hashing import array_digest
@@ -483,13 +486,13 @@ class ModelServer(ServerMixin):
             if name in self._models:
                 raise ConfigurationError(
                     f"{name!r} is a loaded model; aliases cannot shadow it")
-            self._resolve_locked(target)   # must resolve now
+            self._hosted(target)   # must resolve now
             self._aliases[name] = target
 
     def warmup(self, name: str) -> None:
         """Bind scratch + run per-size verification before real traffic."""
         with self._work:
-            entry = self._resolve_locked(name)
+            entry = self._hosted(name)
             while entry.busy:
                 self._work.wait(0.05)
             entry.busy = True
@@ -508,7 +511,7 @@ class ModelServer(ServerMixin):
         """The compiled :class:`ExecutionPlan` serving ``model`` (resolves
         aliases) — e.g. for input shape/dtype introspection."""
         with self._work:
-            return self._resolve_locked(model).plan
+            return self._hosted(model).plan
 
     def aliases(self) -> Dict[str, str]:
         with self._work:
@@ -539,9 +542,10 @@ class ModelServer(ServerMixin):
     def submit(self, model: str, x) -> InferenceFuture:
         """Enqueue one request; returns its future immediately.
 
-        Validation failures (wrong shape) resolve the future with the
-        error instead of raising, so a bad request can never stall or
-        poison a batch; an unknown model name raises right away.
+        Validation failures (a wrong shape here, a bad token id when its
+        batch is checked) fail the future instead of raising, so a bad
+        request can never stall or poison a batch; an unknown model name
+        raises right away.
 
         With the response cache enabled the path is cache → in-flight
         table → batcher: a hit resolves the future right here without
@@ -549,43 +553,29 @@ class ModelServer(ServerMixin):
         executing coalesces onto that leader's result, and only a true
         miss costs a batcher slot.
         """
-        with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            entry = self._resolve_locked(model)
-        # Validate/coerce outside the lock — a dtype conversion copies the
-        # payload, and concurrent submitters must not serialize on it.
+        if not self._running:
+            raise ServingError("server is closed")
+        entry = self._hosted(model)
         try:
             payload = coerce_payload(entry.plan, x)
         except ReproError as error:
             return _failed(entry.name, error)
         future = InferenceFuture(model=entry.name)
-        if self._cache is None:
-            with self._work:
-                if not self._running:
-                    raise ServingError("server is closed")
-                if self._models.get(entry.name) is not entry:
-                    future._fail(ServingError(
-                        f"model {entry.name!r} was unloaded"))
-                    return future
-                entry.batcher.submit(payload, future=future,
-                                     model=entry.name)
-                self._work.notify()
-            return future
-        # Content-addressed path. The payload digest (one sha256 pass
-        # over bytes coerce_payload already made contiguous) is computed
-        # outside the lock; generation in the key pins this hosting.
-        key = (entry.artifact_digest, entry.generation,
-               array_digest(payload))
-        now = self._clock()
+        key = now = hit = None
+        if self._cache is not None:
+            # Content-addressed path. The payload digest (one sha256
+            # pass over bytes coerce_payload made contiguous) is computed
+            # outside the lock; generation in the key pins this hosting.
+            key = (entry.artifact_digest, entry.generation,
+                   array_digest(payload))
+            now = self._clock()
         with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            if self._models.get(entry.name) is not entry:
-                future._fail(ServingError(
-                    f"model {entry.name!r} was unloaded"))
+            unloaded = self._unloaded_locked(entry)
+            if unloaded is not None:
+                future._fail(unloaded)
                 return future
-            hit = self._cache.get(key, now=now)
+            if key is not None:
+                hit = self._cache.get(key, now=now)
             if hit is not None:
                 entry.cache_hits += 1
                 record = ServedRequest(
@@ -593,7 +583,7 @@ class ModelServer(ServerMixin):
                     enqueued_at=now, completed_at=now, result=hit,
                     fpga_ms=0.0, model=entry.name, cached=True)
             else:
-                pending = self._inflight.get(key)
+                pending = None if key is None else self._inflight.get(key)
                 if pending is not None:
                     # Identical payload already queued/executing:
                     # follow its leader. The leader's done-callback
@@ -609,8 +599,9 @@ class ModelServer(ServerMixin):
                     return future
                 entry.batcher.submit(payload, future=future,
                                      model=entry.name)
-                self._inflight.begin(key, entry.generation, future)
-                future.add_done_callback(self._leader_done(key, entry))
+                if key is not None:
+                    self._inflight.begin(key, entry.generation, future)
+                    future.add_done_callback(self._leader_done(key, entry))
                 self._work.notify()
                 return future
         # Cache hit: resolve outside the lock (done-callbacks run
@@ -700,20 +691,17 @@ class ModelServer(ServerMixin):
         Validation and session errors fail the returned future; an
         unknown model raises, like :meth:`submit`.
         """
-        with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            entry = self._resolve_locked(model)
+        if not self._running:
+            raise ServingError("server is closed")
+        entry = self._hosted(model)
         try:
             payload = coerce_chunk(entry.plan, chunk)
         except ReproError as error:
             return _failed(entry.name, error)
         with self._work:
-            if not self._running:
-                raise ServingError("server is closed")
-            if self._models.get(entry.name) is not entry:
-                return _failed(entry.name, ServingError(
-                    f"model {entry.name!r} was unloaded"))
+            unloaded = self._unloaded_locked(entry)
+            if unloaded is not None:
+                return _failed(entry.name, unloaded)
             try:
                 entry.sessions.get(session_id)
             except SessionError as error:
@@ -738,7 +726,7 @@ class ModelServer(ServerMixin):
         before closing it for a clean shutdown.
         """
         with self._work:
-            entry = self._resolve_locked(model)
+            entry = self._hosted(model)
             closed = entry.sessions.close(session_id)
             victims = entry.streamer.fail_session(session_id)
         if victims:
@@ -758,7 +746,7 @@ class ModelServer(ServerMixin):
         sessions across a worker's rolling restart.
         """
         with self._work:
-            entry = self._resolve_locked(model)
+            entry = self._hosted(model)
             entry.sessions.sweep()
             return {live.session_id: {"state": state_to_wire(live.state),
                                       "chunks": live.chunks}
@@ -784,10 +772,21 @@ class ModelServer(ServerMixin):
             chunk.future._fail(error)
         return session_id
 
+    def _unloaded_locked(self, entry: _HostedModel) -> Optional[ServingError]:
+        """Under the work lock that enqueues a submit: raise if the server
+        closed; the error to fail the submit with if ``entry``, looked up
+        without the lock (:meth:`_hosted`), was unloaded since, else
+        None. So a submit takes the work lock once."""
+        if not self._running:
+            raise ServingError("server is closed")
+        if self._models.get(entry.name) is not entry:
+            return ServingError(f"model {entry.name!r} was unloaded")
+        return None
+
     def _streamable_locked(self, model: str) -> _HostedModel:
         if not self._running:
             raise ServingError("server is closed")
-        entry = self._resolve_locked(model)
+        entry = self._hosted(model)
         if not entry.plan.streamable:
             error = ServingError(
                 f"model {model!r} has no recurrent layers; streaming "
@@ -904,7 +903,7 @@ class ModelServer(ServerMixin):
                    batch: List[ServedRequest], batch_id: int) -> None:
         """Serve one formed micro-batch in a single engine pass: fill
         every request record, resolve the futures, then count the batch.
-        A failed pass fails every future in the batch with the error.
+        A failed pass fails its futures (:meth:`_failed_rows`).
 
         The batch size is priced on the cycle model *before* the wall
         clock starts (a cost-model cache miss must not count against
@@ -913,11 +912,13 @@ class ModelServer(ServerMixin):
         fpga_ms = engine.fpga_latency_ms(len(batch))
         started = self._clock()
         try:
-            outputs = engine.infer(np.stack([r.payload for r in batch]))
+            outputs = engine.infer(np.array([r.payload for r in batch]))
         except Exception as error:      # noqa: BLE001 — fail the futures
-            entry.errors += 1
-            for request in batch:
-                request.settle(error=error)
+            survivors = self._failed_rows(
+                entry, batch_id, error, batch,
+                lambda request, own: request.settle(error=own))
+            if survivors:
+                self._run_batch(entry, survivors, batch_id)
             return
         completed = self._clock()
         # Time-merged plans return (N*T, ...); re-view as (N, T, ...) so
@@ -943,8 +944,9 @@ class ModelServer(ServerMixin):
         Sessions are validated at claim time (a chunk may have outlived
         its session via TTL expiry or eviction); survivors are stacked
         into an ``(n, T, ...)`` batch plus an ``(n, hidden)``-stacked
-        state, run through the stateful plan, and the per-session final
-        states written back before any future resolves.
+        state, run through the stateful plan, and the final state copied
+        into each session's own rows before any future resolves. A failed
+        pass fails its futures (:meth:`_failed_rows`).
         """
         now = self._clock()
         live, dead = [], []
@@ -960,26 +962,62 @@ class ModelServer(ServerMixin):
             chunk.future._fail(error)
         if not live:
             return
+        states = [session.state for _, session in live]
         try:
-            payloads = np.stack([chunk.payload for chunk, _ in live])
-            state = stack_states([session.state for _, session in live])
-            outputs, new_state = entry.engine.infer_stream(payloads, state)
-        except Exception as exc:          # noqa: BLE001 — fail the futures
-            entry.errors += 1
-            error = exc if isinstance(exc, ServingError) else ServingError(
-                f"stream batch {batch_id} failed on model "
-                f"{entry.name!r}: {exc}")
-            for chunk, _ in live:
-                chunk.future._fail(error)
+            outputs, new_state = entry.engine.infer_stream(
+                np.array([chunk.payload for chunk, _ in live]),
+                stack_states(states))
+        except Exception as error:        # noqa: BLE001 — fail the futures
+            survivors = self._failed_rows(
+                entry, batch_id, error, [chunk for chunk, _ in live],
+                lambda chunk, own: chunk.future._fail(own))
+            if survivors:
+                self._run_stream_batch(entry, survivors, batch_id)
             return
         outs = entry.plan.stream_outputs(outputs, len(live))
         with self._work:
-            for index, (chunk, session) in enumerate(live):
-                session.state = unstack_state(new_state, index)
+            store_rows(new_state, states)
+            for _, session in live:
                 session.chunks += 1
             entry.stream_chunks += len(live)
         for index, (chunk, _) in enumerate(live):
             chunk.future._resolve(outs[index])
+
+    @staticmethod
+    def _failed_rows(entry: _HostedModel, batch_id: int,
+                     error: BaseException, items: list, fail) -> list:
+        """Fail what a failed batch pass of ``items`` (requests or stream
+        chunks) must fail, by ``fail(item, error)``, and return the items
+        to run again.
+
+        When the plan's input check failed (a ``ConfigurationError``),
+        each payload is checked alone (``plan.coerce(payload[None])``,
+        so a row's error reads as ``plan.forward`` raises it for that
+        request by itself). Rows that fail alone fail, and the others
+        run again. Otherwise the whole batch fails: a
+        :class:`~repro.errors.ReproError` as it was raised, anything
+        else as a :class:`~repro.errors.ServingError` naming the model
+        and the batch.
+        """
+        errors = [None] * len(items)
+        if isinstance(error, ConfigurationError):
+            for index, item in enumerate(items):
+                try:
+                    entry.plan.coerce(item.payload[None])
+                except ConfigurationError as own:
+                    errors[index] = own
+        if not any(errors):
+            entry.errors += 1
+            if not isinstance(error, ReproError):
+                cause, error = error, ServingError(
+                    f"batch {batch_id} failed on model {entry.name!r}: "
+                    f"{error!r}")
+                error.__cause__ = cause
+            errors = [error] * len(items)
+        for item, own in zip(items, errors):
+            if own is not None:
+                fail(item, own)
+        return [item for item, own in zip(items, errors) if own is None]
 
     # ------------------------------------------------------------------
     # Observability
@@ -1019,13 +1057,16 @@ class ModelServer(ServerMixin):
             return {"cache": self._cache.stats(), "models": models}
 
     # ------------------------------------------------------------------
-    def _resolve_locked(self, name: str) -> _HostedModel:
+    def _hosted(self, name: str) -> _HostedModel:
+        """The hosted model ``name`` names, following aliases. Each step
+        is one dict lookup, so the submit paths call this without the
+        work lock and re-check the entry under it before enqueueing."""
         seen = []
-        while name in self._aliases:
+        while (target := self._aliases.get(name)) is not None:
             if name in seen:
                 raise ServingError(f"alias cycle: {' -> '.join(seen)}")
             seen.append(name)
-            name = self._aliases[name]
+            name = target
         entry = self._models.get(name)
         if entry is None:
             raise unknown_model(

@@ -12,8 +12,9 @@ between chunks lives server-side. Three pieces compose:
   head chunks of distinct sessions into one time-major micro-batch
   (same-length heads only; one chunk per session per batch);
 - :mod:`~repro.serve.streaming.state` — the state containers: fresh/zero
-  state from a graph, batch stacking/unstacking, byte accounting, and an
-  exact wire encoding for session migration.
+  state from a graph, batch stacking and the in-place hand-back of each
+  session's final rows, byte accounting, and an exact wire encoding for
+  session migration.
 
 The execution side lives in the backends
 (:meth:`~repro.serve.backends.base.CompiledModel.run_stateful` plus the

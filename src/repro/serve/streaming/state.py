@@ -10,8 +10,9 @@ one backend (or exported over the wire for migration) seeds any other
 bit-exactly.
 
 Batched execution stacks one row per session into the ``(n, hidden)``
-arrays the kernels consume (:func:`stack_states`) and splits the returned
-final state back into per-session rows (:func:`unstack_state`). Row i of
+arrays the kernels consume (:func:`stack_states`) and copies the returned
+final state back into each session's own rows (:func:`store_rows`;
+:func:`unstack_state` returns one session's rows as new arrays). Row i of
 every GEMM depends only on row i of its input, so a session's trajectory
 is bit-identical whatever other sessions share its micro-batches — the
 same row-wise invariant the fused backend's hoisted input GEMM rests on.
@@ -88,51 +89,54 @@ def fresh_state(graph: Graph) -> SessionStateDict:
 
 def state_nbytes(state: SessionStateDict) -> int:
     """Bytes held by one state mapping (the session-store budget unit)."""
-    total = 0
-    for entry in state.values():
-        total += sum(layer.nbytes for layer in entry["h"])
-        if entry.get("c") is not None:
-            total += sum(layer.nbytes for layer in entry["c"])
-    return total
+    return sum(layer.nbytes for entry in state.values()
+               for key in ("h", "c") for layer in entry.get(key) or ())
 
 
 def stack_states(states: List[SessionStateDict]) -> SessionStateDict:
-    """Stack per-session rows into the batched (n, hidden) kernel form."""
-    first = states[0]
+    """Stack per-session rows into the batched (n, hidden) kernel form
+    (one copy per layer)."""
     batched: SessionStateDict = {}
-    for node_id, entry in first.items():
+    for node_id, entry in states[0].items():
         batched[node_id] = {
-            "h": [np.stack([s[node_id]["h"][layer] for s in states])
-                  for layer in range(len(entry["h"]))],
-            "c": (None if entry.get("c") is None else
-                  [np.stack([s[node_id]["c"][layer] for s in states])
-                   for layer in range(len(entry["c"]))]),
-        }
+            key: None if entry.get(key) is None else
+            [np.array([state[node_id][key][layer] for state in states])
+             for layer in range(len(entry[key]))]
+            for key in ("h", "c")}
     return batched
+
+
+def store_rows(batched: SessionStateDict,
+               states: List[SessionStateDict]) -> None:
+    """Copy row ``i`` of a batched final state into ``states[i]``'s own
+    row arrays, in place: one copy per row and no allocation. A session
+    keeps the rows it was opened with, so no session row views (and so
+    pins) a batch array or another session's row."""
+    for node_id, entry in batched.items():
+        for key in ("h", "c"):
+            for layer, rows in enumerate(entry.get(key) or ()):
+                for state, row in zip(states, rows):
+                    state[node_id][key][layer][...] = row
+
+
+def _map_layers(state: dict, fn, key=lambda node_id: node_id) -> dict:
+    """``state`` with ``fn`` applied to every per-layer row block and
+    ``key`` to every node id; ``c`` stays None where it is None."""
+    return {key(node_id): {
+                "h": [fn(layer) for layer in entry["h"]],
+                "c": (None if entry.get("c") is None else
+                      [fn(layer) for layer in entry["c"]])}
+            for node_id, entry in state.items()}
 
 
 def unstack_state(batched: SessionStateDict, index: int) -> SessionStateDict:
     """Session ``index``'s rows of a batched final state (fresh copies)."""
-    state: SessionStateDict = {}
-    for node_id, entry in batched.items():
-        state[node_id] = {
-            "h": [layer[index].copy() for layer in entry["h"]],
-            "c": (None if entry.get("c") is None else
-                  [layer[index].copy() for layer in entry["c"]]),
-        }
-    return state
+    return _map_layers(batched, lambda layer: layer[index].copy())
 
 
 def state_to_wire(state: SessionStateDict) -> dict:
     """JSON-safe encoding of a session state (session migration)."""
-    wire = {}
-    for node_id, entry in state.items():
-        wire[str(node_id)] = {
-            "h": [layer.tolist() for layer in entry["h"]],
-            "c": (None if entry.get("c") is None else
-                  [layer.tolist() for layer in entry["c"]]),
-        }
-    return wire
+    return _map_layers(state, lambda layer: layer.tolist(), str)
 
 
 def state_from_wire(wire: dict) -> SessionStateDict:
@@ -140,18 +144,12 @@ def state_from_wire(wire: dict) -> SessionStateDict:
 
     float32 -> Python float -> float32 round-trips exactly (every float32
     is representable as a double), so migration preserves bit-exactness.
-    A malformed encoding raises ``ValueError``.
+    Every row is a fresh array, even one decoded from an array: a
+    session updates its rows in place (:func:`store_rows`). A malformed
+    encoding raises ``ValueError``.
     """
-    state: SessionStateDict = {}
     try:
-        for node_key, entry in wire.items():
-            state[int(node_key)] = {
-                "h": [np.asarray(layer, dtype=np.float32)
-                      for layer in entry["h"]],
-                "c": (None if entry.get("c") is None else
-                      [np.asarray(layer, dtype=np.float32)
-                       for layer in entry["c"]]),
-            }
+        return _map_layers(
+            wire, lambda layer: np.array(layer, dtype=np.float32), int)
     except (AttributeError, KeyError) as error:
         raise ValueError(f"malformed session state: {error!r}") from None
-    return state

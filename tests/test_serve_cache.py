@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.api import Pipeline, PipelineConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServingError
 from repro.serve import (
     InferenceEngine,
     InflightTable,
@@ -343,9 +343,13 @@ class TestServerCache:
 
         entry.engine.infer = boom
         server.drain()
-        assert isinstance(leader.exception(timeout=0), RuntimeError)
+        # A raw kernel error reaches clients as a typed ServingError
+        # that names the model and keeps the original as its cause.
+        error = leader.exception(timeout=0)
+        assert isinstance(error, ServingError) and "'mlp'" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
         for follower in followers:
-            assert isinstance(follower.exception(timeout=0), RuntimeError)
+            assert follower.exception(timeout=0) is error
             assert fail_counts[id(follower)] == 1
         stats = server.stats()["mlp"]
         assert stats.errors == 1 and stats.cache_hits == 0

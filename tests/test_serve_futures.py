@@ -473,6 +473,72 @@ class TestOneFuturePerRequest:
 
 
 # ----------------------------------------------------------------------
+# Concurrent submitters: one lock hold per submit, rows copied back
+# ----------------------------------------------------------------------
+def test_concurrent_submitters_get_every_answer(gru_artifact):
+    """Four client threads against three workers, more threads than this
+    suite's hosts have cores, under a short switch interval: every
+    request equals its answer alone, every session's chunks equal its
+    offline run, and submits that race an unload are served or fail
+    typed."""
+    server = ModelServer(workers=3, max_batch=8)
+    interval = sys.getswitchinterval()
+    try:
+        server.load("m", gru_artifact)
+        server.load("gone", gru_artifact)
+        plan = server.plan("m")
+        seqs = rnn_inputs(plan, 8, seed=4)
+        requests = rnn_inputs(plan, 16, seed=5)
+        # Computed before any worker shares the plan.
+        offline = [plan.stream_outputs(plan.forward(seq[None]), 1)[0]
+                   for seq in seqs]
+        alone = [plan.per_request_outputs(plan.forward(x[None]), 1)[0]
+                 for x in requests]
+        sids = [server.open_session("m") for _ in seqs]
+        served, raced = {}, []
+
+        def client(k):
+            for step in range(4):
+                chunks = [(i, server.submit_stream(
+                    "m", sids[i], seqs[i][3 * step:3 * step + 3]))
+                    for i in (2 * k, 2 * k + 1)]
+                index = 4 * k + step
+                request = server.submit("m", requests[index])
+                for i, future in chunks:
+                    served.setdefault(i, []).append(
+                        future.result(timeout=JOIN_S))
+                served[("request", index)] = request.result(timeout=JOIN_S)
+
+        def racer():
+            for _ in range(200):
+                try:
+                    raced.append(server.submit("gone", requests[0]))
+                except ServingError:        # unknown once unloaded
+                    return
+
+        sys.setswitchinterval(1e-5)
+        threads = [run_thread(lambda k=k: client(k)) for k in range(4)]
+        threads.append(run_thread(racer))
+        server.unload("gone")
+        for thread in threads:
+            thread.join(JOIN_S)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+    for i, expected in enumerate(offline):
+        assert np.array_equal(np.concatenate(served[i]), expected)
+    for index, expected in enumerate(alone):
+        assert np.array_equal(served[("request", index)], expected)
+    for future in raced:
+        error = future.exception(timeout=JOIN_S)
+        if error is None:
+            assert np.array_equal(future.result(timeout=0), alone[0])
+        else:
+            assert isinstance(error, ServingError)
+
+
+# ----------------------------------------------------------------------
 # No request <-> future cycle
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")

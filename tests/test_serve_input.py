@@ -15,12 +15,13 @@ is refused before it can reach a batch.
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ServingError, SessionError, \
-    ShapeError
+from repro.errors import ConfigurationError, ReproError, ServingError, \
+    SessionError, ShapeError
 from repro.serve import (
     ClusterRouter,
     ExecutionPlan,
@@ -282,6 +283,129 @@ def test_unstackable_sessions_fail_their_batch_typed(paths, monkeypatch):
             assert isinstance(future.exception(timeout=0), ServingError)
         fresh = server.open_session("m")
         served = server.submit_stream("m", fresh, chunk)
+        server.drain()
+        expected, _ = plan.forward_stream(chunk[None], {})
+        assert np.array_equal(served.result(timeout=0),
+                              plan.stream_outputs(expected, 1)[0])
+    finally:
+        server.close()
+
+
+# ----------------------------------------------------------------------
+# Float ids: whole and finite, or refused
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_fractional_or_nan_ids_fail_only_their_request(paths, backend):
+    """A float payload for a token plan is cast only when every value is
+    a whole finite number; ``ids + 0.7`` is not served as ``ids``."""
+    _require(backend)
+    server = ModelServer(workers=0, max_batch=8)
+    try:
+        server.load("m", paths["lstm_lm"], backend=backend)
+        plan = server.plan("m")
+        valid = synthetic_payloads(plan, 1, seed=2)[0]
+        alone = server.predict("m", valid)
+        assert np.array_equal(server.predict("m", valid.astype(np.float64)),
+                              alone)
+        nan = valid.astype(np.float64)
+        nan[3] = np.nan
+        sid = server.open_session("m")
+        for bad in (valid + 0.7, nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                neighbour = server.submit("m", valid)
+                failed = server.submit("m", bad)
+                chunk = server.submit_stream("m", sid, bad[:5])
+                server.drain()
+                with pytest.raises(ConfigurationError) as direct:
+                    plan.forward(bad[None])
+            assert np.array_equal(neighbour.result(timeout=0), alone)
+            error = failed.exception(timeout=0)
+            assert isinstance(error, ConfigurationError)
+            assert str(error) == str(direct.value)
+            assert "whole finite" in str(error)
+            assert isinstance(chunk.exception(timeout=0),
+                              ConfigurationError)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_bad_chunk_leaves_its_session_where_it_was(paths, backend):
+    """A chunk with an out-of-range id, batched beside a good session's
+    chunk, fails alone: the good session advances, the bad one's state
+    does not, and both go on to match the offline run."""
+    _require(backend)
+    server = ModelServer(workers=0, max_batch=8)
+    try:
+        server.load("m", paths["lstm_lm"], backend=backend)
+        plan = server.plan("m")
+        seq = synthetic_payloads(plan, 1, seed=6)[0]
+        offline = plan.stream_outputs(plan.forward(seq[None]), 1)[0]
+        good, bad = server.open_session("m"), server.open_session("m")
+        first = server.submit_stream("m", good, seq[:5])
+        rejected = server.submit_stream("m", bad,
+                                        _with_token(seq, 40)[:5])
+        server.drain()
+        assert isinstance(rejected.exception(timeout=0),
+                          ConfigurationError)
+        futures = [server.submit_stream("m", good, seq[5:]),
+                   server.submit_stream("m", bad, seq[:5])]
+        server.drain()
+        assert np.array_equal(first.result(timeout=0), offline[:5])
+        assert np.array_equal(futures[0].result(timeout=0), offline[5:])
+        assert np.array_equal(futures[1].result(timeout=0), offline[:5])
+    finally:
+        server.close()
+
+
+# ----------------------------------------------------------------------
+# One failure rule for both batch paths
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("stream", [False, True], ids=["request", "stream"])
+@pytest.mark.parametrize("raised", [
+    ValueError("operands could not be broadcast"),
+    ShapeError("engine shape"),
+    ConfigurationError("engine configuration"),
+], ids=["numpy", "shape", "configuration"])
+def test_batch_failure_is_typed_on_both_paths(paths, monkeypatch, stream,
+                                              raised):
+    """A ReproError from the engine reaches every future of the batch
+    unchanged; anything else becomes a ServingError that names the model
+    and the batch. The server serves on."""
+    server = ModelServer(workers=0, max_batch=4)
+    try:
+        server.load("m", paths["gru_speech"])
+        plan = server.plan("m")
+        payloads = synthetic_payloads(plan, 2)
+        sid = server.open_session("m")
+        engine = server._models["m"].engine
+        method = "infer_stream" if stream else "infer"
+        working = getattr(engine, method)
+
+        def explode(*args):
+            raise raised
+
+        monkeypatch.setattr(engine, method, explode)
+        if stream:
+            futures = [server.submit_stream("m", server.open_session("m"),
+                                            payload[:4])
+                       for payload in payloads]
+        else:
+            futures = [server.submit("m", payload) for payload in payloads]
+        server.drain()
+        errors = [future.exception(timeout=0) for future in futures]
+        assert errors[0] is errors[1]
+        if isinstance(raised, ReproError):
+            assert errors[0] is raised
+        else:
+            assert isinstance(errors[0], ServingError)
+            assert "batch 0" in str(errors[0]) and "'m'" in str(errors[0])
+            assert errors[0].__cause__ is raised
+        assert server.stats()["m"].errors == 1
+        monkeypatch.setattr(engine, method, working)
+        chunk = payloads[0][:4]
+        served = server.submit_stream("m", sid, chunk)
         server.drain()
         expected, _ = plan.forward_stream(chunk[None], {})
         assert np.array_equal(served.result(timeout=0),

@@ -806,15 +806,17 @@ class TestDeploymentIntegration:
 
     def test_serve_propagates_batch_execution_failures(self, monkeypatch):
         # serve() re-raises engine failures, even though the server
-        # records them per model.
+        # records them per model; a raw one arrives as a ServingError
+        # caused by it.
         deployment, _ = make_deployment(batch=4)
 
         def explode(batch):
             raise RuntimeError("kernel died")
 
         monkeypatch.setattr(deployment.engine, "infer", explode)
-        with pytest.raises(RuntimeError, match="kernel died"):
+        with pytest.raises(ServingError, match="kernel died") as raised:
             deployment.serve(payload_stream(4), clock=ManualClock())
+        assert isinstance(raised.value.__cause__, RuntimeError)
 
     def test_serve_matches_manual_server_drain(self):
         deployment, _ = make_deployment(batch=4)

@@ -25,6 +25,7 @@ import pytest
 from repro.errors import ServingError, SessionError
 from repro.serve import (
     ClusterRouter,
+    ExecutionPlan,
     FaultPlan,
     LocalWorker,
     ModelServer,
@@ -38,7 +39,12 @@ from repro.serve import (
 from repro.serve.backends import backend_availability
 from repro.serve.cli import build_model, serve_protocol, synthetic_payloads
 from repro.serve.server import ModelStats
-from repro.serve.streaming import stack_states, unstack_state
+from repro.serve.streaming import (
+    fresh_state,
+    stack_states,
+    state_nbytes,
+    unstack_state,
+)
 from repro.tensor import row_stable_matmul
 
 RNN_MODELS = ("lstm_lm", "gru_speech")
@@ -942,6 +948,115 @@ class TestClusterStreaming:
             assert merged.session_bytes > 0
         finally:
             router.close()
+
+
+# ----------------------------------------------------------------------
+# Session-state isolation: every session owns its rows
+# ----------------------------------------------------------------------
+def _stored_rows(server, model="m"):
+    """Every row array the live sessions of ``model`` hold."""
+    return [row for live in server._models[model].sessions.entries()
+            for entry in live.state.values()
+            for key in ("h", "c") for row in entry.get(key) or ()]
+
+
+def _pooled_scratch(plan):
+    ctx = plan.compiled.ctx
+    return [buffer for pool, _ in ctx._shapes.values()
+            for buffer in pool.values()] if ctx is not None else []
+
+
+def _assert_rows_isolated(server, plan, returned):
+    """No stored row views another array: it owns its memory, shares
+    none with another session's row, with pooled scratch or with what
+    the kernels returned, and ``session_bytes`` is what the rows hold."""
+    rows = _stored_rows(server)
+    assert all(row.base is None and row.dtype == np.float32
+               for row in rows)
+    for index, row in enumerate(rows):
+        for other in rows[index + 1:] + _pooled_scratch(plan) + returned:
+            assert not np.shares_memory(row, other)
+    assert server.stats()["m"].session_bytes == \
+        sum(row.nbytes for row in rows)
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("name", RNN_MODELS)
+def test_sixteen_sessions_own_their_state(artifacts, backend, name,
+                                          monkeypatch):
+    """16 sessions fed ragged chunks in shared micro-batches; one is
+    exported and re-imported mid-stream, and a 17th session opened under
+    a 16-session byte budget evicts the idle one. Every session's
+    outputs equal its offline run (the evicted one's up to where it
+    stopped), and no stored row shares memory with anything."""
+    _require(backend)
+    per_session = state_nbytes(
+        fresh_state(ExecutionPlan.load(artifacts[name]).graph))
+    server = ModelServer(workers=0, max_batch=16, clock=ManualClock(),
+                         session_mb=16 * per_session / 2 ** 20)
+    try:
+        server.load("m", artifacts[name], backend=backend)
+        plan = server.plan("m")
+        assert plan.per_step_output
+        returned = []
+        run_stateful = plan.compiled.run_stateful
+
+        def capturing(batch, state):
+            outputs, new_state = run_stateful(batch, state)
+            returned.append(outputs)
+            returned.extend(row for entry in new_state.values()
+                            for key in ("h", "c")
+                            for row in entry.get(key) or ())
+            return outputs, new_state
+
+        monkeypatch.setattr(plan.compiled, "run_stateful", capturing)
+        rng = np.random.default_rng(21)
+        seqs = sequences_for(plan, 17, seed=9)
+        steps = plan.input_shape[0]
+        chunks = []
+        for seq in seqs:
+            sizes = []
+            while sum(sizes) < steps:
+                sizes.append(min(int(rng.integers(1, 4)),
+                                 steps - sum(sizes)))
+            chunks.append(chunks_of(seq, sizes))
+        sids = [server.open_session("m") for _ in range(16)]
+        outputs = [[] for _ in seqs]
+        for rounds in range(steps + 3):
+            if rounds == 2:
+                # Mid-stream migration of session 1 onto the same id.
+                snapshot = server.export_sessions("m")[sids[1]]
+                server.close_session("m", sids[1])
+                server.import_session("m", sids[1], snapshot["state"],
+                                      snapshot["chunks"])
+            if rounds == 3:
+                # Session 0 has been idle since round 0: it is evicted.
+                sids.append(server.open_session("m"))
+                assert len(server._models["m"].sessions) == 16
+                late = server.submit_stream("m", sids[0], chunks[0][1])
+                assert isinstance(late.exception(timeout=0), SessionError)
+            futures = []
+            for index, sid in enumerate(sids):
+                first = 3 if index == 16 else 0
+                turn = rounds - first
+                if (index == 0 and rounds) or turn < 0 \
+                        or turn >= len(chunks[index]):
+                    continue
+                futures.append((index, server.submit_stream(
+                    "m", sid, chunks[index][turn])))
+            server.drain()
+            for index, future in futures:
+                outputs[index].append(future.result(timeout=0))
+            _assert_rows_isolated(server, plan, returned)
+            returned.clear()
+        for index, seq in enumerate(seqs):
+            expected = offline_output(plan, seq)
+            served = np.concatenate(outputs[index])
+            if index == 0:
+                expected = expected[:len(served)]
+            assert np.array_equal(served, expected), index
+    finally:
+        server.close()
 
 
 # ----------------------------------------------------------------------
