@@ -1,22 +1,22 @@
-"""The top-level command line: ``python -m repro <command>``.
+"""The command line: ``python -m repro <command>``, one argparse tree.
 
-One dispatcher over the previously separate argparse front ends, so they
-stop drifting apart:
+- ``quantize`` (alias ``export``) — the :mod:`repro.api` pipeline on the
+  model zoo: configure -> calibrate (PTQ) -> deploy, writing a verified
+  serving artifact;
+- ``tune`` — hardware-aware design-space exploration
+  (:mod:`repro.autotune`): quantization config + FPGA design for a model
+  and device;
+- ``serve`` — serving artifacts: ``backends | info | run | pipeline |
+  up | cluster | stream | cache``, registered by :mod:`repro.serve.cli`;
+- ``experiment`` — regenerate a paper table or figure
+  (:mod:`repro.experiments.runner`);
+- ``registry`` — list the registered schemes, methods, search strategies,
+  serving backends, cluster placements, the device catalog and the
+  Table VII reference designs.
 
-- ``quantize`` — the :mod:`repro.api` pipeline on the model zoo: configure
-  -> calibrate (PTQ) -> deploy, writing a verified serving artifact;
-- ``export``  — alias of ``quantize`` (the historical spelling; same flags);
-- ``serve``   — forwarded to ``python -m repro.serve`` (``export | info |
-  run | up``; ``up`` starts a live multi-model server speaking JSON-lines
-  on stdin/stdout);
-- ``experiment`` — forwarded to ``python -m repro.experiments.runner``
-  (paper tables/figures);
-- ``registry`` — list the registered schemes and methods.
-
-Forwarded commands delegate to the owning module's ``main(argv)``, and the
-quantize/export flow itself lives once in :func:`run_quantize` — the
-``python -m repro.serve export`` subcommand calls it too — so flags and
-behavior stay defined in exactly one place.
+Each command's flags are defined once, in the module that owns it, and
+every command's :class:`~repro.errors.ReproError` or ``OSError`` is
+reported the same way: ``error: ...`` on stderr, exit status 1.
 """
 
 from __future__ import annotations
@@ -28,24 +28,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
-
-_USAGE = """\
-usage: python -m repro <command> [args...]
-
-commands:
-  quantize    configure -> calibrate -> deploy a zoo model via repro.api
-  export      alias of 'quantize' (the historical spelling)
-  tune        hardware-aware design-space exploration (repro.autotune):
-              pick quantization config + FPGA design for a model + device
-  serve       serving artifacts: export | info | run | up (live server)
-              | cluster (multi-process router over N workers)
-  experiment  regenerate a paper table/figure (runner CLI)
-  registry    list schemes, methods, search strategies, serving backends,
-              cluster placements, the device catalog and the Table VII
-              reference designs
-
-'python -m repro <command> --help' shows each command's flags.
-"""
 
 # Friendly aliases for the tune CLI (full zoo names also accepted).
 _TUNE_MODEL_ALIASES = {
@@ -61,10 +43,9 @@ def run_quantize(model_name: str, out, scheme: str = "msq", bits: int = 4,
                  act_bits: int = 4, ratio: str = "2:1",
                  calibration_batches: int = 2, batch: int = 16,
                  backend: str = "reference", seed: int = 0) -> int:
-    """The one quantize-and-export flow behind every CLI spelling
-    (``python -m repro quantize|export`` and ``python -m repro.serve
-    export``): build a zoo model, PTQ-calibrate it through the pipeline,
-    deploy to a verified artifact and report the priced result."""
+    """The ``python -m repro quantize`` flow: build a zoo model,
+    PTQ-calibrate it through the pipeline, deploy to a verified artifact
+    and report the priced result."""
     from repro.api import Pipeline, PipelineConfig
     from repro.serve.cli import build_model
 
@@ -85,12 +66,14 @@ def run_quantize(model_name: str, out, scheme: str = "msq", bits: int = 4,
     return 0
 
 
-def _cmd_quantize(argv: List[str], prog: str = "quantize") -> int:
+def _add_quantize(commands) -> None:
     from repro.api import list_schemes
+    from repro.serve import list_backends
     from repro.serve.cli import MODEL_ZOO
 
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro {prog}",
+    parser = commands.add_parser(
+        "quantize", aliases=["export"],
+        help="configure -> calibrate -> deploy a zoo model via repro.api",
         description="PTQ a zoo model through the repro.api pipeline and "
                     "write a verified serving artifact.")
     parser.add_argument("--model", default="resnet_tiny",
@@ -105,19 +88,15 @@ def _cmd_quantize(argv: List[str], prog: str = "quantize") -> int:
     parser.add_argument("--calibration-batches", type=int, default=2)
     parser.add_argument("--batch", type=int, default=16,
                         help="deployment micro-batch size")
-    from repro.serve import list_backends
-
     parser.add_argument("--backend", default="reference",
                         choices=list_backends(),
                         help="serving kernel backend for the deployment")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    return run_quantize(args.model, args.out, scheme=args.scheme,
-                        bits=args.bits, act_bits=args.act_bits,
-                        ratio=args.ratio,
-                        calibration_batches=args.calibration_batches,
-                        batch=args.batch, backend=args.backend,
-                        seed=args.seed)
+    parser.set_defaults(func=lambda args: run_quantize(
+        args.model, args.out, scheme=args.scheme, bits=args.bits,
+        act_bits=args.act_bits, ratio=args.ratio,
+        calibration_batches=args.calibration_batches, batch=args.batch,
+        backend=args.backend, seed=args.seed))
 
 
 def run_tune(model_name: str, device: str, objective: str = "latency",
@@ -194,13 +173,15 @@ def run_tune(model_name: str, device: str, objective: str = "latency",
     return 0
 
 
-def _cmd_tune(argv: List[str]) -> int:
+def _add_tune(commands) -> None:
     from repro.autotune import OBJECTIVES, list_strategies
     from repro.serve import list_backends
     from repro.serve.cli import MODEL_ZOO
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro tune",
+    parser = commands.add_parser(
+        "tune",
+        help="hardware-aware design-space exploration (repro.autotune): "
+             "pick quantization config + FPGA design for a model + device",
         description="Hardware-aware design-space exploration: search "
                     "quantization config x FPGA design for a model and "
                     "device, print the Pareto frontier, write a JSON "
@@ -247,18 +228,17 @@ def _cmd_tune(argv: List[str]) -> int:
                         help="device per pipeline stage (cycled when "
                              "shorter than the stage count; default: "
                              "--device on every stage)")
-    args = parser.parse_args(argv)
-    return run_tune(args.model, args.device, objective=args.objective,
-                    strategy=args.strategy, budget=args.budget,
-                    seed=args.seed, accuracy=args.accuracy,
-                    cache=args.cache, out=args.out, top=args.top,
-                    serve_batches=args.serve_batches,
-                    backends=args.backends, weight_bits=args.bits,
-                    pipeline_stages=args.pipeline_stages,
-                    stage_devices=args.stage_devices)
+    parser.set_defaults(func=lambda args: run_tune(
+        args.model, args.device, objective=args.objective,
+        strategy=args.strategy, budget=args.budget, seed=args.seed,
+        accuracy=args.accuracy, cache=args.cache, out=args.out,
+        top=args.top, serve_batches=args.serve_batches,
+        backends=args.backends, weight_bits=args.bits,
+        pipeline_stages=args.pipeline_stages,
+        stage_devices=args.stage_devices))
 
 
-def _cmd_registry(argv: List[str]) -> int:
+def _registry(args) -> int:
     from repro.api import list_methods, list_schemes
     from repro.autotune import list_accuracy_proxies, list_strategies
     from repro.fpga.devices import get_device, list_devices
@@ -270,12 +250,6 @@ def _cmd_registry(argv: List[str]) -> int:
     from repro.serve.backends import list_backends
     from repro.serve.placement import list_placements
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro registry",
-        description="List the registered schemes, methods, search "
-                    "strategies, accuracy proxies, the device catalog "
-                    "and the Table VII reference designs.")
-    parser.parse_args(argv)
     print("schemes:")
     for name, description in list_schemes().items():
         print(f"  {name:10s} {description}")
@@ -314,45 +288,59 @@ def _cmd_registry(argv: List[str]) -> int:
         print(f"  {name:6s} {design.describe():44s} "
               f"peak {peak_throughput_gops(design):6.1f} GOPS  "
               f"LUT {usage.lut:>9,.0f}  DSP {usage.dsp:>5,.0f}")
-    print("serving backends (python -m repro.serve run --backend):")
+    print("serving backends (python -m repro serve run --backend):")
     for name in list_backends():
         print(f"  {name}")
-    print("cluster placements (python -m repro.serve cluster "
+    print("cluster placements (python -m repro serve cluster "
           "--placement):")
     for name, description in list_placements().items():
         print(f"  {name:16s} {description}")
     return 0
 
 
+def _experiment(args) -> int:
+    # Imported only here: the registry loads every experiment harness.
+    from repro.experiments.runner import _run
+
+    return _run(args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE, end="")
-        return 0
-    command, rest = argv[0], argv[1:]
+    from repro.serve.cli import _add_commands as add_serve
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Quantize, tune, serve and reproduce the paper's "
+                    "experiments. 'python -m repro <command> --help' "
+                    "shows each command's flags.")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="<command>")
+    _add_quantize(commands)
+    _add_tune(commands)
+    add_serve(commands)
+    experiment = commands.add_parser(
+        "experiment", help="regenerate a paper table/figure",
+        description="Regenerate the paper's tables and figures.")
+    experiment.add_argument("experiment", nargs="?",
+                            help="experiment key (e.g. table2), or 'all'")
+    experiment.add_argument("--scale", default="ci", choices=("ci", "full"),
+                            help="ci: seconds-scale; full: the "
+                                 "EXPERIMENTS.md runs")
+    experiment.set_defaults(func=_experiment)
+    commands.add_parser(
+        "registry", help="list schemes, methods, search strategies, "
+                         "serving backends, cluster placements, the "
+                         "device catalog and the Table VII reference "
+                         "designs").set_defaults(func=_registry)
     try:
-        if command == "quantize":
-            return _cmd_quantize(rest)
-        if command == "export":
-            return _cmd_quantize(rest, prog="export")
-        if command == "tune":
-            return _cmd_tune(rest)
-        if command == "registry":
-            return _cmd_registry(rest)
-        if command == "serve":
-            from repro.serve.cli import main as serve_main
-
-            return serve_main(rest)
-        if command == "experiment":
-            from repro.experiments.runner import main as runner_main
-
-            return runner_main(rest)
+        args = parser.parse_args(argv)
+    except SystemExit as stop:      # --help, or a usage error it printed
+        return stop.code
+    try:
+        return args.func(args)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    print(f"error: unknown command {command!r}\n\n{_USAGE}",
-          end="", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

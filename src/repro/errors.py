@@ -6,6 +6,8 @@ invariants (:class:`QuantizationError`) and from hardware-model capacity
 problems (:class:`ResourceError`).
 """
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -83,11 +85,17 @@ class ServingError(ReproError):
     a ``retryable`` flag — ``True`` means the request itself was fine and
     a later retry may succeed (shed under overload, worker died), while
     ``False`` means retrying the same request will fail the same way
-    (unknown model, bad shape, malformed frame).
+    (unknown model, bad shape, malformed frame). Each class declares its
+    default ``code``; ``code=`` at construction names a narrower one.
     """
 
     code = "serving-error"
     retryable = False
+
+    def __init__(self, *args, code: Optional[str] = None):
+        super().__init__(*args)
+        if code is not None:
+            self.code = code
 
 
 class AdmissionError(ServingError):
@@ -107,10 +115,6 @@ class WorkerError(ServingError):
     code = "worker-failed"
     retryable = True
 
-    def __init__(self, message: str, code: str = "worker-failed"):
-        super().__init__(message)
-        self.code = code
-
 
 class SessionError(ServingError):
     """A streaming session could not be used.
@@ -128,10 +132,6 @@ class SessionError(ServingError):
 
     code = "session-error"
     retryable = False
-
-    def __init__(self, message: str, code: str = "session-error"):
-        super().__init__(message)
-        self.code = code
 
 
 class FrameError(ServingError, ValueError):
@@ -154,8 +154,7 @@ class FrameError(ServingError, ValueError):
     message_id = None
 
     def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+        super().__init__(message, code=code)
 
 
 class TransportClosed(ServingError):

@@ -6,22 +6,14 @@ registered harness at the requested scale and prints each formatted result.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables and figures.")
-    parser.add_argument("experiment", nargs="?",
-                        help="experiment key (e.g. table2), or 'all'")
-    parser.add_argument("--scale", default="ci", choices=("ci", "full"),
-                        help="ci: seconds-scale; full: the EXPERIMENTS.md runs")
-    args = parser.parse_args(argv)
-
+def _run(args) -> int:
+    """``python -m repro experiment``: list or run the harnesses."""
     if not args.experiment:
         print("Available experiments:")
         for key, experiment in EXPERIMENTS.items():
@@ -39,6 +31,15 @@ def main(argv=None) -> int:
               f"[{elapsed:.1f}s] ===")
         print(experiment.format(result))
     return 0
+
+
+def main(argv=None) -> int:
+    """The ``experiment`` command of ``python -m repro``, whose one
+    command tree parses ``argv``."""
+    from repro.api.cli import main as repro_main
+
+    return repro_main(["experiment",
+                       *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -22,12 +22,6 @@ from repro.tensor import Tensor, stack
 QuantHook = Optional[Callable[[Tensor], Tensor]]
 
 
-def _split_rows(tensor: Tensor, chunks: int) -> List[Tensor]:
-    """Split a (chunks*H, ...) tensor into ``chunks`` row blocks."""
-    rows = tensor.shape[0] // chunks
-    return [tensor[i * rows:(i + 1) * rows] for i in range(chunks)]
-
-
 class _RNNCellBase(Module):
     def __init__(self, input_size: int, hidden_size: int, num_gates: int,
                  rng: Optional[np.random.Generator]):

@@ -47,10 +47,9 @@ Every model-addressed front end — ``ModelServer``, ``ClusterRouter``,
 stats, close, session ops, with one error vocabulary), which is what the
 JSON-lines protocol and the CLI drive.
 
-``python -m repro.serve`` exposes the export/info/run loop on the command
-line (``run --backend fused`` picks the kernels; ``up`` starts a
-multi-model server speaking JSON-lines on stdin/stdout); see
-:mod:`repro.serve.cli`.
+``python -m repro serve`` exposes the info/run loop on the command line
+(``run --backend fused`` picks the kernels; ``up`` starts a multi-model
+server speaking JSON-lines on stdin/stdout); see :mod:`repro.serve.cli`.
 
 Above the single process sits the distributed tier
 (:mod:`repro.serve.cluster`): a :class:`ClusterRouter` places requests
@@ -60,7 +59,7 @@ protocol over the length-framed transport of
 (:mod:`repro.serve.placement`), admission control, rolling restarts, and
 deterministic fault injection (:class:`FaultPlan` + in-process
 :class:`FakeTransport`) for chaos testing without sockets or sleeps.
-``python -m repro.serve cluster`` is the CLI front door.
+``python -m repro serve cluster`` is the CLI front door.
 
 RNN models also serve *statefully* (:mod:`repro.serve.streaming`): a
 client opens a session (``open_session``), feeds its input incrementally
@@ -81,7 +80,7 @@ compile path unchanged, and ``PipelineEngine`` / ``PipelineCluster``
 serve the stages as a pipeline (bounded inter-stage queues in-process,
 or one cluster worker per stage with activations on the framed
 transport) — bit-identical to the single-device plan, with steady-state
-throughput set by the slowest stage. ``python -m repro.serve pipeline``
+throughput set by the slowest stage. ``python -m repro serve pipeline``
 demos the loop.
 """
 

@@ -118,6 +118,34 @@ def _cast(plan, payload: np.ndarray) -> np.ndarray:
     return payload
 
 
+def _failed_rows(plan, error: BaseException, items: list, fail,
+                 batch_error) -> list:
+    """Fail what a batch pass of ``items`` (requests or stream chunks)
+    that raised ``error`` must fail, by ``fail(item, error)``, and
+    return the items to run again.
+
+    When ``plan``'s input check failed (a ``ConfigurationError``), each
+    payload is checked alone (``plan.coerce(payload[None])``, so a row's
+    error reads as ``plan.forward`` raises it for that request by
+    itself). Rows that fail alone fail, and the others run again.
+    Otherwise, or when ``plan`` is ``None``, the whole batch fails with
+    ``batch_error(error)``.
+    """
+    errors = [None] * len(items)
+    if plan is not None and isinstance(error, ConfigurationError):
+        for index, item in enumerate(items):
+            try:
+                plan.coerce(item.payload[None])
+            except ConfigurationError as own:
+                errors[index] = own
+    if not any(errors):
+        errors = [batch_error(error)] * len(items)
+    for item, own in zip(items, errors):
+        if own is not None:
+            fail(item, own)
+    return [item for item, own in zip(items, errors) if own is None]
+
+
 def ignore_max_wait_ms(where: str, max_wait_ms) -> None:
     """Warn that ``where(max_wait_ms=...)`` no longer does anything.
 

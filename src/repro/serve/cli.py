@@ -1,11 +1,10 @@
-"""Command-line entry point: ``python -m repro.serve <command>``.
+"""The ``serve`` commands of ``python -m repro`` (:mod:`repro.api.cli`).
 
-Four subcommands cover the export → inspect → serve loop end to end with
-synthetic data, so the whole serving path can be exercised without training:
+:func:`_add_commands` registers them in that one command tree. They
+cover the inspect -> serve loop end to end with synthetic data, so the
+whole serving path can be exercised without training (``python -m repro
+quantize`` writes the artifact):
 
-- ``export`` — build a model from the small zoo, post-training-quantize it
-  (MSQ weights + calibrated activation ranges), and write a verified
-  artifact;
 - ``backends`` — list kernel backends with availability (compiler probe
   result for ``compiled``) plus the codegen build cache;
   ``--clear-cache`` empties it;
@@ -13,6 +12,9 @@ synthetic data, so the whole serving path can be exercised without training:
 - ``run`` — load an artifact, push synthetic requests through the dynamic
   batcher (:class:`~repro.serve.server.ModelServer`, synchronous mode),
   and report wall-clock and simulated-FPGA serving statistics;
+- ``pipeline`` — partition an artifact across stages and verify the
+  served outputs bitwise; ``stream`` and ``cache`` exercise streaming
+  sessions and the response cache the same way;
 - ``up`` — start a live multi-model server (``--model name=path``,
   repeatable) speaking a JSON-lines protocol on stdin/stdout:
   ``{"model": "resnet", "input": [...], "id": 7}`` in,
@@ -20,24 +22,20 @@ synthetic data, so the whole serving path can be exercised without training:
   out; ``{"op": "stats"}`` emits a per-model statistics line. Responses
   preserve per-model submission order; a model that is not busy serves
   whatever is queued for it (up to ``--batch``), so batches form from
-  the backlog that arrives while it is busy, never from a timer.
+  the backlog that arrives while it is busy, never from a timer;
+- ``cluster`` — the same protocol in front of a router over worker
+  processes, each one a ``cluster-worker``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    FrameError,
-    ReproError,
-    ServingError,
-)
+from repro.errors import ConfigurationError, FrameError, ServingError
 from repro.serve.frontend import Server
 from repro.serve.transport import (
     MAX_MESSAGE_BYTES,
@@ -139,16 +137,6 @@ def build_model(name: str, seed: int = 0):
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def cmd_export(args) -> int:
-    # One quantize-and-export implementation for every CLI spelling.
-    from repro.api.cli import run_quantize
-
-    return run_quantize(args.model, args.out, bits=args.bits,
-                        ratio=args.ratio,
-                        calibration_batches=args.calibration_batches,
-                        seed=args.seed)
-
-
 def cmd_backends(args) -> int:
     from repro.serve.backends import backend_availability, get_backend
     from repro.serve.codegen import (cache_dir, cached_libraries,
@@ -867,61 +855,60 @@ def cmd_stream(args) -> int:
         server.close()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Export, inspect and serve quantized-model artifacts.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    export = sub.add_parser("export",
-                            help="quantize a zoo model and write an artifact")
-    export.add_argument("--model", default="resnet_tiny",
-                        choices=sorted(MODEL_ZOO))
-    export.add_argument("--out", required=True, help="output .npz path")
-    export.add_argument("--bits", type=int, default=4)
-    export.add_argument("--ratio", default="2:1",
-                        help="SP2:fixed row ratio (FPGA characterization)")
-    export.add_argument("--calibration-batches", type=int, default=2)
-    export.add_argument("--seed", type=int, default=0)
-    export.set_defaults(func=cmd_export)
-
+def _add_commands(commands) -> None:
+    """Register ``serve`` and its subcommands in the ``python -m repro``
+    command tree."""
     from repro.serve.backends import DEFAULT_BACKEND, list_backends
+    from repro.serve.placement import list_placements
+
+    serve = commands.add_parser(
+        "serve", help="serving artifacts: backends | info | run | pipeline "
+                      "| up (live server) | cluster (multi-process "
+                      "router over N workers) | stream | cache",
+        description="Inspect and serve quantized-model artifacts.")
+    sub = serve.add_subparsers(dest="serve_command", required=True,
+                               metavar="<command>")
+
+    def command(name, func, help, artifact=False, backend_help=None):
+        """A serve subcommand; every one but ``backends`` takes
+        ``--backend``."""
+        parser = sub.add_parser(name, help=help)
+        parser.set_defaults(func=func)
+        if artifact:
+            parser.add_argument("artifact")
+        parser.add_argument("--backend", default=DEFAULT_BACKEND,
+                            choices=list_backends(), help=backend_help)
+        return parser
+
+    def hosted_models(parser, help=None):
+        parser.add_argument("--model", action="append", required=True,
+                            metavar="NAME=PATH", help=help)
 
     backends = sub.add_parser(
-        "backends",
-        help="list kernel backends with availability and the codegen "
-             "kernel cache")
+        "backends", help="list kernel backends with availability and the "
+                         "codegen kernel cache")
+    backends.set_defaults(func=cmd_backends)
     backends.add_argument("--clear-cache", action="store_true",
                           help="delete all compiled kernel libraries from "
                                "the codegen cache")
-    backends.set_defaults(func=cmd_backends)
 
-    info = sub.add_parser("info", help="describe an artifact")
-    info.add_argument("artifact")
-    info.add_argument("--backend", default=DEFAULT_BACKEND,
-                      choices=list_backends(),
-                      help="kernel backend to compile with")
-    info.set_defaults(func=cmd_info)
+    command("info", cmd_info, "describe an artifact", artifact=True,
+            backend_help="kernel backend to compile with")
 
-    run = sub.add_parser("run",
-                         help="serve synthetic requests from an artifact")
-    run.add_argument("artifact")
+    run = command("run", cmd_run,
+                  "serve synthetic requests from an artifact", artifact=True,
+                  backend_help="kernel backend (optimized backends are "
+                               "verified bit-identical at compile time)")
     run.add_argument("--requests", type=int, default=64)
     run.add_argument("--batch", type=int, default=16)
-    run.add_argument("--backend", default=DEFAULT_BACKEND,
-                     choices=list_backends(),
-                     help="kernel backend (optimized backends are verified "
-                          "bit-identical at compile time)")
     run.add_argument("--seed", type=int, default=0)
-    run.set_defaults(func=cmd_run)
 
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="partition an artifact across pipeline stages and serve "
-             "synthetic requests, verifying the outputs bitwise against "
-             "the single-device plan (--process: the stage plans on the "
-             "batches each stage served)")
-    pipeline.add_argument("artifact")
+    pipeline = command(
+        "pipeline", cmd_pipeline,
+        "partition an artifact across pipeline stages and serve synthetic "
+        "requests, verifying the outputs bitwise against the "
+        "single-device plan (--process: the stage plans on the batches "
+        "each stage served)", artifact=True)
     pipeline.add_argument("--stages", type=int, default=2,
                           help="pipeline stages to MAC-balance "
                                "(ignored when --cuts is given)")
@@ -931,66 +918,45 @@ def main(argv=None) -> int:
     pipeline.add_argument("--requests", type=int, default=64)
     pipeline.add_argument("--batch", type=int, default=16,
                           help="micro-batch size through the stages")
-    pipeline.add_argument("--backend", default=DEFAULT_BACKEND,
-                          choices=list_backends())
     pipeline.add_argument("--process", action="store_true",
                           help="one worker subprocess per stage, "
                                "activations over the framed transport "
                                "(default: in-process engine)")
     pipeline.add_argument("--seed", type=int, default=0)
-    pipeline.set_defaults(func=cmd_pipeline)
 
-    up = sub.add_parser(
-        "up", help="start a live multi-model server "
-                   "(JSON-lines requests on stdin)")
-    up.add_argument("--model", action="append", required=True,
-                    metavar="NAME=PATH",
-                    help="host an artifact under NAME (repeatable)")
+    up = command("up", cmd_up, "start a live multi-model server "
+                               "(JSON-lines requests on stdin)")
+    hosted_models(up, "host an artifact under NAME (repeatable)")
     up.add_argument("--batch", type=int, default=16,
                     help="max dynamic batch size per model")
-    up.add_argument("--backend", default=DEFAULT_BACKEND,
-                    choices=list_backends())
     up.add_argument("--workers", type=int, default=2,
                     help="background worker threads (0 = serve at EOF)")
     up.add_argument("--warmup", action="store_true",
                     help="bind scratch + verify batch sizes before serving")
     _add_cache_flags(up)
-    up.set_defaults(func=cmd_up)
 
-    from repro.serve.placement import list_placements
-
-    cluster = sub.add_parser(
-        "cluster", help="route over N worker subprocesses "
-                        "(JSON-lines requests on stdin)")
-    cluster.add_argument("--model", action="append", required=True,
-                         metavar="NAME=PATH",
-                         help="host an artifact on every worker "
-                              "(repeatable)")
+    cluster = command("cluster", cmd_cluster,
+                      "route over N worker subprocesses (JSON-lines "
+                      "requests on stdin)")
+    hosted_models(cluster, "host an artifact on every worker (repeatable)")
     cluster.add_argument("--workers", type=int, default=2,
                          help="worker processes")
     cluster.add_argument("--placement", default="least_loaded",
                          choices=sorted(list_placements()),
                          help="request placement policy")
     cluster.add_argument("--batch", type=int, default=16)
-    cluster.add_argument("--backend", default=DEFAULT_BACKEND,
-                         choices=list_backends())
     cluster.add_argument("--capacity", type=int, default=64,
                          help="per-worker in-flight cap; beyond it "
                               "requests are shed with a retryable error")
     cluster.add_argument("--worker-threads", type=int, default=2,
                          help="serving threads inside each worker process")
     _add_cache_flags(cluster)
-    cluster.set_defaults(func=cmd_cluster)
 
-    worker = sub.add_parser(
-        "cluster-worker",
-        help="internal: one cluster worker process (spawned by "
-             "'cluster'; announces PORT <n> on stdout)")
-    worker.add_argument("--model", action="append", required=True,
-                        metavar="NAME=PATH")
+    worker = command("cluster-worker", cmd_cluster_worker,
+                     "internal: one cluster worker process (spawned by "
+                     "'cluster'; announces PORT <n> on stdout)")
+    hosted_models(worker)
     worker.add_argument("--batch", type=int, default=16)
-    worker.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=list_backends())
     worker.add_argument("--workers", type=int, default=2,
                         help="serving threads in this worker")
     worker.add_argument("--generation", type=int, default=1,
@@ -1005,51 +971,30 @@ def main(argv=None) -> int:
                         help="streaming-session state byte budget in MB")
     worker.add_argument("--session-ttl-s", type=float, default=None,
                         help="idle-session TTL in seconds")
-    worker.set_defaults(func=cmd_cluster_worker)
 
-    stream = sub.add_parser(
-        "stream",
-        help="stream sessions through an RNN artifact in mismatched "
-             "chunk sizes and verify bit-exactness against the offline "
-             "full-sequence run")
-    stream.add_argument("artifact")
+    stream = command(
+        "stream", cmd_stream,
+        "stream sessions through an RNN artifact in mismatched chunk "
+        "sizes and verify bit-exactness against the offline "
+        "full-sequence run", artifact=True)
     stream.add_argument("--sessions", type=int, default=4,
                         help="concurrent streaming sessions")
     stream.add_argument("--batch", type=int, default=16,
                         help="max cross-session stream micro-batch")
-    stream.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=list_backends())
     stream.add_argument("--seed", type=int, default=0)
-    stream.set_defaults(func=cmd_stream)
 
-    cache = sub.add_parser(
-        "cache",
-        help="drive repeated synthetic traffic through the response "
-             "cache; print per-model hit rate and the byte budget")
-    cache.add_argument("--model", action="append", required=True,
-                       metavar="NAME=PATH",
-                       help="host an artifact under NAME (repeatable)")
+    cache = command(
+        "cache", cmd_cache,
+        "drive repeated synthetic traffic through the response cache; "
+        "print per-model hit rate and the byte budget")
+    hosted_models(cache, "host an artifact under NAME (repeatable)")
     cache.add_argument("--requests", type=int, default=256,
                        help="synthetic requests per model")
     cache.add_argument("--distinct", type=int, default=16,
                        help="distinct payloads the requests draw from")
     cache.add_argument("--batch", type=int, default=16)
-    cache.add_argument("--backend", default=DEFAULT_BACKEND,
-                       choices=list_backends())
     cache.add_argument("--cache-mb", type=float, default=64,
                        help="response-cache byte budget in MB")
     cache.add_argument("--cache-ttl-s", type=float, default=None,
                        help="response-cache entry TTL in seconds")
     cache.add_argument("--seed", type=int, default=0)
-    cache.set_defaults(func=cmd_cache)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,7 +23,7 @@ response whose attachment is malformed fails its request typed
 (``bad-response``) and counts one protocol error; the reader keeps
 serving. Two worker flavors share one router:
 
-- :class:`ProcessWorker` — a real ``python -m repro.serve
+- :class:`ProcessWorker` — a real ``python -m repro serve
   cluster-worker`` subprocess on a localhost socket; a reader thread per
   worker resolves futures as responses arrive. This is the production
   shape (`ClusterRouter.spawn`, ``python -m repro serve cluster``).
@@ -108,16 +108,13 @@ def error_from_wire(message: Dict) -> ServingError:
         return WorkerError(text, code=code)
     if code in SESSION_ERROR_CODES:
         return SessionError(text, code=code)
-    error = ServingError(text)
-    error.code = code
-    return error
+    return ServingError(text, code=code)
 
 
 def _not_an_array(what: str, error: Exception) -> ServingError:
     """``bad-request``: ``np.asarray`` rejected a submitted payload."""
-    bad = ServingError(f"{what} is not an array: {error}")
-    bad.code = "bad-request"
-    return bad
+    return ServingError(f"{what} is not an array: {error}",
+                        code="bad-request")
 
 
 @dataclass
@@ -357,7 +354,7 @@ class LocalWorker(_WorkerBase):
 
 
 class ProcessWorker(_WorkerBase):
-    """A worker subprocess (``python -m repro.serve cluster-worker``)
+    """A worker subprocess (``python -m repro serve cluster-worker``)
     serving the framed protocol on a localhost socket.
 
     ``models`` must map names to artifact *paths* (the subprocess loads
@@ -402,7 +399,7 @@ class ProcessWorker(_WorkerBase):
     def start(self) -> None:
         self.generation += 1
         self._failure_counted = False
-        args = [sys.executable, "-m", "repro.serve", "cluster-worker",
+        args = [sys.executable, "-m", "repro", "serve", "cluster-worker",
                 "--batch", str(self.max_batch),
                 "--backend", self.backend,
                 "--workers", str(self.worker_threads),
@@ -638,14 +635,6 @@ class ClusterRouter(ServerMixin):
     def _check_model(self, model: str) -> None:
         self._hosts(model)
 
-    def predict(self, model: str, x,
-                timeout: Optional[float] = 60.0) -> np.ndarray:
-        """Blocking convenience: submit, (pump local workers), result."""
-        future = self.submit(model, x)
-        if not self._has_self_driving():
-            self.drain()
-        return future.result(timeout=timeout)
-
     def _admit_locked(self, model: str, hosts: List[_WorkerBase],
                       request_key: Optional[str] = None
                       ) -> Optional[_WorkerBase]:
@@ -785,13 +774,7 @@ class ClusterRouter(ServerMixin):
                 f"worker {owner!r}", code="session-lost")
         future = self._send_control(worker, {
             "op": "stream_close", "model": model, "session": session_id})
-        if not self._has_self_driving():
-            while not future.done():
-                if self.pump() == 0:
-                    break
-        reply = future.result(
-            timeout=0 if not self._has_self_driving() else timeout)
-        return int(reply.get("chunks", 0))
+        return int(self._reply(worker, future, timeout).get("chunks", 0))
 
     def sessions(self) -> Dict[str, List[str]]:
         """Live session ids per worker (lost sessions excluded)."""
@@ -801,6 +784,17 @@ class ClusterRouter(ServerMixin):
                 if owner is not None:
                     placed.setdefault(owner, []).append(sid)
             return {name: sorted(ids) for name, ids in placed.items()}
+
+    def _reply(self, worker: _WorkerBase, future: InferenceFuture,
+               timeout: Optional[float]) -> Dict:
+        """The answer to a control or stats op sent to ``worker``. A
+        worker that drives itself is waited on for up to ``timeout``; an
+        in-process one is pumped until it answers or nothing moves."""
+        if not worker.drives_itself:
+            while not future.done() and self.pump():
+                pass
+            timeout = 0
+        return future.result(timeout=timeout)
 
     def _send_control(self, worker: _WorkerBase,
                       message: Dict) -> InferenceFuture:
@@ -1054,8 +1048,9 @@ class ClusterRouter(ServerMixin):
                 return worker
         raise ConfigurationError(f"no worker named {name!r}")
 
-    def _has_self_driving(self) -> bool:
-        return any(worker.drives_itself for worker in self._workers)
+    @property
+    def _drives_itself(self) -> bool:
+        return all(worker.drives_itself for worker in self._workers)
 
     def _start_reader(self, worker: _WorkerBase) -> None:
         thread = threading.Thread(
@@ -1200,9 +1195,6 @@ class ClusterRouter(ServerMixin):
     def workers(self) -> List[str]:
         return [worker.name for worker in self._workers]
 
-    def alive_workers(self) -> List[str]:
-        return [worker.name for worker in self._workers if worker.alive]
-
     def models(self) -> List[str]:
         return sorted({model for worker in self._workers
                        for model in worker.models})
@@ -1227,7 +1219,7 @@ class ClusterRouter(ServerMixin):
         """Per-worker serving statistics, fetched over the wire
         (``{"op": "stats", "detail": true}``) and re-keyed to public
         model names through each worker's alias map."""
-        futures = {}
+        futures = []
         for worker in self._workers:
             if not worker.alive:
                 continue
@@ -1246,19 +1238,14 @@ class ClusterRouter(ServerMixin):
             except TransportClosed:
                 self._worker_died(worker)
                 continue
-            futures[worker.name] = future
-        if not self._has_self_driving():
-            while any(not future.done() for future in futures.values()):
-                if self.pump() == 0:
-                    break
+            futures.append((worker, future))
         collected: Dict[str, Dict[str, ModelStats]] = {}
-        for name, future in futures.items():
+        for worker, future in futures:
             # A worker that fails, times out or answers malformed stats
             # is left out of this snapshot.
             try:
-                collected[name] = _stats_from_reply(future.result(
-                    timeout=0 if not self._has_self_driving()
-                    else timeout))
+                collected[worker.name] = _stats_from_reply(
+                    self._reply(worker, future, timeout))
             except (ServingError, TimeoutError):
                 continue
         return collected
@@ -1297,10 +1284,8 @@ def _stats_from_reply(reply: Dict) -> Dict[str, ModelStats]:
     a malformed reply raises ``ServingError(code="bad-response")``."""
     models, aliases = reply.get("models"), reply.get("aliases", {})
     if not isinstance(models, dict) or not isinstance(aliases, dict):
-        error = ServingError("malformed stats reply: 'models' and "
-                             "'aliases' must be objects")
-        error.code = "bad-response"
-        raise error
+        raise ServingError("malformed stats reply: 'models' and "
+                           "'aliases' must be objects", code="bad-response")
     public = {target: alias for alias, target in aliases.items()}
     out = {}
     for model, fields in models.items():

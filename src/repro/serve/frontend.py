@@ -23,6 +23,15 @@ end; :class:`~repro.serve.server.ModelServer`,
 - Session ops exist on every front end; one it does not support raises
   ``ServingError`` with ``code="not-streamable"``.
 
+The drive rule. A front end *drives itself* when every request it
+accepts completes without the caller pumping it: ``ModelServer`` and
+``PipelineEngine`` do when they have worker threads, ``ClusterRouter``
+does when every one of its workers does (a ``ProcessWorker``, never an
+in-process ``LocalWorker``), and ``PipelineCluster`` when its router
+does. ``predict`` submits, drains unless the front end drives itself,
+and returns the result; the cluster tiers decide with the same fact
+whether a wait must pump.
+
 :class:`ServerMixin` holds the methods the four front ends share.
 """
 
@@ -87,10 +96,8 @@ class Server(Protocol):
 def unknown_model(model: str, known: Sequence[str],
                   detail: str = "") -> ServingError:
     """The typed error every front end raises for a model it lacks."""
-    error = ServingError(f"unknown model {model!r}; loaded: {list(known)}"
-                         + detail)
-    error.code = "unknown-model"
-    return error
+    return ServingError(f"unknown model {model!r}; loaded: {list(known)}"
+                        + detail, code="unknown-model")
 
 
 class ServerMixin:
@@ -104,6 +111,21 @@ class ServerMixin:
     """
 
     name: str
+
+    @property
+    def _drives_itself(self) -> bool:
+        """Whether every request completes without the caller pumping
+        it (the drive rule in the module doc): worker threads serve it."""
+        return bool(self._threads)
+
+    def predict(self, model: str, x,
+                timeout: Optional[float] = 60.0) -> np.ndarray:
+        """Blocking convenience: submit, drain unless the front end drives
+        itself, then return the result."""
+        future = self.submit(model, x)
+        if not self._drives_itself:
+            self.drain()
+        return future.result(timeout=timeout)
 
     def __enter__(self):
         return self
@@ -135,11 +157,8 @@ class ServerMixin:
     # ------------------------------------------------------------------
     def _not_streamable(self, model: str, op: str):
         self._check_model(model)
-        error = ServingError(
-            f"{type(self).__name__} does not support {op} "
-            f"(model {model!r})")
-        error.code = "not-streamable"
-        raise error
+        raise ServingError(f"{type(self).__name__} does not support {op} "
+                           f"(model {model!r})", code="not-streamable")
 
     def open_session(self, model: str,
                      session_id: Optional[str] = None) -> str:

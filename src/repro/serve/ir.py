@@ -142,9 +142,6 @@ class Graph:
         return iter(self.nodes)
 
     # ------------------------------------------------------------------
-    def gemm_nodes(self) -> List[IRNode]:
-        return [n for n in self.nodes if n.kind in ("conv", "linear", "rnn")]
-
     def rnn_nodes(self) -> List[IRNode]:
         """Recurrent nodes, i.e. the state sites of streaming execution.
 

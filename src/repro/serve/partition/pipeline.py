@@ -44,7 +44,12 @@ from repro.errors import (
 from repro.fpga.resources import GemmDesign
 from repro.serve.artifact import ServeArtifact
 from repro.serve.backends import DEFAULT_BACKEND
-from repro.serve.batcher import DynamicBatcher, ServedRequest, coerce_payload
+from repro.serve.batcher import (
+    DynamicBatcher,
+    ServedRequest,
+    _failed_rows,
+    coerce_payload,
+)
 from repro.serve.cluster import ClusterRouter, LocalWorker, ProcessWorker
 from repro.serve.engine import InferenceEngine
 from repro.serve.frontend import ServerMixin
@@ -172,31 +177,23 @@ class PipelineEngine(ServerMixin):
 
     def submit(self, model: str, x) -> InferenceFuture:
         """Enqueue one request; returns its future immediately. Shape
-        errors fail the future (never poison a batch); an unknown model
-        or a closed pipeline raises."""
+        errors fail the future, and a bad token id fails only its own
+        request when stage 0 checks its batch (the server's rule); an
+        unknown model or a closed pipeline raises."""
         self._check_model(model)
         future = InferenceFuture(model)
+        try:
+            payload = coerce_payload(self._engines[0].plan, x)
+        except ReproError as error:
+            future._fail(error)
+            return future
         with self._work:
             if not self._running:
                 raise ServingError("pipeline is closed")
-            try:
-                # Checked whole per request: a stage batch that failed
-                # its input check would fail every request in it.
-                plan = self._engines[0].plan
-                payload = plan.coerce(coerce_payload(plan, x))
-            except ReproError as error:
-                future._fail(error)
-                return future
             self._batcher.submit(payload, future=future, model=model)
             self._submitted += 1
             self._work.notify_all()
         return future
-
-    def predict(self, model: str, x,
-                timeout: Optional[float] = 60.0) -> np.ndarray:
-        future = self.submit(model, x)
-        self.drain()
-        return future.result(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Deterministic stepping (workers=0)
@@ -284,16 +281,17 @@ class PipelineEngine(ServerMixin):
             outputs = engine.infer(batch.array)
             elapsed_ms = (self._clock() - started) * 1e3
         except Exception as error:   # noqa: BLE001 — typed fail, no wrong bits
-            failure = error if isinstance(error, ServingError) \
-                else WorkerError(
-                    f"pipeline stage {index} of {self.name!r} failed: "
-                    f"{error}")
-            with self._work:
-                self._stage_errors[index] += 1
-                self._failed += size
-            for request in batch.requests:
-                request.settle(error=failure)
-            return 0
+            # Stage 0 holds the requests' own payloads, so its input check
+            # is re-run row by row and only the bad rows fail.
+            survivors = _failed_rows(
+                engine.plan if index == 0 else None, error, batch.requests,
+                self._fail_request,
+                lambda cause: self._stage_error(index, cause))
+            if not survivors:
+                return 0
+            return self._run_stage(index, _StageBatch(
+                batch.id, survivors,
+                np.array([r.payload for r in survivors])))
         with self._work:
             self._stage_latencies[index].extend([elapsed_ms] * size)
         if index + 1 < len(self._engines):
@@ -316,6 +314,22 @@ class PipelineEngine(ServerMixin):
             self._latencies.extend(r.latency_ms for r in batch.requests)
             self._work.notify_all()
         return size
+
+    def _fail_request(self, request: ServedRequest,
+                      error: BaseException) -> None:
+        with self._work:
+            self._failed += 1
+        request.settle(error=error)
+
+    def _stage_error(self, index: int,
+                     error: BaseException) -> BaseException:
+        """Count a failed stage batch; what its requests fail with."""
+        with self._work:
+            self._stage_errors[index] += 1
+        if isinstance(error, ServingError):
+            return error
+        return WorkerError(
+            f"pipeline stage {index} of {self.name!r} failed: {error}")
 
     # ------------------------------------------------------------------
     # Stats + lifecycle
@@ -485,11 +499,9 @@ class PipelineCluster(ServerMixin):
         first.add_done_callback(hop(0, ()))
         return outer
 
-    def predict(self, model: str, x,
-                timeout: Optional[float] = 60.0) -> np.ndarray:
-        future = self.submit(model, x)
-        self.drain(timeout=timeout)
-        return future.result(timeout=timeout)
+    @property
+    def _drives_itself(self) -> bool:
+        return self._router._drives_itself
 
     def _finish(self, outer: InferenceFuture, *, result=None,
                 request=None, error: Optional[BaseException] = None) -> None:
@@ -521,31 +533,23 @@ class PipelineCluster(ServerMixin):
         """Serve every submitted request to completion or typed failure;
         one still unserved at the deadline fails with ``WorkerError``."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        stalled = 0
         while True:
             with self._lock:
                 if not self._pending:
                     return
-            if deadline is not None and time.monotonic() > deadline:
+            remaining = None if deadline is None \
+                else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
                 break
-            moved = self._router.pump()
-            if moved:
-                stalled = 0
+            if self._router.pump():
                 continue
-            stalled += 1
-            if self._router._has_self_driving():
-                time.sleep(0.005)
-                stalled = 0
-                continue
-            if stalled >= 3:
-                # Nothing deliverable with requests outstanding: let the
-                # router fail its lost requests (dead worker, dropped
-                # frame); the chain callbacks fail the outer futures.
-                self._router.drain(timeout=1.0)
-                stalled = 0
-                with self._lock:
-                    if self._pending:
-                        break
+            if self._drives_itself:
+                time.sleep(0.005)       # the workers serve every hop
+            else:
+                # Pumping moved nothing: the router serves or fails
+                # (typed) what its workers hold, and each outcome
+                # chains the next hop or fails the outer future.
+                self._router.drain(timeout=remaining)
         with self._lock:
             leftovers = list(self._futures.values())
         for outer in leftovers:

@@ -64,6 +64,7 @@ from repro.serve.backends import DEFAULT_BACKEND
 from repro.serve.batcher import (
     DynamicBatcher,
     ServedRequest,
+    _failed_rows,
     coerce_chunk,
     coerce_payload,
     ignore_max_wait_ms,
@@ -214,9 +215,8 @@ class ModelStats(ThroughputStats):
                           for spec in dataclasses.fields(cls)
                           if spec.name in wire})
         except (TypeError, ValueError, OverflowError) as cause:
-            error = ServingError(f"malformed model stats: {cause}")
-            error.code = "bad-response"
-            raise error from None
+            raise ServingError(f"malformed model stats: {cause}",
+                               code="bad-response") from None
 
 
 class _HostedModel:
@@ -648,14 +648,6 @@ class ModelServer(ServerMixin):
 
         return callback
 
-    def predict(self, model: str, x,
-                timeout: Optional[float] = 60.0) -> np.ndarray:
-        """Blocking convenience: submit, (drain if no workers), result."""
-        future = self.submit(model, x)
-        if not self._threads:
-            self.drain()
-        return future.result(timeout=timeout)
-
     # ------------------------------------------------------------------
     # Streaming sessions
     # ------------------------------------------------------------------
@@ -788,11 +780,9 @@ class ModelServer(ServerMixin):
             raise ServingError("server is closed")
         entry = self._hosted(model)
         if not entry.plan.streamable:
-            error = ServingError(
+            raise ServingError(
                 f"model {model!r} has no recurrent layers; streaming "
-                "sessions need an RNN plan")
-            error.code = "not-streamable"
-            raise error
+                "sessions need an RNN plan", code="not-streamable")
         return entry
 
     @staticmethod
@@ -903,7 +893,7 @@ class ModelServer(ServerMixin):
                    batch: List[ServedRequest], batch_id: int) -> None:
         """Serve one formed micro-batch in a single engine pass: fill
         every request record, resolve the futures, then count the batch.
-        A failed pass fails its futures (:meth:`_failed_rows`).
+        A failed pass fails its futures (:func:`_failed_rows`).
 
         The batch size is priced on the cycle model *before* the wall
         clock starts (a cost-model cache miss must not count against
@@ -914,9 +904,10 @@ class ModelServer(ServerMixin):
         try:
             outputs = engine.infer(np.array([r.payload for r in batch]))
         except Exception as error:      # noqa: BLE001 — fail the futures
-            survivors = self._failed_rows(
-                entry, batch_id, error, batch,
-                lambda request, own: request.settle(error=own))
+            survivors = _failed_rows(
+                entry.plan, error, batch,
+                lambda request, own: request.settle(error=own),
+                lambda cause: self._batch_error(entry, batch_id, cause))
             if survivors:
                 self._run_batch(entry, survivors, batch_id)
             return
@@ -946,7 +937,7 @@ class ModelServer(ServerMixin):
         into an ``(n, T, ...)`` batch plus an ``(n, hidden)``-stacked
         state, run through the stateful plan, and the final state copied
         into each session's own rows before any future resolves. A failed
-        pass fails its futures (:meth:`_failed_rows`).
+        pass fails its futures (:func:`_failed_rows`).
         """
         now = self._clock()
         live, dead = [], []
@@ -968,9 +959,10 @@ class ModelServer(ServerMixin):
                 np.array([chunk.payload for chunk, _ in live]),
                 stack_states(states))
         except Exception as error:        # noqa: BLE001 — fail the futures
-            survivors = self._failed_rows(
-                entry, batch_id, error, [chunk for chunk, _ in live],
-                lambda chunk, own: chunk.future._fail(own))
+            survivors = _failed_rows(
+                entry.plan, error, [chunk for chunk, _ in live],
+                lambda chunk, own: chunk.future._fail(own),
+                lambda cause: self._batch_error(entry, batch_id, cause))
             if survivors:
                 self._run_stream_batch(entry, survivors, batch_id)
             return
@@ -984,40 +976,19 @@ class ModelServer(ServerMixin):
             chunk.future._resolve(outs[index])
 
     @staticmethod
-    def _failed_rows(entry: _HostedModel, batch_id: int,
-                     error: BaseException, items: list, fail) -> list:
-        """Fail what a failed batch pass of ``items`` (requests or stream
-        chunks) must fail, by ``fail(item, error)``, and return the items
-        to run again.
-
-        When the plan's input check failed (a ``ConfigurationError``),
-        each payload is checked alone (``plan.coerce(payload[None])``,
-        so a row's error reads as ``plan.forward`` raises it for that
-        request by itself). Rows that fail alone fail, and the others
-        run again. Otherwise the whole batch fails: a
-        :class:`~repro.errors.ReproError` as it was raised, anything
-        else as a :class:`~repro.errors.ServingError` naming the model
-        and the batch.
-        """
-        errors = [None] * len(items)
-        if isinstance(error, ConfigurationError):
-            for index, item in enumerate(items):
-                try:
-                    entry.plan.coerce(item.payload[None])
-                except ConfigurationError as own:
-                    errors[index] = own
-        if not any(errors):
-            entry.errors += 1
-            if not isinstance(error, ReproError):
-                cause, error = error, ServingError(
-                    f"batch {batch_id} failed on model {entry.name!r}: "
-                    f"{error!r}")
-                error.__cause__ = cause
-            errors = [error] * len(items)
-        for item, own in zip(items, errors):
-            if own is not None:
-                fail(item, own)
-        return [item for item, own in zip(items, errors) if own is None]
+    def _batch_error(entry: _HostedModel, batch_id: int,
+                     error: BaseException) -> BaseException:
+        """Count a failed batch; what its items fail with: a
+        :class:`~repro.errors.ReproError` as it was raised, anything else
+        as a :class:`~repro.errors.ServingError` naming the model and the
+        batch."""
+        entry.errors += 1
+        if isinstance(error, ReproError):
+            return error
+        wrapped = ServingError(f"batch {batch_id} failed on model "
+                               f"{entry.name!r}: {error!r}")
+        wrapped.__cause__ = error
+        return wrapped
 
     # ------------------------------------------------------------------
     # Observability

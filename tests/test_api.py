@@ -492,7 +492,7 @@ class TestReproCli:
 
     def test_unknown_command_fails(self, capsys):
         assert repro_main(["bogus"]) == 2
-        assert "unknown command" in capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_cli_error_paths_return_1(self, tmp_path):
         missing = str(tmp_path / "missing.npz")

@@ -24,8 +24,8 @@ from repro.serve import (
     build_artifact,
     post_training_quantize,
 )
+from repro.api.cli import main as repro_main
 from repro.serve.cli import MODEL_ZOO, build_model
-from repro.serve.cli import main as serve_main
 from repro.serve.export import eager_forward
 
 
@@ -292,10 +292,10 @@ class TestBatchServing:
 class TestServeCli:
     def test_export_info_run_smoke(self, tmp_path, capsys):
         path = str(tmp_path / "artifact.npz")
-        assert serve_main(["export", "--model", "resnet_tiny",
+        assert repro_main(["quantize", "--model", "resnet_tiny",
                            "--out", path]) == 0
-        assert serve_main(["info", path]) == 0
-        assert serve_main(["run", path, "--requests", "6",
+        assert repro_main(["serve", "info", path]) == 0
+        assert repro_main(["serve", "run", path, "--requests", "6",
                            "--batch", "3"]) == 0
         out = capsys.readouterr().out
         assert "quantized:    10 layers (msq)" in out
@@ -303,9 +303,9 @@ class TestServeCli:
 
     def test_rnn_model_export_and_run(self, tmp_path, capsys):
         path = str(tmp_path / "lm.npz")
-        assert serve_main(["export", "--model", "lstm_lm",
+        assert repro_main(["quantize", "--model", "lstm_lm",
                            "--out", path]) == 0
-        assert serve_main(["run", path, "--requests", "4",
+        assert repro_main(["serve", "run", path, "--requests", "4",
                            "--batch", "2"]) == 0
         assert "4 req in 2 batches" in capsys.readouterr().out
 

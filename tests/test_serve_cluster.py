@@ -32,6 +32,7 @@ from repro.serve import (
     LocalWorker,
     ModelServer,
     PlacementPolicy,
+    ProcessWorker,
     WorkerView,
     build_artifact,
     get_placement,
@@ -891,6 +892,24 @@ class TestProcessCluster:
                                      max_batch=4)
         try:
             assert_zoo_bit_exact(router, zoo)
+        finally:
+            router.close()
+
+    def test_mixed_fleet_predicts_and_reports_every_worker(self, deployed,
+                                                          tmp_path):
+        # The router must pump its in-process worker and wait on the
+        # subprocess, whichever one a request or a stats poll reaches.
+        deployment, _ = deployed
+        path = tmp_path / "mlp.npz"
+        deployment.save(path)
+        router = ClusterRouter([
+            LocalWorker("a", {"local": deployment}, max_batch=4),
+            ProcessWorker("b", {"remote": str(path)}, max_batch=4)])
+        try:
+            for model, x in zip(("local", "remote"), payloads(2)):
+                assert np.array_equal(router.predict(model, x, timeout=10.0),
+                                      deployment.predict(x))
+            assert sorted(router.worker_stats(timeout=10.0)) == ["a", "b"]
         finally:
             router.close()
 

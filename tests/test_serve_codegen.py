@@ -554,9 +554,9 @@ class TestBackendErrors:
 # ----------------------------------------------------------------------
 class TestBackendsCLI:
     def test_lists_backends_with_availability(self, fresh_cache, capsys):
-        from repro.serve.cli import main
+        from repro.api.cli import main
 
-        assert main(["backends"]) == 0
+        assert main(["serve", "backends"]) == 0
         out = capsys.readouterr().out
         for name in ("reference", "fused", "compiled"):
             assert name in out
@@ -564,12 +564,12 @@ class TestBackendsCLI:
         assert str(fresh_cache) in out
 
     def test_clear_cache_flag(self, fresh_cache, capsys):
-        from repro.serve.cli import main
+        from repro.api.cli import main
 
         if have_compiler():
             build_library([("fn", "float repro_cli_fn(void){return 3.0f;}\n",
                             ())], tag="cli")
-        assert main(["backends", "--clear-cache"]) == 0
+        assert main(["serve", "backends", "--clear-cache"]) == 0
         assert "cleared" in capsys.readouterr().out
         assert cached_libraries() == []
 

@@ -249,6 +249,50 @@ class TestPipelineEngine:
             PipelineEngine.from_artifact(mlp_artifact, stages=2,
                                          workers=0, queue_depth=0)
 
+    def test_bad_token_fails_only_its_own_request(self):
+        # lstm_lm's vocabulary is 40. Stage 0 checks its batch once; the
+        # failed batch is re-checked row by row, so only the bad request
+        # fails and its neighbours run again as their own batch.
+        artifact = make_artifact("lstm_lm")
+        plan = ExecutionPlan(artifact)
+        rows = list(synthetic_batch(lower_graph(artifact), n=4, seed=3))
+        bad = rows[1].copy()
+        bad[5] = 40
+        rows[1] = bad
+        with pytest.raises(ConfigurationError) as alone:
+            plan.forward(bad[None])
+        engine = PipelineEngine.from_artifact(artifact, stages=2,
+                                              workers=0, max_batch=4)
+        with engine:
+            futures = engine.submit_many(engine.name, rows)
+            engine.drain()
+            error = futures[1].exception(timeout=0)
+            assert isinstance(error, ConfigurationError)
+            assert str(error) == str(alone.value)
+            neighbours = [futures[0], futures[2], futures[3]]
+            expected = staged_reference(
+                artifact, [np.stack([rows[0], rows[2], rows[3]])])
+            for future, want in zip(neighbours, expected):
+                assert np.array_equal(future.result(timeout=0), want)
+                assert future.request.batch_size == 3
+            assert engine.stats()[engine.name].errors == 1
+
+    def test_token_ids_are_scanned_once_per_batch(self, monkeypatch):
+        artifact = make_artifact("lstm_lm")
+        engine = PipelineEngine.from_artifact(artifact, stages=2,
+                                              workers=0, max_batch=4)
+        plan = engine.plan()
+        scans = []
+        coerce = plan.coerce
+        monkeypatch.setattr(plan, "coerce",
+                            lambda x: scans.append(x.shape) or coerce(x))
+        rows = synthetic_batch(lower_graph(artifact), n=4, seed=3)
+        with engine:
+            futures = engine.submit_many(engine.name, list(rows))
+            engine.drain()
+            assert all(f.exception(timeout=0) is None for f in futures)
+        assert scans == [rows.shape]
+
 
 def lower_graph(artifact):
     from repro.serve.ir import lower_artifact
@@ -420,11 +464,11 @@ class TestProcessPipeline:
         # `serve pipeline --process`: a 2-stage resnet_tiny pipeline
         # whose activations hop between subprocesses as raw frame
         # attachments must equal the single-device plan bitwise.
-        from repro.serve.cli import main
+        from repro.api.cli import main
 
         path = tmp_path / "rt.npz"
         make_artifact("resnet_tiny").save(path)
-        code = main(["pipeline", str(path), "--stages", "2",
+        code = main(["serve", "pipeline", str(path), "--stages", "2",
                      "--requests", "8", "--batch", "4", "--process"])
         out = capsys.readouterr().out
         assert "IDENTICAL (np.array_equal)" in out
