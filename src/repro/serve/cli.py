@@ -355,6 +355,35 @@ def _read_message(line, max_line_bytes: int) -> Optional[Dict]:
     return message
 
 
+# Each op's required fields ("input" is met by "input_b64" + dtype +
+# shape too): a request missing one is answered bad-request.
+_OP_FIELDS = {
+    "infer": ("model", "input"),
+    "stream_submit": ("model", "session", "input"),
+    "stream_open": ("model",),
+    "stream_close": ("model", "session"),
+    "session_export": ("model",),
+    "session_import": ("model", "session"),
+    "stats": (),
+}
+
+
+def _check_fields(op, message: Dict) -> None:
+    """Raise ``unknown-op`` or ``bad-request`` unless ``message`` is a
+    known op carrying every field it requires."""
+    if op not in _OP_FIELDS:
+        raise ServingError(f"unknown op {op!r}", code="unknown-op")
+    fields = _OP_FIELDS[op]
+    if any(message.get(field) is None
+           and not (field == "input" and "input_b64" in message)
+           for field in fields):
+        raise ServingError(
+            f"{op} request needs " + ", ".join(
+                "'input' (or 'input_b64' + dtype + shape)"
+                if field == "input" else repr(field) for field in fields),
+            code="bad-request")
+
+
 def serve_protocol(server: Server, lines, out,
                    max_line_bytes: int = MAX_MESSAGE_BYTES) -> int:
     """Drive any :class:`~repro.serve.frontend.Server` over the JSON-lines
@@ -392,9 +421,7 @@ def serve_protocol(server: Server, lines, out,
 
     # (request id, model, future, answer form) in submission order
     outstanding = []
-    # Guards `outstanding` and response writes. Reentrant because a
-    # cluster router's stats() *drives* its workers: futures resolve
-    # (and their flush callbacks fire) on this thread, under this lock.
+    # Guards `outstanding` and response writes.
     wire = threading.RLock()
     send = getattr(out, "send", None)      # a FrameWriter takes messages
 
@@ -452,130 +479,76 @@ def serve_protocol(server: Server, lines, out,
                 request_id, model, future, form = outstanding.pop(0)
                 emit(response(request_id, model, future, form))
 
-    served = 0
-    for line in lines:
-        try:
-            message = _read_message(line, max_line_bytes)
-        except FrameError as error:
-            answer = _error_fields(error)
-            if error.message_id is not None:
-                answer["id"] = error.message_id
-            with wire:
-                emit(answer)
-            continue
-        if message is None:
-            continue
-        op = message.get("op", "infer")
-        if op == "stats":
-            with wire:
-                emit_stats(server, emit,
-                           detail=bool(message.get("detail")),
-                           request_id=message.get("id"))
-            continue
-        if op in ("stream_open", "stream_close", "session_export",
-                  "session_import"):
-            # Session control is synchronous on the server, so it is
-            # answered immediately — out of band of the inference FIFO
-            # (clients and the router correlate by "id").
-            model = message.get("model")
-            if model is None:
-                with wire:
-                    emit({"id": message.get("id"),
-                          "error": f"{op} request needs 'model'",
-                          "code": "bad-request", "retryable": False})
-                continue
-            try:
-                if op == "stream_open":
-                    sid = server.open_session(
-                        model, session_id=message.get("session"))
-                    reply = {"op": op, "model": model, "session": sid}
-                elif op == "stream_close":
-                    chunks = server.close_session(
-                        model, str(message.get("session")))
-                    reply = {"op": op, "model": model,
-                             "session": message.get("session"),
-                             "chunks": chunks}
-                elif op == "session_export":
-                    reply = {"op": op, "model": model,
-                             "sessions": server.export_sessions(model)}
-                else:
-                    server.import_session(
-                        model, str(message.get("session")),
-                        message.get("state") or {},
-                        chunks=int(message.get("chunks", 0)))
-                    reply = {"op": op, "model": model,
-                             "session": message.get("session")}
-            except (ServingError, ValueError, TypeError) as error:
-                with wire:
-                    emit({"id": message.get("id"), "model": model,
-                          **_error_fields(error)})
-                continue
-            if message.get("id") is not None:
-                reply["id"] = message["id"]
-            with wire:
-                emit(reply)
-            continue
-        if op == "stream_submit":
-            model = message.get("model")
-            session = message.get("session")
-            if model is None or session is None \
-                    or ("input_b64" not in message
-                        and "input" not in message):
-                with wire:
-                    emit({"id": message.get("id"),
-                          "error": "stream_submit needs 'model', "
-                                   "'session' and 'input' (or "
-                                   "'input_b64' + dtype + shape)",
-                          "code": "bad-request", "retryable": False})
-                continue
-            try:
-                payload, form = request_payload(message)
-                future = server.submit_stream(model, str(session), payload)
-            except (ServingError, ValueError, TypeError) as error:
-                with wire:
-                    emit({"id": message.get("id"), "model": model,
-                          **_error_fields(error)})
-                continue
+    def handle(op: str, model, message) -> Optional[Dict]:
+        """Run one checked op; returns its reply line, or ``None`` for
+        an inference, answered in order by ``flush_completed``."""
+        if op in ("infer", "stream_submit"):
+            # Decode/np.asarray can reject bad payloads (ragged lists,
+            # byte-count mismatches): an error line, never a dead server.
+            payload, form = request_payload(message)
+            future = (server.submit(model, payload) if op == "infer"
+                      else server.submit_stream(
+                          model, str(message["session"]), payload))
             with wire:
                 outstanding.append((message.get("id"), model, future,
                                     form))
-            served += 1
+            # Resolution (possibly on a worker thread) flushes the head
+            # of the line; calling it here too covers failed submits.
             future.add_done_callback(lambda _: flush_completed())
             flush_completed()
-            continue
-        if op != "infer":
-            with wire:
-                emit({"id": message.get("id"),
-                      "error": f"unknown op {op!r}",
-                      "code": "unknown-op", "retryable": False})
-            continue
-        model = message.get("model")
-        if model is None or ("input_b64" not in message
-                             and "input" not in message):
-            with wire:
-                emit({"id": message.get("id"),
-                      "error": "infer request needs 'model' and 'input' "
-                               "(or 'input_b64' + dtype + shape)",
-                      "code": "bad-request", "retryable": False})
-            continue
+            return None
+        if op == "stats":
+            return emit_stats(server, lambda line: line,
+                              detail=bool(message.get("detail")),
+                              request_id=message.get("id"))
+        # Session control is synchronous on the server, so it is
+        # answered immediately — out of band of the inference FIFO
+        # (clients and the router correlate by "id").
+        if op == "stream_open":
+            reply = {"session": server.open_session(
+                model, session_id=message.get("session"))}
+        elif op == "stream_close":
+            session = message["session"]
+            reply = {"session": session,
+                     "chunks": server.close_session(model, str(session))}
+        elif op == "session_export":
+            reply = {"sessions": server.export_sessions(model)}
+        else:
+            server.import_session(model, str(message["session"]),
+                                  message.get("state") or {},
+                                  chunks=int(message.get("chunks", 0)))
+            reply = {"session": message["session"]}
+        reply = {"op": op, "model": model, **reply}
+        if message.get("id") is not None:
+            reply["id"] = message["id"]
+        return reply
+
+    served = 0
+    for line in lines:
+        message = model = None
         try:
-            # Decode/np.asarray can reject bad payloads (ragged lists,
-            # byte-count mismatches); a bad request must answer an error
-            # line, never kill the server.
-            payload, form = request_payload(message)
-            future = server.submit(model, payload)
+            message = _read_message(line, max_line_bytes)
+            if message is None:
+                continue
+            op = message.get("op", "infer")
+            _check_fields(op, message)
+            model = message.get("model")
+            reply = handle(op, model, message)
+            if reply is None:
+                served += 1
         except (ServingError, ValueError, TypeError) as error:
+            # The one error line: it echoes the request's id (a frame
+            # that never parsed names one only through its header) and,
+            # once the op was checked, its model.
+            reply = ({"id": message.get("id")} if message is not None
+                     else {} if getattr(error, "message_id", None) is None
+                     else {"id": error.message_id})
+            if model is not None:
+                reply["model"] = model
+            reply.update(_error_fields(error))
+        if reply is not None:
             with wire:
-                emit({"id": message.get("id"), "model": model,
-                      **_error_fields(error)})
-            continue
-        with wire:
-            outstanding.append((message.get("id"), model, future, form))
-        served += 1
-        # Resolution (possibly on a worker thread) flushes the head of
-        # the line; calling it here too covers already-failed submits.
-        future.add_done_callback(lambda _: flush_completed())
-        flush_completed()
+                emit(reply)
     # EOF: force-serve what never filled a batch, answer everything left.
     # drain() returns once the queues are empty, but a worker may still
     # be resolving its last batch — and its done-callbacks flush through
@@ -596,8 +569,9 @@ def serve_protocol(server: Server, lines, out,
 
 
 def emit_stats(server: Server, emit, detail: bool = False,
-               request_id=None) -> None:
-    """Write one ``{"op": "stats"}`` response line for every model.
+               request_id=None):
+    """Write one ``{"op": "stats"}`` response line for every model;
+    returns what ``emit`` returns.
 
     ``detail=True`` dumps full mergeable per-model statistics
     (``ModelStats.to_wire``) plus the server's alias map — what the
@@ -626,7 +600,7 @@ def emit_stats(server: Server, emit, detail: bool = False,
                    } for name, stats in server.stats().items()}}
     if request_id is not None:
         payload["id"] = request_id
-    emit(payload)
+    return emit(payload)
 
 
 def _add_cache_flags(parser) -> None:

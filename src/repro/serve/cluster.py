@@ -138,6 +138,7 @@ class RoutedRequest:
 
 @dataclass
 class _Pending:
+    id: int
     future: InferenceFuture
     worker: str
     model: str
@@ -145,6 +146,25 @@ class _Pending:
     deadline: Optional[float]
     kind: str = "infer"          # "infer" | "stream" | "control" | "stats"
     session: Optional[str] = None
+
+
+# The kinds that are routed requests: they count toward a worker's
+# in-flight load and the routed/completed/timeouts counters, and carry
+# the request deadline. Control and stats ops answer out of band.
+_ROUTED = frozenset({"infer", "stream"})
+
+
+def _unreadable(worker, entry: _Pending, reason) -> WorkerError:
+    return WorkerError(
+        f"worker {worker.name!r} sent an unreadable response for "
+        f"{entry.model!r}: {reason}", code="bad-response")
+
+
+def _no_response(within: str, code: str):
+    """The failure of an entry no answer reached within ``within``."""
+    return lambda entry: WorkerError(
+        f"no response from worker {entry.worker!r} within {within}",
+        code=code)
 
 
 @dataclass
@@ -498,6 +518,7 @@ class ClusterRouter(ServerMixin):
             raise ConfigurationError(
                 f"capacity must be >= 1, got {capacity}")
         self._workers = workers
+        self._by_name = {worker.name: worker for worker in workers}
         for index, worker in enumerate(workers):
             worker.index = index
         self._placement = (placement if isinstance(placement,
@@ -518,8 +539,6 @@ class ClusterRouter(ServerMixin):
         # client gets "session-lost" (state is gone) rather than the
         # config-mistake-flavored "unknown-session".
         self._sessions: Dict[Tuple[str, str], Optional[str]] = {}
-        self._by_worker: Dict[str, Set[int]] = {w.name: set()
-                                                for w in workers}
         self._in_flight: Dict[str, int] = {w.name: 0 for w in workers}
         self._next_id = 0
         self._counters = RouterStats(workers=len(workers))
@@ -586,44 +605,57 @@ class ClusterRouter(ServerMixin):
                 request_key = array_digest(x)
             except (TypeError, ValueError):
                 request_key = None     # undigestable: placement by model
-        with self._lock:
-            if not self._running:
-                raise ServingError("cluster router is closed")
+
+        def place() -> Optional[_WorkerBase]:
             hosts = self._hosts(model)
             worker = self._admit_locked(model, hosts, request_key)
             if worker is None:
                 self._counters.shed += 1
                 alive = [w for w in hosts if w.alive]
-                error = (AdmissionError(
+                future._fail(AdmissionError(
                     f"all {len(alive)} replica(s) of {model!r} are at "
                     f"capacity; retry later") if alive
-                    else WorkerError(
-                        f"no live worker hosts {model!r}",
-                        code="no-workers"))
-                future._fail(error)
-                return future
-        message = {"model": model, "input": x}
+                    else WorkerError(f"no live worker hosts {model!r}",
+                                     code="no-workers"))
+            return worker
+
+        self._dispatch("infer", {"model": model, "input": x}, future, place)
+        return future
+
+    def _dispatch(self, kind: str, message: Dict, future: InferenceFuture,
+                  place) -> Optional[_Pending]:
+        """The one send path of every op. Under one hold of the lock:
+        refuse when closed, ``place()`` the worker (``None``: it failed
+        the future itself), take the next id and register the entry.
+        Then send; a dead connection fails the worker's entries, an
+        unsendable message fails this one."""
         with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            message["id"] = request_id
+            if not self._running:
+                raise ServingError("cluster router is closed")
+            worker = place()
+            if worker is None:
+                return None
+            routed = kind in _ROUTED
             now = self._clock()
-            self._pending[request_id] = _Pending(
-                future=future, worker=worker.name, model=model,
-                enqueued_at=now,
-                deadline=None if self._timeout_ms is None
-                else now + self._timeout_ms / 1e3)
-            self._by_worker[worker.name].add(request_id)
-            self._in_flight[worker.name] += 1
-            self._counters.routed += 1
+            entry = _Pending(
+                id=self._next_id, future=future, worker=worker.name,
+                model=message.get("model", kind), enqueued_at=now,
+                deadline=now + self._timeout_ms / 1e3
+                if routed and self._timeout_ms is not None else None,
+                kind=kind, session=message.get("session"))
+            self._next_id += 1
+            self._pending[entry.id] = entry
+            if routed:
+                self._in_flight[worker.name] += 1
+                self._counters.routed += 1
+        message["id"] = entry.id
         try:
             worker.transport.send(message)
         except TransportClosed:
             self._worker_died(worker)
-        except FrameError as error:       # oversized payload
-            self._drop_pending(request_id)
-            future._fail(error)
-        return future
+        except FrameError as error:       # e.g. an oversized payload
+            self._settle([entry.id], lambda _: error)
+        return entry
 
     def _hosts(self, model: str) -> List[_WorkerBase]:
         """Workers hosting ``model``; raises ``unknown-model`` if none."""
@@ -669,112 +701,83 @@ class ClusterRouter(ServerMixin):
         """
         sid = session_id if session_id is not None \
             else uuid.uuid4().hex[:12]
-        with self._lock:
-            if not self._running:
-                raise ServingError("cluster router is closed")
-            if self._sessions.get((model, sid)) is not None:
+        key = (model, sid)
+
+        def place() -> _WorkerBase:
+            if self._sessions.get(key) is not None:
                 raise SessionError(
                     f"session {sid!r} is already open on worker "
-                    f"{self._sessions[(model, sid)]!r}",
-                    code="session-exists")
-            hosts = self._hosts(model)
-            worker = self._admit_locked(model, hosts,
+                    f"{self._sessions[key]!r}", code="session-exists")
+            worker = self._admit_locked(model, self._hosts(model),
                                         request_key=f"session:{sid}")
             if worker is None:
                 raise WorkerError(
                     f"no live worker can host a session of {model!r}",
                     code="no-workers")
-            self._sessions[(model, sid)] = worker.name
-        future = self._send_control(worker, {
-            "op": "stream_open", "model": model, "session": sid})
+            self._sessions[key] = worker.name
+            return worker
+
+        entry = self._dispatch("control", {
+            "op": "stream_open", "model": model, "session": sid},
+            InferenceFuture(model=model), place)
 
         def unmap_on_failure(done) -> None:
             if done.exception(timeout=None) is not None:
                 with self._lock:
-                    if self._sessions.get((model, sid)) == worker.name:
-                        del self._sessions[(model, sid)]
+                    if self._sessions.get(key) == entry.worker:
+                        del self._sessions[key]
 
-        future.add_done_callback(unmap_on_failure)
+        entry.future.add_done_callback(unmap_on_failure)
         return sid
 
     def submit_stream(self, model: str, session_id: str,
                       chunk) -> InferenceFuture:
         """Route one chunk to the session's pinned worker."""
         future = InferenceFuture(model=model)
-        with self._lock:
-            if not self._running:
-                raise ServingError("cluster router is closed")
-            owner = self._sessions.get((model, session_id), "")
-        if owner == "":
-            future._fail(SessionError(
-                f"unknown session {session_id!r} of {model!r} (never "
-                "opened, or already closed)", code="unknown-session"))
-            return future
-        if owner is None:
-            future._fail(SessionError(
-                f"session {session_id!r} of {model!r} was lost with its "
-                "worker; reopen and replay", code="session-lost"))
-            return future
-        worker = self._worker_by_name(owner)
-        if not worker.alive:
-            future._fail(SessionError(
-                f"session {session_id!r} of {model!r} was lost with "
-                f"worker {owner!r}; reopen and replay",
-                code="session-lost"))
+        try:
+            worker = self._session_owner(model, session_id)
+        except SessionError as error:
+            future._fail(error)
             return future
         try:
             chunk = np.asarray(chunk)
         except Exception as error:
             future._fail(_not_an_array("chunk", error))
             return future
-        message = {"op": "stream_submit", "model": model,
-                   "session": session_id, "input": chunk}
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            message["id"] = request_id
-            now = self._clock()
-            self._pending[request_id] = _Pending(
-                future=future, worker=worker.name, model=model,
-                enqueued_at=now,
-                deadline=None if self._timeout_ms is None
-                else now + self._timeout_ms / 1e3,
-                kind="stream", session=session_id)
-            self._by_worker[worker.name].add(request_id)
-            self._in_flight[worker.name] += 1
-            self._counters.routed += 1
-        try:
-            worker.transport.send(message)
-        except TransportClosed:
-            self._worker_died(worker)
-        except FrameError as error:       # oversized chunk
-            self._drop_pending(request_id)
-            future._fail(error)
+        self._dispatch("stream", {"op": "stream_submit", "model": model,
+                                  "session": session_id, "input": chunk},
+                       future, lambda: worker)
         return future
 
     def close_session(self, model: str, session_id: str,
                       timeout: Optional[float] = 30.0) -> int:
         """Close a session on its worker; returns chunks served."""
+        worker = self._session_owner(model, session_id, close=True)
+        entry = self._dispatch("control", {
+            "op": "stream_close", "model": model, "session": session_id},
+            InferenceFuture(model=model), lambda: worker)
+        return int(self._reply(entry, timeout).get("chunks", 0))
+
+    def _session_owner(self, model: str, session_id: str,
+                       close: bool = False) -> _WorkerBase:
+        """The live worker holding a session (``close`` unmaps it);
+        raises ``unknown-session`` or ``session-lost``."""
         with self._lock:
             if not self._running:
                 raise ServingError("cluster router is closed")
-            owner = self._sessions.pop((model, session_id), "")
+            sessions = self._sessions
+            owner = (sessions.pop if close else sessions.get)(
+                (model, session_id), "")
         if owner == "":
             raise SessionError(
                 f"unknown session {session_id!r} of {model!r} (never "
                 "opened, or already closed)", code="unknown-session")
-        if owner is None:
-            raise SessionError(
-                f"session {session_id!r} of {model!r} was lost with its "
-                "worker", code="session-lost")
-        worker = self._worker_by_name(owner)
-        if not worker.alive:
+        if owner is None or not self._by_name[owner].alive:
+            where = "its worker" if owner is None else f"worker {owner!r}"
             raise SessionError(
                 f"session {session_id!r} of {model!r} was lost with "
-                f"worker {owner!r}", code="session-lost")
-        future = self._send_control(worker, {
-            "op": "stream_close", "model": model, "session": session_id})
-        return int(self._reply(worker, future, timeout).get("chunks", 0))
+                f"{where}; reopen and replay", code="session-lost")
+        return self._by_name[owner]
 
     def sessions(self) -> Dict[str, List[str]]:
         """Live session ids per worker (lost sessions excluded)."""
@@ -785,127 +788,93 @@ class ClusterRouter(ServerMixin):
                     placed.setdefault(owner, []).append(sid)
             return {name: sorted(ids) for name, ids in placed.items()}
 
-    def _reply(self, worker: _WorkerBase, future: InferenceFuture,
-               timeout: Optional[float]) -> Dict:
-        """The answer to a control or stats op sent to ``worker``. A
-        worker that drives itself is waited on for up to ``timeout``; an
-        in-process one is pumped until it answers or nothing moves."""
-        if not worker.drives_itself:
-            while not future.done() and self.pump():
-                pass
-            timeout = 0
-        return future.result(timeout=timeout)
+    def _reply(self, entry: _Pending, timeout: Optional[float]) -> Dict:
+        """The answer to a control or stats op, awaited like a drain of
+        that one entry: an answer given up on is settled (``lost`` or
+        ``timeout``) and raised, never left pending."""
+        self._await(lambda request_id, _: request_id == entry.id,
+                    timeout, "timeout")
+        return entry.future.result()
 
-    def _send_control(self, worker: _WorkerBase,
-                      message: Dict) -> InferenceFuture:
-        """Send a session-control op; its future resolves with the raw
-        response message (the worker answers these immediately)."""
-        future = InferenceFuture(model=message.get("model"))
+    # ------------------------------------------------------------------
+    # Settling: answers, deaths, timeouts
+    # ------------------------------------------------------------------
+    def _settle(self, request_ids, outcome,
+                counter: Optional[str] = None) -> List[_Pending]:
+        """The one settle step, taken on every exit. Under the lock, each
+        entry of ``request_ids`` still pending leaves ``_pending``; an
+        infer or stream entry also leaves its worker's in-flight count
+        and bumps ``counter`` (``"completed"`` or ``"timeouts"``). Then
+        each future settles with ``outcome(entry)``: an exception fails
+        it, a ``(result, request)`` pair resolves it. Returns the entries
+        settled (ids no longer pending are skipped)."""
+        entries = []
         with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            self._pending[request_id] = _Pending(
-                future=future, worker=worker.name,
-                model=str(message.get("model")),
-                enqueued_at=self._clock(), deadline=None,
-                kind="control", session=message.get("session"))
-            self._by_worker[worker.name].add(request_id)
-        try:
-            worker.transport.send({**message, "id": request_id})
-        except TransportClosed:
-            self._worker_died(worker)
-        except FrameError as error:
-            self._drop_pending(request_id)
-            future._fail(error)
-        return future
+            for request_id in request_ids:
+                entry = (self._pending.pop(request_id, None)
+                         if type(request_id) is int else None)
+                if entry is None:
+                    continue
+                if entry.kind in _ROUTED:
+                    self._in_flight[entry.worker] -= 1
+                    if counter is not None:
+                        setattr(self._counters, counter,
+                                getattr(self._counters, counter) + 1)
+                entries.append(entry)
+            if entries:
+                self._lock.notify_all()
+        for entry in entries:
+            settled = outcome(entry)
+            if isinstance(settled, BaseException):
+                entry.future._fail(settled)
+            else:
+                entry.future._resolve(*settled)
+        return entries
 
-    # ------------------------------------------------------------------
-    # Responses, deaths, timeouts
-    # ------------------------------------------------------------------
-    def _pop_answered_locked(self, request_id) -> Optional[_Pending]:
-        """Pop the entry a response answers (``None`` when the id names
-        no pending request); callers hold ``self._lock``."""
-        entry = (self._pending.pop(request_id, None)
-                 if type(request_id) is int else None)
-        if entry is not None:
-            self._by_worker[entry.worker].discard(request_id)
-            if entry.kind in ("infer", "stream"):
-                self._in_flight[entry.worker] = max(
-                    0, self._in_flight[entry.worker] - 1)
-                self._counters.completed += 1
-        return entry
+    def _count_protocol_error(self) -> None:
+        with self._lock:
+            self._counters.protocol_errors += 1
 
     def _handle_message(self, worker: _WorkerBase, message: Dict) -> None:
-        request_id = message.get("id")
-        with self._lock:
-            entry = self._pop_answered_locked(request_id)
-            if entry is None and "error" in message:
-                # A typed answer to a frame the router cannot attribute
-                # (e.g. the worker rejected a corrupted request frame).
-                self._counters.protocol_errors += 1
-            self._lock.notify_all()
-        if entry is None:
-            return
-        if "error" in message:
-            entry.future._fail(error_from_wire(message))
-            return
-        if entry.kind in ("stats", "control"):
-            entry.future._resolve(message, None)
-            return
-        output = message.get("output")
-        if not isinstance(output, np.ndarray):
-            with self._lock:
-                self._counters.protocol_errors += 1
-            self._fail_unreadable(worker, entry, "no output array attached")
-            return
-        entry.future._resolve(output, RoutedRequest(
-            id=request_id, model=entry.model, worker=worker.name,
-            enqueued_at=entry.enqueued_at,
-            latency_ms=message.get("latency_ms", 0.0),
-            batch_id=message.get("batch_id"),
-            batch_size=message.get("batch_size"),
-            cached=bool(message.get("cached", False)),
-            coalesced=bool(message.get("coalesced", False))))
+        def answer(entry: _Pending):
+            if "error" in message:
+                return error_from_wire(message)
+            if entry.kind not in _ROUTED:
+                return message, None       # stats and control: the reply
+            output = message.get("output")
+            if not isinstance(output, np.ndarray):
+                self._count_protocol_error()
+                return _unreadable(worker, entry, "no output array attached")
+            return output, RoutedRequest(
+                id=entry.id, model=entry.model, worker=worker.name,
+                enqueued_at=entry.enqueued_at,
+                latency_ms=message.get("latency_ms", 0.0),
+                batch_id=message.get("batch_id"),
+                batch_size=message.get("batch_size"),
+                cached=bool(message.get("cached", False)),
+                coalesced=bool(message.get("coalesced", False)))
 
-    @staticmethod
-    def _fail_unreadable(worker: _WorkerBase, entry: _Pending,
-                         reason) -> None:
-        # The entry is already popped, so no timeout would ever reach
-        # it: fail it here, and keep the reader alive.
-        entry.future._fail(WorkerError(
-            f"worker {worker.name!r} sent an unreadable response for "
-            f"{entry.model!r}: {reason}", code="bad-response"))
+        if not self._settle([message.get("id")], answer, "completed") \
+                and "error" in message:
+            # A typed answer to a frame the router cannot attribute
+            # (e.g. the worker rejected a corrupted request frame).
+            self._count_protocol_error()
 
     def _frame_error(self, worker: _WorkerBase, error: FrameError) -> None:
         """Count a response frame that failed to decode. When its header
         named the request (a malformed attachment), that request fails
         ``bad-response``; otherwise it is left to its timeout."""
-        with self._lock:
-            entry = self._pop_answered_locked(error.message_id)
-            self._counters.protocol_errors += 1
-            self._lock.notify_all()
-        if entry is not None:
-            self._fail_unreadable(worker, entry, error)
-
-    def _drop_pending(self, request_id: int) -> Optional[_Pending]:
-        with self._lock:
-            entry = self._pending.pop(request_id, None)
-            if entry is not None:
-                self._by_worker[entry.worker].discard(request_id)
-                if entry.kind in ("infer", "stream"):
-                    self._in_flight[entry.worker] = max(
-                        0, self._in_flight[entry.worker] - 1)
-            self._lock.notify_all()
-        return entry
+        self._count_protocol_error()
+        self._settle([error.message_id],
+                     lambda entry: _unreadable(worker, entry, error),
+                     "completed")
 
     def _worker_died(self, worker: _WorkerBase) -> None:
         with self._lock:
             worker.mark_dead()
-            ids = sorted(self._by_worker[worker.name])
-            entries = [self._pending.pop(request_id)
-                       for request_id in ids]
-            self._by_worker[worker.name].clear()
-            self._in_flight[worker.name] = 0
+            held = [request_id
+                    for request_id, entry in self._pending.items()
+                    if entry.worker == worker.name]
             if not worker._failure_counted:
                 worker._failure_counted = True
                 self._counters.worker_failures += 1
@@ -915,20 +884,21 @@ class ClusterRouter(ServerMixin):
             for key, owner in self._sessions.items():
                 if owner == worker.name:
                     self._sessions[key] = None
-            self._lock.notify_all()
-        for entry in entries:
+
+        def failure(entry: _Pending) -> ServingError:
             if entry.kind == "stream":
                 # Only this worker's sessions fail; streams pinned to
                 # other workers never see the crash.
-                entry.future._fail(SessionError(
+                return SessionError(
                     f"worker {worker.name!r} died holding session "
                     f"{entry.session!r} of {entry.model!r}; its state is "
-                    "lost — reopen and replay", code="session-lost"))
-            else:
-                entry.future._fail(WorkerError(
-                    f"worker {worker.name!r} died holding request for "
-                    f"{entry.model!r} (crash mid-batch or connection "
-                    "lost); the request may be retried"))
+                    "lost — reopen and replay", code="session-lost")
+            return WorkerError(
+                f"worker {worker.name!r} died holding request for "
+                f"{entry.model!r} (crash mid-batch or connection "
+                "lost); the request may be retried")
+
+        self._settle(held, failure)
 
     def _expire_timeouts(self) -> int:
         now = self._clock()
@@ -937,21 +907,8 @@ class ClusterRouter(ServerMixin):
                        for request_id, entry in self._pending.items()
                        if entry.deadline is not None
                        and now >= entry.deadline]
-            entries = []
-            for request_id in expired:
-                entry = self._pending.pop(request_id)
-                self._by_worker[entry.worker].discard(request_id)
-                if entry.kind in ("infer", "stream"):
-                    self._in_flight[entry.worker] = max(
-                        0, self._in_flight[entry.worker] - 1)
-                self._counters.timeouts += 1
-                entries.append(entry)
-            self._lock.notify_all()
-        for entry in entries:
-            entry.future._fail(WorkerError(
-                f"no response from worker {entry.worker!r} within "
-                f"{self._timeout_ms} ms (frame lost?)", code="timeout"))
-        return len(entries)
+        return len(self._settle(expired, _no_response(
+            f"{self._timeout_ms} ms (frame lost?)", "timeout"), "timeouts"))
 
     # ------------------------------------------------------------------
     # Driving (deterministic local mode)
@@ -993,60 +950,43 @@ class ClusterRouter(ServerMixin):
         (``code="lost"``) rather than hanging. Process workers are
         waited on (wall-clock ``timeout``); stragglers fail typed
         (``code="timeout"``)."""
-        if any(not w.drives_itself for w in self._workers):
-            while True:
-                with self._lock:
-                    stuck = [request_id
-                             for request_id, entry in self._pending.items()
-                             if not self._worker_by_name(
-                                 entry.worker).drives_itself]
-                if not stuck:
-                    break
-                if self.pump() == 0:
-                    self._fail_lost(stuck)
-                    break
+        self._await(lambda request_id, entry: True, timeout, "timeout")
+
+    def _await(self, wanted, timeout: Optional[float], code: str) -> None:
+        """Settle the pending entries ``wanted(request_id, entry)`` picks:
+        pump local workers until theirs are answered (a round that moves
+        nothing fails them ``lost``), wait up to ``timeout`` s on worker
+        processes, and fail what they still hold with ``code``."""
+        def held(remote: bool) -> List[int]:      # callers hold the lock
+            return [request_id
+                    for request_id, entry in self._pending.items()
+                    if self._by_name[entry.worker].drives_itself == remote
+                    and wanted(request_id, entry)]
+
+        while True:
+            with self._lock:
+                stuck = held(False)
+            if not stuck:
+                break
+            if self.pump() == 0:
+                self._settle(stuck, lambda entry: WorkerError(
+                    f"request for {entry.model!r} on worker "
+                    f"{entry.worker!r} can no longer complete "
+                    "(frame lost in transport)", code="lost"), "timeouts")
+                break
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         with self._lock:
-            while self._remote_pending_locked():
+            while held(True):
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
                 if remaining is not None and remaining <= 0:
                     break
                 self._lock.wait(1.0 if remaining is None
                                 else min(remaining, 1.0))
-            leftovers = self._remote_pending_locked()
-        for request_id in leftovers:
-            entry = self._drop_pending(request_id)
-            if entry is not None:
-                with self._lock:
-                    self._counters.timeouts += 1
-                entry.future._fail(WorkerError(
-                    f"no response from worker {entry.worker!r} within "
-                    f"{timeout} s", code="timeout"))
-
-    def _remote_pending_locked(self) -> List[int]:
-        return [request_id
-                for request_id, entry in self._pending.items()
-                if self._worker_by_name(entry.worker).drives_itself]
-
-    def _fail_lost(self, request_ids: List[int]) -> None:
-        for request_id in request_ids:
-            entry = self._drop_pending(request_id)
-            if entry is None:
-                continue
-            with self._lock:
-                self._counters.timeouts += 1
-            entry.future._fail(WorkerError(
-                f"request for {entry.model!r} on worker "
-                f"{entry.worker!r} can no longer complete "
-                "(frame lost in transport)", code="lost"))
-
-    def _worker_by_name(self, name: str) -> _WorkerBase:
-        for worker in self._workers:
-            if worker.name == name:
-                return worker
-        raise ConfigurationError(f"no worker named {name!r}")
+            leftovers = held(True)
+        self._settle(leftovers, _no_response(f"{timeout} s", code),
+                     "timeouts")
 
     @property
     def _drives_itself(self) -> bool:
@@ -1106,7 +1046,8 @@ class ClusterRouter(ServerMixin):
                 has_sessions = any(
                     owner == worker.name
                     for owner in self._sessions.values())
-            self._drain_worker(worker, timeout)
+            self._await(lambda request_id, entry: entry.worker == worker.name,
+                        timeout, "lost")
             exported = None
             if has_sessions and hasattr(worker, "export_sessions"):
                 try:
@@ -1127,37 +1068,9 @@ class ClusterRouter(ServerMixin):
                             if owner == worker.name:
                                 self._sessions[key] = None
             with self._lock:
-                self._in_flight[worker.name] = 0
                 worker.accepting = True
             if worker.drives_itself:
                 self._start_reader(worker)
-
-    def _drain_worker(self, worker: _WorkerBase,
-                      timeout: Optional[float]) -> None:
-        if not worker.alive:
-            return
-        if not worker.drives_itself:
-            while True:
-                with self._lock:
-                    if not self._by_worker[worker.name]:
-                        return
-                if self.pump() == 0:
-                    with self._lock:
-                        stuck = sorted(self._by_worker[worker.name])
-                    self._fail_lost(stuck)
-                    return
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        with self._lock:
-            while self._by_worker[worker.name]:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    break
-                self._lock.wait(1.0 if remaining is None
-                                else min(remaining, 1.0))
-            stuck = sorted(self._by_worker[worker.name])
-        self._fail_lost(stuck)
 
     def close(self, drain: bool = True) -> None:
         """Stop routing; drain (or typed-fail) what is pending, then
@@ -1165,23 +1078,16 @@ class ClusterRouter(ServerMixin):
         with self._lock:
             if not self._running:
                 return
-            running_was = self._running
-        if drain and running_was:
+        if drain:
             try:
                 self.drain()
             except Exception:
                 pass
         with self._lock:
             self._running = False
-            pending = list(self._pending.values())
-            self._pending.clear()
-            for ids in self._by_worker.values():
-                ids.clear()
-            self._lock.notify_all()
-        for entry in pending:
-            if not entry.future.done():
-                entry.future._fail(ServingError(
-                    "cluster router closed before serving"))
+            pending = list(self._pending)
+        self._settle(pending, lambda entry: ServingError(
+            "cluster router closed before serving"))
         for worker in self._workers:
             worker._stopping = True
             worker.stop()
@@ -1219,34 +1125,19 @@ class ClusterRouter(ServerMixin):
         """Per-worker serving statistics, fetched over the wire
         (``{"op": "stats", "detail": true}``) and re-keyed to public
         model names through each worker's alias map."""
-        futures = []
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            future = InferenceFuture(model="stats")
-            with self._lock:
-                request_id = self._next_id
-                self._next_id += 1
-                self._pending[request_id] = _Pending(
-                    future=future, worker=worker.name, model="stats",
-                    enqueued_at=self._clock(), deadline=None,
-                    kind="stats")
-                self._by_worker[worker.name].add(request_id)
-            try:
-                worker.transport.send({"op": "stats", "detail": True,
-                                       "id": request_id})
-            except TransportClosed:
-                self._worker_died(worker)
-                continue
-            futures.append((worker, future))
+        asked = [(worker, self._dispatch(
+                      "stats", {"op": "stats", "detail": True},
+                      InferenceFuture(model="stats"),
+                      lambda worker=worker: worker))
+                 for worker in self._workers if worker.alive]
         collected: Dict[str, Dict[str, ModelStats]] = {}
-        for worker, future in futures:
+        for worker, entry in asked:
             # A worker that fails, times out or answers malformed stats
             # is left out of this snapshot.
             try:
                 collected[worker.name] = _stats_from_reply(
-                    self._reply(worker, future, timeout))
-            except (ServingError, TimeoutError):
+                    self._reply(entry, timeout))
+            except ServingError:
                 continue
         return collected
 

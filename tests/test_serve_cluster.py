@@ -42,6 +42,7 @@ from repro.serve import (
 )
 from repro.serve import cli, transport
 from repro.serve.cli import build_model, serve_protocol
+from repro.serve.futures import InferenceFuture
 from repro.serve.placement import ConsistentHashPlacement
 from repro.util.hashing import ring_hash
 from tests.conftest import make_mlp
@@ -835,6 +836,103 @@ class TestAttachmentWire:
         router = ClusterRouter(fleet, "consistent_hash", clock=clock)
         try:
             assert_zoo_bit_exact(router, zoo)
+        finally:
+            router.close()
+
+
+# ----------------------------------------------------------------------
+# The pending table: every kind of entry settles on every exit
+# ----------------------------------------------------------------------
+def issue(router, kind):
+    """Open session ``s`` (frame 0 each way), then send one op of
+    ``kind`` (frame 1) and return its future. Control and stats ops go
+    through the router's one send path directly: ``close_session`` and
+    ``worker_stats`` wait for their own answer."""
+    sid = router.open_session("gru", "s")
+    rng = np.random.default_rng(3)
+    if kind == "infer":
+        return router.submit(
+            "gru", rng.normal(size=(12, 13)).astype(np.float32))
+    if kind == "stream":
+        return router.submit_stream(
+            "gru", sid, rng.normal(size=(3, 13)).astype(np.float32))
+    message = ({"op": "stats", "detail": True} if kind == "stats"
+               else {"op": "stream_open", "model": "gru", "session": "t"})
+    worker = router._by_name["w0"]
+    return router._dispatch(kind, message, InferenceFuture(model=kind),
+                            lambda: worker).future
+
+
+# The cells no other test covers, with the code each future fails with
+# (None: answered).
+PENDING_CELLS = [
+    ("infer", "closed", "serving-error"),
+    ("stream", "dropped", "lost"),
+    ("stream", "closed", "serving-error"),
+    *[(kind, exit_, code)
+      for kind in ("control", "stats")
+      for exit_, code in (("answered", None), ("killed", "worker-failed"),
+                          ("dropped", "lost"),
+                          ("closed", "serving-error"))],
+]
+
+
+class TestPendingTable:
+    @pytest.mark.parametrize("kind, exit_, code", PENDING_CELLS,
+                             ids=[f"{kind}-{exit_}"
+                                  for kind, exit_, _ in PENDING_CELLS])
+    def test_every_exit_settles_typed_and_empties_the_table(
+            self, zoo, kind, exit_, code):
+        plan = {"killed": FaultPlan().kill("to_router", 1),
+                "dropped": FaultPlan().drop("to_worker", 1)}.get(exit_)
+        clock = ManualClock()
+        router = ClusterRouter([LocalWorker(
+            "w0", {"gru": zoo[0]["gru_speech"]}, clock=clock, plan=plan)],
+            clock=clock)
+        future = issue(router, kind)
+        if exit_ == "closed":
+            router.close(drain=False)
+        else:
+            router.drain()
+        try:
+            error = future.exception(timeout=0)
+            assert (error if error is None else error.code) == code
+            if code is None and kind == "stats":
+                assert "gru@v1" in future.result(timeout=0)["models"]
+            elif code is None and kind == "control":
+                assert future.result(timeout=0)["session"] == "t"
+            assert router._pending == {}
+            assert router.router_stats().in_flight == 0
+        finally:
+            router.close()
+
+    def test_given_up_answers_leave_no_entry_behind(self, deployed, zoo):
+        # A stats answer that never comes: worker_stats gives up, and
+        # the entry goes with it (it was left behind and later failed by
+        # drain(), which counted it as a timeout).
+        router, _, _ = make_cluster(
+            deployed[0], workers=1,
+            plans={0: FaultPlan().drop("to_worker", 0)})
+        assert router.worker_stats(timeout=1.0) == {}
+        assert router._pending == {}
+        future = router.submit("mlp", payloads(1)[0])
+        router.drain()
+        assert future.exception(timeout=0) is None
+        stats = router.router_stats()
+        assert (stats.routed, stats.completed, stats.timeouts) == (1, 1, 0)
+        router.close()
+        # The same for a stream_close whose frame is lost.
+        clock = ManualClock()
+        router = ClusterRouter([LocalWorker(
+            "w0", {"gru": zoo[0]["gru_speech"]}, clock=clock,
+            plan=FaultPlan().drop("to_worker", 1))], clock=clock)
+        try:
+            sid = router.open_session("gru")
+            with pytest.raises(WorkerError) as info:
+                router.close_session("gru", sid)
+            assert info.value.code == "lost"
+            assert router._pending == {}
+            assert router.router_stats().timeouts == 0
         finally:
             router.close()
 

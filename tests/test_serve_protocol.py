@@ -24,6 +24,7 @@ import io
 import json
 import socket
 import struct
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -460,6 +461,21 @@ class TestAttachmentCodec:
         router_end.close()
 
 
+class SocketWorker(_WorkerBase):
+    """A self-driving worker over one end of a socketpair; the test
+    plays the worker process on the other end."""
+
+    drives_itself = True
+
+    def __init__(self, sock):
+        super().__init__("w0", {"m": None}, None)
+        self.transport = SocketTransport(sock)
+        self.alive = True
+
+    def stop(self):
+        self.transport.close()
+
+
 class TestRouterReader:
     @pytest.mark.parametrize("shape,body", [
         ([4], bytes(12)), ([1] * 65, bytes(4)), ([0, 2 ** 64], b""),
@@ -469,17 +485,6 @@ class TestRouterReader:
         # A self-driving worker over a socketpair: the router's reader
         # thread gets a response whose attachment disagrees with its
         # header, fails that request bad-response, and serves the next.
-        class SocketWorker(_WorkerBase):
-            drives_itself = True
-
-            def __init__(self, sock):
-                super().__init__("w0", {"m": None}, None)
-                self.transport = SocketTransport(sock)
-                self.alive = True
-
-            def stop(self):
-                self.transport.close()
-
         router_sock, worker_sock = socket.socketpair()
         peer = SocketTransport(worker_sock, send_direction="to_router")
         router = ClusterRouter([SocketWorker(router_sock)])
@@ -506,6 +511,78 @@ class TestRouterReader:
             router.close(drain=False)
             peer.close()
 
+    def test_concurrent_submits_and_stats_keep_the_table_exact(self):
+        # More submitting threads than cores, a stats poller, and the
+        # reader thread all share the pending table under a short switch
+        # interval: every future resolves with its own answer, ids are
+        # unique and dense, and no count is lost.
+        router_sock, worker_sock = socket.socketpair()
+        peer = SocketTransport(worker_sock, send_direction="to_router")
+        router = ClusterRouter([SocketWorker(router_sock)], capacity=10_000)
+        threads, per_thread = 8, 40
+
+        def answer_everything():
+            while True:
+                try:
+                    request = peer.recv(block=True)
+                except TransportClosed:
+                    return
+                if request is None:
+                    return
+                if request.get("op") == "stats":
+                    peer.send({"id": request["id"], "op": "stats",
+                               "models": {}, "aliases": {}})
+                else:
+                    peer.send({"id": request["id"],
+                               "output": request["input"] * 2})
+
+        results = [None] * threads
+
+        def submit_many(index):
+            results[index] = [
+                (value, router.submit(
+                    "m", np.full(2, value, dtype=np.float32)))
+                for value in range(index * per_thread,
+                                   (index + 1) * per_thread)]
+
+        polled = []
+
+        def poll_stats():
+            for _ in range(10):
+                polled.append(router.worker_stats(timeout=10.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = ([threading.Thread(target=answer_everything)]
+                   + [threading.Thread(target=submit_many, args=(index,))
+                      for index in range(threads)]
+                   + [threading.Thread(target=poll_stats)])
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers[1:]:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert polled == [{"w0": {}}] * 10
+            ids = set()
+            for value, future in (pair for batch in results
+                                  for pair in batch):
+                assert future.result(timeout=10.0).tolist() == \
+                    [2.0 * value] * 2
+                ids.add(future.request.id)
+            total = threads * per_thread
+            stats = router.router_stats()
+            assert stats.routed == stats.completed == total
+            assert stats.in_flight == 0 and router._pending == {}
+            # 10 stats requests took ids too: all ids are distinct and
+            # dense.
+            assert len(ids) == total and max(ids) < total + 10
+        finally:
+            sys.setswitchinterval(interval)
+            router.close(drain=False)
+            peer.close()
+            workers[0].join(timeout=10.0)
+
 
 # ----------------------------------------------------------------------
 # serve_protocol: the malformed-request corpus answers typed codes
@@ -529,6 +606,8 @@ class TestProtocolErrors:
             ('{"op": "dance"}', "unknown-op"),
             ('{"op": "infer", "model": "mlp"}', "bad-request"),
             ('{"op": "infer", "input": [1]}', "bad-request"),
+            ('{"op": "stream_close", "model": "mlp"}', "bad-request"),
+            ('{"op": "session_import", "model": "mlp"}', "bad-request"),
             ('{"model": "ghost", "input": [1]}', "unknown-model"),
             ('{"model": "mlp", "input": [[1], [1, 2]]}', "bad-request"),
             (FrameError("truncated", "stream ended mid-frame"),

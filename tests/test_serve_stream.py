@@ -765,7 +765,9 @@ class TestProtocolStreamOps:
          "bad-request"),
         ({"op": "session_import", "session": "s", "state": [1]},
          "bad-request"),
-    ], ids=["unknown-session", "state-missing-h", "state-not-object"])
+        ({"op": "stream_close"}, "bad-request"),
+    ], ids=["unknown-session", "state-missing-h", "state-not-object",
+            "close-without-session"])
     def test_bad_session_request_answers_typed(self, artifacts, line, code):
         server = ModelServer(workers=0)
         try:
